@@ -1,10 +1,20 @@
 """Observability/reachability analysis and regularity certification.
 
-Rank questions are decided through a single SVD convention: a singular
-value counts toward the rank when it exceeds
-``sigma_max * max(rows, cols) * 2**-52`` (overridable via ``rtol``).
-Orthonormal bases returned from SVDs are sign-normalized so the
-largest-magnitude entry of each column is positive.
+Every observability decision (``unobservable_subspace``,
+``is_observable``, ``is_span_reachable_from_zero``, and the paired
+stacks behind ``equivalence.find_isomorphism``) runs through one
+polynomial-time kernel, the compressed subspace iteration of
+:func:`_observability_iteration`, at one rank floor: a singular value
+counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
+(``1e-10``; ``rtol`` overrides it).  The explicit extended matrices
+(:func:`extended_observability_matrix`,
+:func:`extended_reachability_matrix`) have ``(n_p + 1)^n`` blocks; they
+are kept as builders for tests and export and decide nothing.
+``RankDecision.from_matrix`` on an arbitrary matrix defaults to the
+machine-level floor ``max(rows, cols) * 2**-52``.  Invertibility of
+``A(p)`` is judged at ``SINGULARITY_RTOL``.  Orthonormal bases returned
+from SVDs are sign-normalized so the largest-magnitude entry of each
+column is positive.
 """
 
 from __future__ import annotations
@@ -41,8 +51,9 @@ __all__ = [
     "orthonormal_kernel",
 ]
 
-DEFAULT_MAX_ENTRIES = 10**7
+DEFAULT_MAX_ENTRIES = 10**7  # entry cap of the explicit builders only
 SINGULARITY_RTOL = 1e-10
+RC_CHUNK = 2048  # scheduling points per stacked SVD in check_rc
 # rank floor for iterated subspaces and transition-matrix stacks, whose
 # rounding debris sits well above machine precision (see the docstrings)
 ITERATION_RTOL = 1e-10
@@ -134,6 +145,9 @@ def extended_observability_matrix(
     rows span ``{C_j A_w : words w of length <= n}``.  Row count is
     ``n_y (n_p+1) ((n_p+1)^{n+1} - 1) / n_p`` for ``n_p >= 1``.
 
+    An explicit builder for tests and export: no decision in the package
+    forms this matrix (see :func:`is_observable`).
+
     Raises
     ------
     ResourceCapError
@@ -153,105 +167,120 @@ def extended_reachability_matrix(
     ).T
 
 
-def _orth_rows(M: np.ndarray, rtol: float = None) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of ``M``."""
+def _threshold(M: np.ndarray, rtol: float):
+    """One SVD of ``M``: its rank decision and the orthonormal rows it keeps."""
     if M.size == 0:
-        return M.reshape(0, M.shape[1]) if M.ndim == 2 else M
+        return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, M.shape[1]))
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     tol = _effective_tolerance(s, M.shape, rtol)
-    return Vh[s > tol]
+    keep = s > tol
+    return RankDecision(int(np.sum(keep)), s, tol), Vh[keep]
+
+
+def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
+    """The observability kernel shared by every observability decision.
+
+    Compressed subspace iteration that never forms the extended matrix:
+    ``Q`` holds an orthonormal row basis of the row space of ``O_k`` of
+    the system with output coefficients ``C_i`` and state coefficients
+    ``A_i``.  Level 0 thresholds the stacked output coefficients ``[C_0; ..; C_np]``;
+    each further level thresholds ``[Q; Q A_0; ..; Q A_np]``, whose row
+    space is that of ``O_{k+1}``, and the iteration stops once the rank
+    stops changing or reaches ``n_x`` (at most ``n_x - 1`` levels).  The
+    kernel of the final ``Q`` is the largest subspace inside ``ker C_i``
+    invariant under every ``A_i``, that is ``Ker O_{n_x - 1}``.
+
+    Every level uses the floor ``ITERATION_RTOL`` (or ``rtol``): a
+    computed invariant subspace is only accurate to roughly
+    ``eps * sigma_max / sigma_min`` of the matrix it came from, and later
+    levels must not count that rounding debris as new directions.
+
+    Returns
+    -------
+    (Q, RankDecision)
+        The final row basis and the decision on the last thresholded
+        stack, so ``decision.rank == Q.shape[0]``.
+    """
+    n = A_coeffs[0].shape[0]
+    floor = ITERATION_RTOL if rtol is None else rtol
+    decision, Q = _threshold(np.vstack(C_coeffs), floor)
+    for _ in range(max(n - 1, 0)):
+        if not 0 < Q.shape[0] < n:
+            break
+        decision, grown = _threshold(
+            np.vstack([Q] + [Q @ Ai for Ai in A_coeffs]), floor
+        )
+        unchanged = grown.shape[0] == Q.shape[0]
+        Q = grown
+        if unchanged:
+            break
+    return Q, decision
 
 
 def unobservable_subspace(sys: LpvSsa, rtol: float = None) -> np.ndarray:
     """Orthonormal basis (columns) of the unobservable subspace.
 
-    Subspace iteration that never forms the extended matrix: start from
-    the joint kernel of the output coefficients and repeatedly intersect
-    with the preimages under every state coefficient until the dimension
-    stops dropping (at most ``n_x`` steps).  Each iterate is maintained
-    through the orthonormal row basis of its orthogonal complement (the
-    kernel of ``O_k`` is the complement of the row space of ``O_k``), so
-    every rank decision happens on well-scaled rows.  The result spans
-    ``Ker O_{n_x - 1}``.
-
-    The iteration's rank floor defaults to ``1e-10`` relative rather than
-    the machine-level convention: a computed invariant subspace is only
-    accurate to roughly ``eps * sigma_max / sigma_min`` of the matrix it
-    came from, and later levels must not count that rounding debris as
-    new row-space directions.  Pass ``rtol`` to override.
+    The orthogonal complement of the row basis that the observability
+    kernel (:func:`_observability_iteration`) ends with; it spans
+    ``Ker O_{n_x - 1}``.  The rank floor defaults to ``1e-10`` relative
+    (``ITERATION_RTOL``); pass ``rtol`` to override.
     """
-    n = sys.n_x
-    if n == 0:
-        return np.zeros((0, 0))
-    rtol_iter = ITERATION_RTOL if rtol is None else rtol
-    Q = _orth_rows(np.vstack(sys.C.coeffs), rtol_iter)
-    for _ in range(max(n - 1, 0)):
-        if Q.shape[0] >= n:
-            break
-        grown = _orth_rows(
-            np.vstack([Q] + [Q @ Ai for Ai in sys.A.coeffs]), rtol_iter
-        )
-        if grown.shape[0] == Q.shape[0]:
-            Q = grown
-            break
-        Q = grown
-    return orthonormal_kernel(Q, rtol)
+    Q, _ = _observability_iteration(sys.C.coeffs, sys.A.coeffs, rtol)
+    return orthonormal_kernel(Q)
 
 
-def is_observable(
-    sys: LpvSsa,
-    rtol: float = None,
-    *,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-):
+def is_observable(sys: LpvSsa, rtol: float = None):
     """Rank test for observability: ``rank O_{n_x - 1} = n_x``.
 
-    The verdict comes from the subspace-iteration kernel; the
-    RankDecision reports the SVD of the explicit ``O_{n_x-1}`` when it
-    fits under the entry cap, and otherwise the compressed decision
-    (``n_x - dim kernel`` unit singular values).
+    Verdict and evidence come from one matrix: the returned RankDecision
+    is the SVD of the last stack the observability kernel thresholded
+    (``[Q; Q A_0; ..; Q A_np]``, or the stacked ``C_i`` when the
+    iteration ends at level 0), its ``tolerance_used`` is that matrix's
+    largest singular value times the floor that ran (``1e-10``, or
+    ``rtol``), and ``rank == n_x - dim Ker O_{n_x - 1}``.  The explicit
+    ``O_{n_x - 1}`` with its ``(n_p + 1)^{n_x}`` blocks is never formed.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    n = sys.n_x
-    k = unobservable_subspace(sys, rtol).shape[1]
-    try:
-        O = extended_observability_matrix(sys, max(n - 1, 0), max_entries=max_entries)
-        decision = RankDecision.from_matrix(O, rtol)
-    except ResourceCapError:
-        decision = RankDecision(
-            rank=n - k,
-            singular_values=np.ones(n - k),
-            tolerance_used=0.0,
-        )
-    return k == 0, decision
+    Q, decision = _observability_iteration(sys.C.coeffs, sys.A.coeffs, rtol)
+    return Q.shape[0] == sys.n_x, decision
 
 
-def is_span_reachable_from_zero(
-    sys: LpvSsa,
-    rtol: float = None,
-    *,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-):
+def is_span_reachable_from_zero(sys: LpvSsa, rtol: float = None):
     """Rank test for span-reachability from zero: observability of the dual.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    return is_observable(transpose_dual(sys), rtol, max_entries=max_entries)
+    return is_observable(transpose_dual(sys), rtol)
 
 
-def _is_singular(Ap: np.ndarray, rtol: float = SINGULARITY_RTOL) -> bool:
-    """Scaled invertibility test: smallest singular value vs ``rtol * largest``."""
-    if Ap.size == 0:
-        return False
-    s = np.linalg.svd(Ap, compute_uv=False)
-    if s[0] == 0.0:
-        return True
-    return bool(s[-1] <= rtol * s[0])
+def _singular_mask(As: np.ndarray) -> np.ndarray:
+    """Scaled invertibility test on a ``(K, n, n)`` stack, one stacked SVD.
+
+    Entry ``k`` is True when the smallest singular value of ``As[k]`` is
+    at most ``SINGULARITY_RTOL`` times its largest (an all-zero matrix
+    included).
+    """
+    s = np.linalg.svd(As, compute_uv=False)
+    return s[:, -1] <= SINGULARITY_RTOL * s[:, 0]
+
+
+def _first_singular(sys: LpvSsa, points: np.ndarray):
+    """First point, in the given order, at which ``A(p)`` is singular, or None.
+
+    ``A`` is evaluated and tested in chunks of ``RC_CHUNK`` points, which
+    bounds the memory held at once and stops early on a refutation.
+    """
+    for start in range(0, points.shape[0], RC_CHUNK):
+        block = points[start : start + RC_CHUNK]
+        hit = np.flatnonzero(_singular_mask(sys.A.at_points(block)))
+        if hit.size:
+            return block[hit[0]].copy()
+    return None
 
 
 @dataclass(frozen=True)
@@ -291,7 +320,7 @@ def _rc_univariate(sys: LpvSsa) -> RcCertificate:
     lo, hi = float(sys.region.lower[0]), float(sys.region.upper[0])
     deg = sys.n_x
     nodes = _chebyshev_nodes(lo, hi, deg + 1)
-    vals = np.array([np.linalg.det(sys.A(np.array([t]))) for t in nodes])
+    vals = np.linalg.det(sys.A.at_points(nodes[:, None]))
     coeffs = (
         npoly.polyfit(nodes, vals, deg) if deg > 0 else np.array([vals[0]])
     )
@@ -333,9 +362,9 @@ def _rc_univariate(sys: LpvSsa) -> RcCertificate:
                 a = m
         candidates.append(0.5 * (a + b))
 
-    for t in candidates:
-        if _is_singular(sys.A(np.array([t]))):
-            return refute(t)
+    witness = _first_singular(sys, np.array(candidates)[:, None])
+    if witness is not None:
+        return refute(witness[0])
     return RcCertificate(
         convex_ok=True, dt_invertibility="certified", det_poly_1d=coeffs
     )
@@ -350,8 +379,9 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10, *, seed: int = 12345) -> RcCe
     Chebyshev nodes and its real roots are isolated inside the interval;
     with two or more variables the check samples a tensor grid
     (``grid_per_axis`` points per axis) plus ``10 * grid_per_axis**n_p``
-    seeded uniform draws and can only return a heuristic pass or a
-    refutation with witness.
+    seeded uniform draws, tested with stacked SVDs, and can only return
+    a heuristic pass or a refutation whose witness is the first singular
+    point in that order.
     """
     convex_ok = sys.region.has_interior()
     if sys.domain == TimeDomain.CT:
@@ -377,14 +407,14 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10, *, seed: int = 12345) -> RcCe
     pts = sys.region.grid(grid_per_axis)
     rng = np.random.default_rng(seed)
     pts = np.vstack([pts, sys.region.sample(rng, 10 * grid_per_axis**sys.n_p)])
-    for p in pts:
-        if _is_singular(sys.A(p)):
-            return RcCertificate(
-                convex_ok=convex_ok,
-                dt_invertibility="refuted-with-witness",
-                witness=p.copy(),
-                grid_per_axis=grid_per_axis,
-            )
+    witness = _first_singular(sys, pts)
+    if witness is not None:
+        return RcCertificate(
+            convex_ok=convex_ok,
+            dt_invertibility="refuted-with-witness",
+            witness=witness,
+            grid_per_axis=grid_per_axis,
+        )
     return RcCertificate(
         convex_ok=convex_ok,
         dt_invertibility="heuristic-pass",

@@ -2,11 +2,14 @@
 
 Exit codes: 0 when the command ran to completion (verdicts do not change
 the exit code), 2 on input errors, 3 when a resource cap is hit.  Every
-command is deterministic given its files and flags.  Machine-readable
-output (``--json``) carries the tool version and the tolerances in
-effect.  The environment variable ``LPVSSA_RANK_RTOL`` overrides the
-default rank tolerance; the ``--rank-rtol`` flag takes precedence over
-the environment.
+rank decision runs through the polynomial-time observability kernel, so
+no command builds a capped matrix: code 3 is kept for the explicit
+extended-matrix builders of the library (``ResourceCapError``), and only
+they raise it.  Every command is deterministic given its files and
+flags.  Machine-readable output (``--json``) carries the tool version
+and the tolerances that ran.  The environment variable
+``LPVSSA_RANK_RTOL`` overrides the rank floor (``1e-10`` relative); the
+``--rank-rtol`` flag takes precedence over the environment.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    ITERATION_RTOL,
     SINGULARITY_RTOL,
     check_rc,
     find_revealing_scheduling,
@@ -102,16 +106,16 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(_jsonable(payload), indent=2))
 
 
-def _base_payload(command: str, rank_rtol) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "tolerances": {
-            "rank_rtol": rank_rtol,
-            "rank_rtol_default": "max(rows, cols) * 2**-52 per matrix",
-            "singularity_rtol": SINGULARITY_RTOL,
-        },
-    }
+def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict:
+    """Version, command and tolerances; ``rank_rtol_used`` is the rank floor
+    that decided the verdicts (commands that decide no rank omit it)."""
+    tolerances = {"rank_rtol": rank_rtol}
+    if decides_rank:
+        tolerances["rank_rtol_used"] = (
+            ITERATION_RTOL if rank_rtol is None else rank_rtol
+        )
+    tolerances["singularity_rtol"] = SINGULARITY_RTOL
+    return {"version": __version__, "command": command, "tolerances": tolerances}
 
 
 def _rc_payload(rc) -> dict:
@@ -143,7 +147,10 @@ _rank_rtol_option = click.option(
     "--rank-rtol",
     type=float,
     default=None,
-    help=f"Rank tolerance override (precedence over ${RANK_RTOL_ENV}).",
+    help=(
+        f"Rank floor override, relative to the largest singular value "
+        f"[default: {ITERATION_RTOL:g}] (precedence over ${RANK_RTOL_ENV})."
+    ),
 )
 _json_option = click.option(
     "--json", "as_json", is_flag=True, help="Machine-readable output."
@@ -171,6 +178,8 @@ def check(system_file, grid, rank_rtol, as_json):
     rc = check_rc(sys_, grid)
     if as_json:
         payload = _base_payload("check", rtol)
+        payload["tolerances"]["observability_tolerance_used"] = obs_dec.tolerance_used
+        payload["tolerances"]["reachability_tolerance_used"] = reach_dec.tolerance_used
         payload.update(
             {
                 "n_x": sys_.n_x,
@@ -329,7 +338,7 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
         click.echo(f"wrote {out_path}")
         return
     if as_json:
-        payload = _base_payload("simulate", None)
+        payload = _base_payload("simulate", None, decides_rank=False)
         payload["trajectory"] = trajectory_to_json(traj)
         _emit_json(payload)
         return
@@ -358,7 +367,7 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
         step=step,
     )
     if as_json:
-        payload = _base_payload("equiv", None)
+        payload = _base_payload("equiv", None, decides_rank=False)
         payload["tolerances"]["equiv_tol"] = report.tolerance
         payload.update(
             {

@@ -109,6 +109,31 @@ class AffineMatrixFunction:
 
     evaluate = __call__
 
+    def at_points(self, points) -> np.ndarray:
+        """Evaluate at many scheduling points at once.
+
+        Accumulates in the same coefficient-index order as
+        :meth:`__call__`, so ``at_points(P)[k]`` is bit-identical to
+        ``self(P[k])``.
+
+        Parameters
+        ----------
+        points : array_like, shape (K, n_p)
+
+        Returns
+        -------
+        (K, rows, cols) ndarray
+        """
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.n_p:
+            raise InputError(
+                f"scheduling points have shape {P.shape}, expected (K, {self.n_p})"
+            )
+        out = np.repeat(self.coeffs[0][None], P.shape[0], axis=0)
+        for i in range(self.n_p):
+            out += P[:, i, None, None] * self.coeffs[i + 1]
+        return out
+
     def transpose(self) -> "AffineMatrixFunction":
         """Coefficient-wise transpose."""
         return AffineMatrixFunction([m.T for m in self.coeffs])

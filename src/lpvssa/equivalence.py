@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    DEFAULT_MAX_ENTRIES,
     RcCertificate,
-    _orth_rows,
+    _observability_iteration,
     check_rc,
-    extended_observability_matrix,
     is_observable,
 )
 from .core import LpvSsa, TimeDomain
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 from .signals import Signal, random_input, random_scheduling
 from .simulation import (
     integration_mesh,
@@ -107,28 +105,22 @@ def check_isomorphism(sys1: LpvSsa, sys2: LpvSsa, T: np.ndarray) -> float:
     return worst
 
 
-def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa, depth: int, max_entries: int):
-    """Observability stacks of both systems with identical row structure.
+def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa, rtol: float = None):
+    """Jointly compressed observability stacks ``[O(sys2) | O(sys1)]``.
 
-    Direct stacking when it fits under the cap; otherwise a jointly
-    compressed iteration that orthonormalizes the paired rows
-    ``[O(sys2) | O(sys1)]``, which preserves any linear relation between
-    the two stacks.
+    The paired rows are the observability rows of the parallel system
+    with state ``(x2, x1)``, output coefficients ``[C2_i  C1_i]`` and
+    state coefficients ``diag(A2_i, A1_i)``, so the observability kernel
+    compresses them, at its rank floor, into one orthonormal row basis
+    of their joint row space and stops once that space stops growing.
+    The compression preserves every linear relation between the two
+    halves, in particular ``O(sys2) T = O(sys1)``.
     """
-    try:
-        O2 = extended_observability_matrix(sys2, depth, max_entries=max_entries)
-        O1 = extended_observability_matrix(sys1, depth, max_entries=max_entries)
-        return O2, O1
-    except ResourceCapError:
-        pass
     n = sys1.n_x
-    J = _orth_rows(np.hstack([np.vstack(sys2.C.coeffs), np.vstack(sys1.C.coeffs)]))
-    for _ in range(depth):
-        rows = [J]
-        R2, R1 = J[:, :n], J[:, n:]
-        for A2i, A1i in zip(sys2.A.coeffs, sys1.A.coeffs):
-            rows.append(np.hstack([R2 @ A2i, R1 @ A1i]))
-        J = _orth_rows(np.vstack(rows))
+    Z = np.zeros((n, n))
+    C = [np.hstack([C2, C1]) for C2, C1 in zip(sys2.C.coeffs, sys1.C.coeffs)]
+    A = [np.block([[A2, Z], [Z, A1]]) for A2, A1 in zip(sys2.A.coeffs, sys1.A.coeffs)]
+    J, _ = _observability_iteration(C, A, rtol)
     return J[:, :n], J[:, n:]
 
 
@@ -138,15 +130,16 @@ def find_isomorphism(
     *,
     tol: float = 1e-8,
     rtol: float = None,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> IsoResult:
     """Estimate the isomorphism from ``sys1`` to ``sys2`` and judge it.
 
-    The transform solves the stacked least-squares problem
-    ``O(sys2) T = O(sys1)`` over the extended observability matrices at
-    depth ``n - 1``, which the defining equations force for any true
-    isomorphism.  The residual then evaluates all four equation families
-    (covering the B/D equations the solve does not enforce).
+    The transform solves the least-squares problem ``O(sys2) T = O(sys1)``,
+    which the defining equations force for any true isomorphism, on the
+    jointly compressed stacks of :func:`_paired_obs_stacks`: the one
+    observability kernel at its one floor (``1e-10``, or ``rtol``), so
+    neither ``(n_p + 1)^n``-block matrix is formed.  The residual then
+    evaluates all four equation families (covering the B/D equations the
+    solve does not enforce).
 
     Returns
     -------
@@ -182,7 +175,7 @@ def find_isomorphism(
             verdict="isomorphic",
             condition_number=1.0,
         )
-    O2, O1 = _paired_obs_stacks(sys2, sys1, max(n - 1, 0), max_entries)
+    O2, O1 = _paired_obs_stacks(sys2, sys1, rtol)
     T = np.linalg.lstsq(O2, O1, rcond=rtol)[0]
     residual = check_isomorphism(sys1, sys2, T)
     cond = float(np.linalg.cond(T))

@@ -208,12 +208,13 @@ class TestRankTests:
             _, dec = is_span_reachable_from_zero(sys)
             assert dec.rank == word_reach_rank(sys, sys.n_x - 1)
 
-    def test_capped_decision_falls_back_to_iteration(self, worked_example):
-        obs_full, dec_full = is_observable(worked_example)
-        obs_capped, dec_capped = is_observable(worked_example, max_entries=10)
-        assert obs_full == obs_capped
-        assert dec_full.rank == dec_capped.rank
-        assert np.allclose(dec_capped.singular_values, 1.0)
+    def test_decision_rank_matches_explicit_stack(self, worked_example):
+        obs, dec = is_observable(worked_example)
+        assert obs is False
+        assert dec.rank == 2
+        assert dec.singular_values.shape == (3,)
+        O2 = extended_observability_matrix(worked_example, 2)
+        assert dec.rank == np.linalg.matrix_rank(O2)
 
 
 class TestCheckRc:
