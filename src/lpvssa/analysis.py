@@ -29,7 +29,9 @@ from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
 from .simulation import (
-    _stage,
+    _guard_region,
+    _output_map,
+    _propagate,
     integration_mesh,
     rk4_on_mesh,
     transition_matrices_dt,
@@ -422,22 +424,6 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10, *, seed: int = 12345) -> RcCe
     )
 
 
-def _guard_region(sys: LpvSsa, p: Signal, out_of_region: str, stacklevel: int = 3):
-    bad = p.restrict_check(sys.region)
-    if not bad.size:
-        return
-    msg = (
-        f"{bad.size} scheduling sample(s) outside the region "
-        f"(first at index {bad[0]})"
-    )
-    if out_of_region == "reject":
-        raise InputError(msg)
-    if out_of_region == "warn":
-        warnings.warn(msg, stacklevel=stacklevel)
-    else:
-        raise InputError(f"unknown out_of_region mode {out_of_region!r}")
-
-
 @dataclass(frozen=True)
 class LtvSystem:
     """Time-indexed matrices of a system frozen along one scheduling signal."""
@@ -468,12 +454,7 @@ def freeze_scheduling(
         raise InputError(f"scheduling signal has dimension {p.dim}, expected {sys.n_p}")
     _guard_region(sys, p, out_of_region)
     K = p.n_samples
-    As = np.empty((K, sys.n_x, sys.n_x))
-    Bs = np.empty((K, sys.n_x, sys.n_u))
-    Cs = np.empty((K, sys.n_y, sys.n_x))
-    Ds = np.empty((K, sys.n_y, sys.n_u))
-    for k in range(K):
-        As[k], Bs[k], Cs[k], Ds[k] = sys.matrices_at(p.values[k])
+    As, Bs, Cs, Ds = (f.at_points(p.values) for f in (sys.A, sys.B, sys.C, sys.D))
     times = (
         np.arange(K, dtype=float) if sys.domain == TimeDomain.DT else p.times.copy()
     )
@@ -512,37 +493,25 @@ def ltv_window_observability(
     if p.domain != sys.domain:
         raise InputError("scheduling signal domain must match the system")
     _guard_region(sys, p, out_of_region)
-    n = sys.n_x
-    if sys.domain == TimeDomain.DT:
-        t_end = int(t_end)
-        if t_end < 1:
-            raise InputError("t_end must be a positive integer in DT")
-        if not p.covers(t_end):
-            raise InputError("scheduling signal does not cover the window")
-        Phi = transition_matrices_dt(sys, p, t_end)
-        blocks = [sys.C(p.value_at(t)) @ Phi[t] for t in range(t_end + 1)]
-        decision = RankDecision.from_matrix(np.vstack(blocks), rtol)
-        return decision.rank == n, decision
-    t_end = float(t_end)
+    dt = sys.domain == TimeDomain.DT
+    t_end = int(t_end) if dt else float(t_end)
     if t_end <= 0:
-        raise InputError("t_end must be positive in CT")
+        raise InputError(
+            "t_end must be a positive integer in DT" if dt else "t_end must be positive in CT"
+        )
     if not p.covers(t_end):
         raise InputError("scheduling signal does not cover the window")
-    if step is None:
-        step = t_end / 200.0
-    mesh = integration_mesh(t_end, step, p)
-
-    def deriv(t, a, b, Y):
-        pt = _stage(p, t, a, b)
-        Phi = Y[0]
-        CPhi = sys.C(pt) @ Phi
-        return np.stack([sys.A(pt) @ Phi, CPhi.T @ CPhi])
-
-    Y0 = np.stack([np.eye(n), np.zeros((n, n))])
-    W = rk4_on_mesh(deriv, Y0, mesh)[-1, 1]
-    W = 0.5 * (W + W.T)
-    decision = RankDecision.from_matrix(W, rtol)
-    return decision.rank == n, decision
+    if dt:
+        Phi = transition_matrices_dt(sys, p, t_end)
+        stack = _output_map(sys, p.values_at(np.arange(t_end + 1)), Phi)
+    else:
+        mesh = integration_mesh(t_end, t_end / 200.0 if step is None else step, p)
+        M, _, G = rk4_on_mesh(sys, p, mesh, gramian=True)
+        Phi = _propagate(M, np.eye(sys.n_x))[:-1]
+        W = (np.swapaxes(Phi, 1, 2) @ G @ Phi).sum(axis=0)
+        stack = 0.5 * (W + W.T)
+    decision = RankDecision.from_matrix(stack, rtol)
+    return decision.rank == sys.n_x, decision
 
 
 def find_revealing_scheduling(

@@ -107,8 +107,6 @@ class AffineMatrixFunction:
             out += p[i] * self.coeffs[i + 1]
         return out
 
-    evaluate = __call__
-
     def at_points(self, points) -> np.ndarray:
         """Evaluate at many scheduling points at once.
 

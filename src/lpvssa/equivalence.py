@@ -23,9 +23,9 @@ from .core import LpvSsa, TimeDomain
 from .errors import InputError
 from .signals import Signal, random_input, random_scheduling
 from .simulation import (
-    integration_mesh,
-    simulate_ct,
-    simulate_dt,
+    _check_signature,
+    _output_map,
+    io_response,
     transition_matrices_ct,
     transition_matrices_dt,
 )
@@ -65,19 +65,6 @@ def _relerr(X: np.ndarray, Y: np.ndarray) -> float:
     num = float(np.linalg.norm(X - Y))
     den = 1.0 + max(float(np.linalg.norm(X)), float(np.linalg.norm(Y)))
     return num / den
-
-
-def _check_signature(sys1: LpvSsa, sys2: LpvSsa) -> None:
-    if sys1.signature() != sys2.signature():
-        raise InputError(
-            "systems must share n_u, n_y, n_p and time domain: "
-            f"{sys1.signature()} vs {sys2.signature()}"
-        )
-    if not (
-        np.allclose(sys1.region.lower, sys2.region.lower)
-        and np.allclose(sys1.region.upper, sys2.region.upper)
-    ):
-        raise InputError("systems must share the scheduling region")
 
 
 def check_isomorphism(sys1: LpvSsa, sys2: LpvSsa, T: np.ndarray) -> float:
@@ -210,26 +197,6 @@ def find_isomorphism(
     )
 
 
-def _free_response_map(sys: LpvSsa, u: Signal, p: Signal, horizon, step: float):
-    """Stacked map from an initial state to the zero-input output samples.
-
-    Built on the same integration mesh the simulations use (which refines
-    the breakpoints of both ``u`` and ``p``), so rows align sample by
-    sample with the simulated outputs.
-    """
-    if sys.domain == TimeDomain.DT:
-        N = int(horizon)
-        Phi = transition_matrices_dt(sys, p, N)
-        return np.vstack(
-            [sys.C(p.value_at(t)) @ Phi[t] for t in range(N + 1)]
-        )
-    mesh = integration_mesh(float(horizon), step, u, p)
-    _, Phi = transition_matrices_ct(sys, p, float(horizon), step, mesh=mesh)
-    return np.vstack(
-        [sys.C(p.value_at(t)) @ Phi[k] for k, t in enumerate(mesh)]
-    )
-
-
 def match_initial_state(
     sys_from: LpvSsa,
     x0,
@@ -259,30 +226,26 @@ def match_initial_state(
         trajectories grow by many orders of magnitude over the horizon.
     """
     _check_signature(sys_from, sys_to)
-    if sys_from.domain == TimeDomain.DT:
-        N = int(horizon)
-        y_from = simulate_dt(sys_from, x0, u, p, N, out_of_region=out_of_region).y.values
-        y_forced = simulate_dt(
-            sys_to, np.zeros(sys_to.n_x), u, p, N, out_of_region=out_of_region
-        ).y.values
-        samples = N + 1
+    kw = dict(step=step, out_of_region=out_of_region)
+    y_from = io_response(sys_from, x0, u, p, horizon, **kw)
+    y_forced = io_response(sys_to, np.zeros(sys_to.n_x), u, p, horizon, **kw).values
+    # the free-response map of sys_to, on the samples of the simulated
+    # outputs (in CT the mesh that refines both u and p)
+    if sys_to.domain == TimeDomain.DT:
+        P = p.values_at(np.arange(int(horizon) + 1))
+        Phi = transition_matrices_dt(sys_to, p, int(horizon))
     else:
-        t_end = float(horizon)
-        y_from = simulate_ct(
-            sys_from, x0, u, p, t_end, step, out_of_region=out_of_region
-        ).y.values
-        y_forced = simulate_ct(
-            sys_to, np.zeros(sys_to.n_x), u, p, t_end, step, out_of_region=out_of_region
-        ).y.values
-        samples = y_from.shape[0]
-    M = _free_response_map(sys_to, u, p, horizon, step)
+        P = p.values_at(y_from.times)
+        _, Phi = transition_matrices_ct(sys_to, p, horizon, step, mesh=y_from.times)
+    M = _output_map(sys_to, P, Phi)
+    y_from = y_from.values
     b = (y_from - y_forced).reshape(-1)
     if sys_to.n_x == 0:
         x0_to = np.zeros(0)
     else:
         x0_to = np.linalg.lstsq(M, b, rcond=rtol)[0]
     y_match = y_forced + (M @ x0_to).reshape(y_from.shape)
-    scale = np.sqrt(samples) + float(np.linalg.norm(y_from))
+    scale = np.sqrt(y_from.shape[0]) + float(np.linalg.norm(y_from))
     residual = float(np.linalg.norm(y_from - y_match)) / scale
     return x0_to, residual
 

@@ -145,6 +145,31 @@ class Signal:
             out[j] = np.interp(t, self.times, self.values[:, j])
         return out
 
+    def values_at(self, ts) -> np.ndarray:
+        """Signal values at many time instants, shape ``(K, dim)``.
+
+        Row ``k`` is bit-identical to ``value_at(ts[k])``: the same index
+        rule in DT and for piecewise-constant signals, and ``np.interp``
+        (once per dimension) for piecewise-linear ones.
+        """
+        ts = np.asarray(ts).reshape(-1)
+        if self.domain == TimeDomain.DT:
+            ks = ts.astype(np.int64)
+            bad = (ks < 0) | (ks >= self.n_samples)
+            if bad.any():
+                raise InputError(
+                    f"step {ks[bad][0]} outside the signal range 0..{self.n_samples - 1}"
+                )
+            return self.values[ks]
+        ts = ts.astype(float)
+        if self.interpolation == PIECEWISE_CONSTANT:
+            idx = np.searchsorted(self.times, ts, side="left") - 1
+            return self.values[np.maximum(idx, 0)]
+        out = np.empty((ts.size, self.dim))
+        for j in range(self.dim):
+            out[:, j] = np.interp(ts, self.times, self.values[:, j])
+        return out
+
     def restrict_check(self, region: SchedulingRegion, atol=1e-12) -> np.ndarray:
         """Indices of samples lying outside the region (empty when all inside)."""
         lo, hi = region.lower, region.upper

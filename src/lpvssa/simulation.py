@@ -1,12 +1,18 @@
 """Trajectory generation: exact DT recursion and fixed-step RK4 in CT.
 
-The CT integrator is the classical 4th-order Runge-Kutta method on a
-deterministic mesh: a uniform grid refined with the breakpoints of the
-input and scheduling signals, so no integration step straddles a signal
-discontinuity.  Piecewise-constant signals are evaluated at the midpoint
-of the current step (the segment value); piecewise-linear signals at the
-exact stage times.  This keeps the scheme at its nominal order on
-problems with piecewise-linear scheduling.
+Signals and matrices are evaluated along the whole horizon in one batch
+(:meth:`Signal.values_at`, :meth:`AffineMatrixFunction.at_points`); only
+the recurrence ``x_{k+1} = M_k x_k + c_k`` of :func:`_propagate` steps in
+Python.  In DT, ``M_k = A(p(k))`` and ``c_k = B(p(k)) u(k)``.
+
+The CT integrator is classical 4th-order Runge-Kutta on a mesh that
+refines a uniform grid with the signals' breakpoints, so no step
+straddles a discontinuity.  Piecewise-constant signals take their segment
+value (the value at the step midpoint) at every stage; piecewise-linear
+signals their values at the step's start, midpoint and end, which keeps
+the nominal order.  The right-hand side is linear in the state, so each
+RK4 step is an affine map, and :func:`rk4_on_mesh` assembles the maps of
+all steps at once: the stage times are unchanged, only rounding differs.
 """
 
 from __future__ import annotations
@@ -31,6 +37,35 @@ __all__ = [
 ]
 
 
+def _check_signature(sys1: LpvSsa, sys2: LpvSsa) -> None:
+    if sys1.signature() != sys2.signature():
+        raise InputError(
+            "systems must share n_u, n_y, n_p and time domain: "
+            f"{sys1.signature()} vs {sys2.signature()}"
+        )
+    if not (
+        np.allclose(sys1.region.lower, sys2.region.lower)
+        and np.allclose(sys1.region.upper, sys2.region.upper)
+    ):
+        raise InputError("systems must share the scheduling region")
+
+
+def _guard_region(sys: LpvSsa, p: Signal, out_of_region: str, stacklevel: int = 3):
+    bad = p.restrict_check(sys.region)
+    if not bad.size:
+        return
+    msg = (
+        f"{bad.size} scheduling sample(s) outside the region "
+        f"(first at index {bad[0]})"
+    )
+    if out_of_region == "reject":
+        raise InputError(msg)
+    if out_of_region == "warn":
+        warnings.warn(msg, stacklevel=stacklevel)
+    else:
+        raise InputError(f"unknown out_of_region mode {out_of_region!r}")
+
+
 def _check_signals(sys: LpvSsa, u: Signal, p: Signal, horizon, out_of_region: str):
     if u.domain != sys.domain or p.domain != sys.domain:
         raise InputError("signal time domains must match the system")
@@ -42,18 +77,7 @@ def _check_signals(sys: LpvSsa, u: Signal, p: Signal, horizon, out_of_region: st
         raise InputError("input signal does not cover the requested horizon")
     if not p.covers(horizon):
         raise InputError("scheduling signal does not cover the requested horizon")
-    bad = p.restrict_check(sys.region)
-    if bad.size:
-        msg = (
-            f"{bad.size} scheduling sample(s) outside the region "
-            f"(first at index {bad[0]})"
-        )
-        if out_of_region == "reject":
-            raise InputError(msg)
-        if out_of_region == "warn":
-            warnings.warn(msg, stacklevel=3)
-        else:
-            raise InputError(f"unknown out_of_region mode {out_of_region!r}")
+    _guard_region(sys, p, out_of_region, stacklevel=4)
 
 
 def _check_x0(sys: LpvSsa, x0) -> np.ndarray:
@@ -105,16 +129,12 @@ def simulate_dt(
     _check_signals(sys, u, p, n_steps, out_of_region)
     xk = _check_x0(sys, x0)
 
-    xs = np.zeros((n_steps + 1, sys.n_x))
-    ys = np.zeros((n_steps + 1, sys.n_y))
-    for t in range(n_steps + 1):
-        pt = p.value_at(t)
-        ut = u.value_at(t)
-        A, B, C, D = sys.matrices_at(pt)
-        xs[t] = xk
-        ys[t] = C @ xk + D @ ut
-        if t < n_steps:
-            xk = A @ xk + B @ ut
+    ks = np.arange(n_steps + 1)
+    P, U = p.values_at(ks), u.values_at(ks)
+    xs = _propagate(
+        sys.A.at_points(P[:-1]), xk, _matvec(sys.B.at_points(P[:-1]), U[:-1])
+    )
+    ys = _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), U)
     return Trajectory(x=Signal.dt(xs), y=Signal.dt(ys))
 
 
@@ -146,35 +166,101 @@ def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
     return mesh
 
 
-def _stage(sig: Signal, t: float, a: float, b: float):
-    """Signal value for an RK4 stage at time ``t`` within the step [a, b]."""
-    if sig.interpolation == PIECEWISE_CONSTANT:
-        return sig.value_at(0.5 * (a + b))
-    return sig.value_at(t)
+def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Row-wise products ``Ms[k] @ vs[k]`` of a matrix and a vector stack."""
+    return np.matmul(Ms, vs[:, :, None])[:, :, 0]
 
 
-def rk4_on_mesh(deriv, X0, mesh: np.ndarray) -> np.ndarray:
-    """Classical RK4 for ``dX/dt = deriv(t, a, b, X)`` sampled on a mesh.
-
-    ``deriv`` receives the stage time ``t`` and the current step ``[a, b]``
-    so signal evaluation can pick the segment value for piecewise-constant
-    signals.  Returns the stacked states, one per mesh node.
-    """
+def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
+    """Iterates ``X_0 .. X_K`` of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero)."""
     X = np.array(X0, dtype=float)
-    out = np.empty((mesh.size,) + X.shape)
+    out = np.empty((M.shape[0] + 1,) + X.shape)
     out[0] = X
-    for k in range(mesh.size - 1):
-        a = mesh[k]
-        b = mesh[k + 1]
-        h = b - a
-        m = a + 0.5 * h
-        k1 = deriv(a, a, b, X)
-        k2 = deriv(m, a, b, X + (0.5 * h) * k1)
-        k3 = deriv(m, a, b, X + (0.5 * h) * k2)
-        k4 = deriv(b, a, b, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = X
+    # np.dot runs the same BLAS kernel as ``@`` with less dispatch per call
+    if c is None:
+        for k, Mk in enumerate(M, 1):
+            X = np.dot(Mk, X)
+            out[k] = X
+    else:
+        for k, (Mk, ck) in enumerate(zip(M, c), 1):
+            X = np.dot(Mk, X) + ck
+            out[k] = X
     return out
+
+
+def _output_map(sys: LpvSsa, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """Rows ``C(P[k]) Phi[k]`` stacked: initial state to zero-input outputs."""
+    CPhi = sys.C.at_points(P) @ Phi
+    return CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
+
+
+def _stage_values(sig: Signal, mesh: np.ndarray) -> tuple:
+    """Values of ``sig`` at ``a``, the midpoint and ``b`` of every step ``[a, b]``.
+
+    A piecewise-constant signal takes its segment value (at the midpoint)
+    at every stage, and the three ``(K, dim)`` arrays are one.
+    """
+    a, b = mesh[:-1], mesh[1:]
+    if sig.interpolation == PIECEWISE_CONSTANT:
+        v = sig.values_at(0.5 * (a + b))
+        return v, v, v
+    return sig.values_at(a), sig.values_at(a + 0.5 * (b - a)), sig.values_at(b)
+
+
+def _at_stages(f, stages: tuple) -> tuple:
+    """Affine function ``f`` at the three stage points of :func:`_stage_values`."""
+    if stages[0] is stages[2]:
+        v = f.at_points(stages[0])
+        return v, v, v
+    return tuple(f.at_points(P) for P in stages)
+
+
+def rk4_on_mesh(
+    sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None, *, gramian: bool = False
+) -> tuple:
+    """Classical RK4 for ``dx/dt = A(p) x + B(p) u`` as one affine map per step.
+
+    Step ``k`` (``h = b - a``) is exactly ``x_{k+1} = M_k x_k + c_k``: with
+    ``A_i`` the state matrix at stage ``i``, the stage maps ``S_1 = I``,
+    ``S_{i+1} = I + nu_i h K_i`` (``nu = 1/2, 1/2, 1``) and ``K_i = A_i S_i``
+    give ``M = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)``, and ``c`` is built the
+    same way from the stage forcing ``B_i u_i``.  Without ``u`` the system
+    is homogeneous and ``c`` is None.  With ``gramian``, ``G_k = h/6 sum_i
+    w_i (C_i S_i)^T (C_i S_i)`` is the RK4 increment of the observability
+    Gramian ``dW/dt = Phi^T C^T C Phi``: ``W_{k+1} = W_k + Phi_k^T G_k Phi_k``.
+    ``mesh`` must refine the breakpoints of ``p`` and ``u``.
+
+    Returns
+    -------
+    (M, c, G)
+        ``(K, n_x, n_x)``, ``(K, n_x)`` or None, ``(K, n_x, n_x)`` or None.
+    """
+    h = np.diff(mesh)[:, None, None]
+    hv = h[:, 0]
+    eye = np.eye(sys.n_x)
+    ps = _stage_values(p, mesh)
+    A = _at_stages(sys.A, ps)
+    K = A[0]
+    M, c, G = eye + (h / 6.0) * K, None, None
+    if u is not None:
+        F = tuple(map(_matvec, _at_stages(sys.B, ps), _stage_values(u, mesh)))
+        g = F[0]
+        c = (hv / 6.0) * g
+    if gramian:
+        C = _at_stages(sys.C, ps)
+        G = (h / 6.0) * (np.swapaxes(C[0], 1, 2) @ C[0])
+    # stages 2 to 4: (stage point, node of the previous stage, weight)
+    for j, nu, w in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
+        S = eye + (nu * h) * K
+        K = A[j] @ S
+        M += (w / 6.0 * h) * K
+        if u is not None:
+            g = _matvec(A[j], (nu * hv) * g) + F[j]
+            c += (w / 6.0 * hv) * g
+        if gramian:
+            CS = C[j] @ S
+            G += (w / 6.0 * h) * (np.swapaxes(CS, 1, 2) @ CS)
+    return M, c, G
 
 
 def simulate_ct(
@@ -204,18 +290,10 @@ def simulate_ct(
     _check_signals(sys, u, p, t_end, out_of_region)
     x0 = _check_x0(sys, x0)
     mesh = integration_mesh(t_end, step, u, p)
-
-    def deriv(t, a, b, x):
-        pt = _stage(p, t, a, b)
-        ut = _stage(u, t, a, b)
-        return sys.A(pt) @ x + sys.B(pt) @ ut
-
-    xs = rk4_on_mesh(deriv, x0, mesh)
-    ys = np.empty((mesh.size, sys.n_y))
-    for k, t in enumerate(mesh):
-        pt = p.value_at(t)
-        ut = u.value_at(t)
-        ys[k] = sys.C(pt) @ xs[k] + sys.D(pt) @ ut
+    M, c, _ = rk4_on_mesh(sys, p, mesh, u)
+    xs = _propagate(M, x0, c)
+    P, U = p.values_at(mesh), u.values_at(mesh)
+    ys = _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), U)
     return Trajectory(
         x=Signal.ct(mesh, xs, PIECEWISE_CONSTANT),
         y=Signal.ct(mesh, ys, PIECEWISE_CONSTANT),
@@ -250,12 +328,8 @@ def transition_matrices_dt(sys: LpvSsa, p: Signal, n_steps: int) -> np.ndarray:
         raise InputError("transition_matrices_dt needs a DT system")
     if not p.covers(n_steps):
         raise InputError("scheduling signal does not cover the requested horizon")
-    n = sys.n_x
-    out = np.empty((n_steps + 1, n, n))
-    out[0] = np.eye(n)
-    for t in range(n_steps):
-        out[t + 1] = sys.A(p.value_at(t)) @ out[t]
-    return out
+    A = sys.A.at_points(p.values_at(np.arange(n_steps)))
+    return _propagate(A, np.eye(sys.n_x))
 
 
 def transition_matrices_ct(
@@ -273,11 +347,8 @@ def transition_matrices_ct(
         raise InputError("scheduling signal does not cover the requested horizon")
     if mesh is None:
         mesh = integration_mesh(t_end, step, p)
-
-    def deriv(t, a, b, X):
-        return sys.A(_stage(p, t, a, b)) @ X
-
-    return mesh, rk4_on_mesh(deriv, np.eye(sys.n_x), mesh)
+    M, _, _ = rk4_on_mesh(sys, p, mesh)
+    return mesh, _propagate(M, np.eye(sys.n_x))
 
 
 def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:
@@ -288,13 +359,7 @@ def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:
     output equals ``io_response(sys1, x0_1) - io_response(sys2, x0_2)``
     for every shared ``(u, p)``.
     """
-    if sys1.signature() != sys2.signature():
-        raise InputError("systems must share n_u, n_y, n_p and time domain")
-    if not (
-        np.allclose(sys1.region.lower, sys2.region.lower)
-        and np.allclose(sys1.region.upper, sys2.region.upper)
-    ):
-        raise InputError("systems must share the scheduling region")
+    _check_signature(sys1, sys2)
     n1, n2 = sys1.n_x, sys2.n_x
     A, B, C, D = [], [], [], []
     for i in range(sys1.n_p + 1):

@@ -49,3 +49,73 @@ def dt_reference_simulation(sys, x0, u_vals, p_vals, n_steps):
         ys.append(C @ x + D @ u_vals[t])
         x = A @ x + B @ u_vals[t]
     return np.array(ys)
+
+
+def _rk4_stage_value(sig, t, a, b):
+    """Signal value for an RK4 stage at time ``t`` within the step [a, b]."""
+    if sig.interpolation == "piecewise-constant":
+        return sig.value_at(0.5 * (a + b))
+    return sig.value_at(t)
+
+
+def rk4_reference(deriv, X0, mesh):
+    """Per-stage classical RK4 for ``dX/dt = deriv(t, a, b, X)`` on a mesh.
+
+    Four calls of ``deriv`` per step, which receives the stage time and
+    the current step ``[a, b]``; returns the state at every mesh node.
+    """
+    X = np.array(X0, dtype=float)
+    out = np.empty((mesh.size,) + X.shape)
+    out[0] = X
+    for k in range(mesh.size - 1):
+        a = mesh[k]
+        b = mesh[k + 1]
+        h = b - a
+        m = a + 0.5 * h
+        k1 = deriv(a, a, b, X)
+        k2 = deriv(m, a, b, X + (0.5 * h) * k1)
+        k3 = deriv(m, a, b, X + (0.5 * h) * k2)
+        k4 = deriv(b, a, b, X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = X
+    return out
+
+
+def ct_reference_simulation(sys, x0, u, p, mesh):
+    """States and outputs of the CT system on ``mesh``, point by point."""
+
+    def deriv(t, a, b, x):
+        pt = _rk4_stage_value(p, t, a, b)
+        ut = _rk4_stage_value(u, t, a, b)
+        return sys.A(pt) @ x + sys.B(pt) @ ut
+
+    xs = rk4_reference(deriv, x0, mesh)
+    ys = np.empty((mesh.size, sys.n_y))
+    for k, t in enumerate(mesh):
+        pt = p.value_at(t)
+        ys[k] = sys.C(pt) @ xs[k] + sys.D(pt) @ u.value_at(t)
+    return xs, ys
+
+
+def ct_reference_transition(sys, p, mesh):
+    """Transition matrices ``Phi(t, 0)`` at every mesh node, point by point."""
+
+    def deriv(t, a, b, X):
+        return sys.A(_rk4_stage_value(p, t, a, b)) @ X
+
+    return rk4_reference(deriv, np.eye(sys.n_x), mesh)
+
+
+def ct_reference_gramian(sys, p, mesh):
+    """Observability Gramian ``int Phi^T C^T C Phi dt`` over the mesh, symmetrized."""
+    n = sys.n_x
+
+    def deriv(t, a, b, Y):
+        pt = _rk4_stage_value(p, t, a, b)
+        Phi = Y[0]
+        CPhi = sys.C(pt) @ Phi
+        return np.stack([sys.A(pt) @ Phi, CPhi.T @ CPhi])
+
+    Y0 = np.stack([np.eye(n), np.zeros((n, n))])
+    W = rk4_reference(deriv, Y0, mesh)[-1, 1]
+    return 0.5 * (W + W.T)
