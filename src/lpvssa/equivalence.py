@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    ITERATION_RTOL,
     RcCertificate,
     _observability_iteration,
     check_rc,
@@ -23,11 +24,14 @@ from .core import LpvSsa, TimeDomain
 from .errors import InputError
 from .signals import Signal, random_input, random_scheduling
 from .simulation import (
+    _check_signals,
     _check_signature,
+    _check_x0,
     _output_map,
-    io_response,
-    transition_matrices_ct,
-    transition_matrices_dt,
+    _outputs,
+    _propagate,
+    _step_maps,
+    error_system,
 )
 
 __all__ = [
@@ -95,20 +99,17 @@ def check_isomorphism(sys1: LpvSsa, sys2: LpvSsa, T: np.ndarray) -> float:
 def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa, rtol: float = None):
     """Jointly compressed observability stacks ``[O(sys2) | O(sys1)]``.
 
-    The paired rows are the observability rows of the parallel system
-    with state ``(x2, x1)``, output coefficients ``[C2_i  C1_i]`` and
-    state coefficients ``diag(A2_i, A1_i)``, so the observability kernel
-    compresses them, at its rank floor, into one orthonormal row basis
-    of their joint row space and stops once that space stops growing.
-    The compression preserves every linear relation between the two
+    The paired rows are the observability rows of ``error_system(sys2,
+    sys1)`` (output coefficients ``[C2_i  -C1_i]``, state coefficients
+    ``diag(A2_i, A1_i)``) with the sign of ``O(sys1)`` restored.  The
+    observability kernel compresses them, at its rank floor, into one
+    orthonormal basis of their joint row space and stops once that space
+    stops growing, which preserves every linear relation between the two
     halves, in particular ``O(sys2) T = O(sys1)``.
     """
-    n = sys1.n_x
-    Z = np.zeros((n, n))
-    C = [np.hstack([C2, C1]) for C2, C1 in zip(sys2.C.coeffs, sys1.C.coeffs)]
-    A = [np.block([[A2, Z], [Z, A1]]) for A2, A1 in zip(sys2.A.coeffs, sys1.A.coeffs)]
-    J, _ = _observability_iteration(C, A, rtol)
-    return J[:, :n], J[:, n:]
+    err = error_system(sys2, sys1)
+    J, _ = _observability_iteration(err.C.coeffs, err.A.coeffs, rtol)
+    return J[:, : sys2.n_x], -J[:, sys2.n_x :]
 
 
 def find_isomorphism(
@@ -163,7 +164,7 @@ def find_isomorphism(
             condition_number=1.0,
         )
     O2, O1 = _paired_obs_stacks(sys2, sys1, rtol)
-    T = np.linalg.lstsq(O2, O1, rcond=rtol)[0]
+    T = np.linalg.lstsq(O2, O1, rcond=ITERATION_RTOL if rtol is None else rtol)[0]
     residual = check_isomorphism(sys1, sys2, T)
     cond = float(np.linalg.cond(T))
     if residual < tol and cond < CONDITION_CAP:
@@ -197,6 +198,28 @@ def find_isomorphism(
     )
 
 
+def _window(sys: LpvSsa, u: Signal, p: Signal, horizon, step: float):
+    """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
+
+    One :func:`_step_maps` call feeds both; from ``x0`` the sampled output
+    is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.
+    """
+    times, M, c = _step_maps(sys, p, horizon, step, u)
+    O = _output_map(sys, p.values_at(times), _propagate(M, np.eye(sys.n_x)))
+    return O, _outputs(sys, p, u, times, _propagate(M, np.zeros(sys.n_x), c))
+
+
+def _match(w_from, x0, w_to, rtol: float = None):
+    """Least-squares state of window ``w_to`` reproducing ``w_from``'s output from ``x0``."""
+    (O_from, f_from), (O_to, f_to) = w_from, w_to
+    y = f_from + (O_from @ x0).reshape(f_from.shape)
+    floor = ITERATION_RTOL if rtol is None else rtol
+    x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=floor)[0]
+    y_match = f_to + (O_to @ x0_to).reshape(y.shape)
+    scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
+    return x0_to, float(np.linalg.norm(y - y_match)) / scale
+
+
 def match_initial_state(
     sys_from: LpvSsa,
     x0,
@@ -211,11 +234,12 @@ def match_initial_state(
 ):
     """Best initial state of ``sys_to`` reproducing ``sys_from``'s output.
 
-    Simulates ``sys_from`` on the window, subtracts ``sys_to``'s forced
-    (zero-initial-state) response, and solves the linear least-squares
-    problem against the stacked free-response map of ``sys_to`` under the
-    same scheduling.  The map can be rank-deficient on short windows, so
-    the solve is rank-revealing at the shared tolerance.
+    One window per system under the shared ``(u, p)``: its free-response
+    map ``O`` and forced output ``f`` on the DT steps, or in CT on the mesh
+    that refines both signals.  ``sys_from`` outputs ``y = f_from + O_from x0``,
+    and ``O_to x = y - f_to`` is solved by least squares, rank-revealing at
+    the ``1e-10`` floor (``ITERATION_RTOL``) or ``rtol``, as short windows
+    can make ``O_to`` rank-deficient.
 
     Returns
     -------
@@ -226,28 +250,10 @@ def match_initial_state(
         trajectories grow by many orders of magnitude over the horizon.
     """
     _check_signature(sys_from, sys_to)
-    kw = dict(step=step, out_of_region=out_of_region)
-    y_from = io_response(sys_from, x0, u, p, horizon, **kw)
-    y_forced = io_response(sys_to, np.zeros(sys_to.n_x), u, p, horizon, **kw).values
-    # the free-response map of sys_to, on the samples of the simulated
-    # outputs (in CT the mesh that refines both u and p)
-    if sys_to.domain == TimeDomain.DT:
-        P = p.values_at(np.arange(int(horizon) + 1))
-        Phi = transition_matrices_dt(sys_to, p, int(horizon))
-    else:
-        P = p.values_at(y_from.times)
-        _, Phi = transition_matrices_ct(sys_to, p, horizon, step, mesh=y_from.times)
-    M = _output_map(sys_to, P, Phi)
-    y_from = y_from.values
-    b = (y_from - y_forced).reshape(-1)
-    if sys_to.n_x == 0:
-        x0_to = np.zeros(0)
-    else:
-        x0_to = np.linalg.lstsq(M, b, rcond=rtol)[0]
-    y_match = y_forced + (M @ x0_to).reshape(y_from.shape)
-    scale = np.sqrt(y_from.shape[0]) + float(np.linalg.norm(y_from))
-    residual = float(np.linalg.norm(y_from - y_match)) / scale
-    return x0_to, residual
+    _check_signals(sys_from, u, p, horizon, out_of_region)
+    x0 = _check_x0(sys_from, x0)
+    w_from, w_to = (_window(s, u, p, horizon, step) for s in (sys_from, sys_to))
+    return _match(w_from, x0, w_to, rtol)
 
 
 def _unit_ball(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -314,25 +320,16 @@ def behavior_equivalence_empirical(
         raise InputError("trials must be positive")
     rng = np.random.default_rng(seed)
     residuals = np.zeros((trials, 2))
+    span = dict(n_steps=int(horizon)) if dt else dict(t_end=float(horizon), segments=segments)
     for k in range(trials):
-        if dt:
-            p = random_scheduling(sys1.region, rng, sys1.domain, n_steps=int(horizon))
-            u = random_input(sys1.n_u, rng, sys1.domain, n_steps=int(horizon))
-        else:
-            p = random_scheduling(
-                sys1.region, rng, sys1.domain, t_end=float(horizon), segments=segments
-            )
-            u = random_input(
-                sys1.n_u, rng, sys1.domain, t_end=float(horizon), segments=segments
-            )
+        p = random_scheduling(sys1.region, rng, sys1.domain, **span)
+        u = random_input(sys1.n_u, rng, sys1.domain, **span)
         x1 = _unit_ball(rng, sys1.n_x)
         x2 = _unit_ball(rng, sys2.n_x)
-        _, residuals[k, 0] = match_initial_state(
-            sys1, x1, sys2, u, p, horizon, step=step
-        )
-        _, residuals[k, 1] = match_initial_state(
-            sys2, x2, sys1, u, p, horizon, step=step
-        )
+        _check_signals(sys1, u, p, horizon, "reject")
+        w1, w2 = (_window(s, u, p, horizon, step) for s in (sys1, sys2))
+        _, residuals[k, 0] = _match(w1, x1, w2)
+        _, residuals[k, 1] = _match(w2, x2, w1)
     max_residual = float(residuals.max())
     return EquivalenceReport(
         trials=trials,

@@ -1,9 +1,11 @@
 """Trajectory generation: exact DT recursion and fixed-step RK4 in CT.
 
-Signals and matrices are evaluated along the whole horizon in one batch
-(:meth:`Signal.values_at`, :meth:`AffineMatrixFunction.at_points`); only
-the recurrence ``x_{k+1} = M_k x_k + c_k`` of :func:`_propagate` steps in
-Python.  In DT, ``M_k = A(p(k))`` and ``c_k = B(p(k)) u(k)``.
+One front end, :func:`_step_maps`, picks the step rule for every window
+and returns the maps of ``x_{k+1} = M_k x_k + c_k``: ``M_k = A(p(k))`` and
+``c_k = B(p(k)) u(k)`` in DT, the RK4 maps of :func:`rk4_on_mesh` in CT,
+with signals and matrices evaluated along the whole horizon in one batch.
+Simulation, transition matrices and initial-state matching share it, then
+:func:`_propagate` (the only loop in Python) and the ``C x + D u`` readout.
 
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
@@ -69,6 +71,8 @@ def _guard_region(sys: LpvSsa, p: Signal, out_of_region: str, stacklevel: int = 
 def _check_signals(sys: LpvSsa, u: Signal, p: Signal, horizon, out_of_region: str):
     if u.domain != sys.domain or p.domain != sys.domain:
         raise InputError("signal time domains must match the system")
+    if sys.domain == TimeDomain.DT and int(horizon) < 0:
+        raise InputError("n_steps must be nonnegative")
     if u.dim != sys.n_u:
         raise InputError(f"input signal has dimension {u.dim}, expected {sys.n_u}")
     if p.dim != sys.n_p:
@@ -123,19 +127,10 @@ def simulate_dt(
     """
     if sys.domain != TimeDomain.DT:
         raise InputError("simulate_dt needs a DT system")
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise InputError("n_steps must be nonnegative")
     _check_signals(sys, u, p, n_steps, out_of_region)
-    xk = _check_x0(sys, x0)
-
-    ks = np.arange(n_steps + 1)
-    P, U = p.values_at(ks), u.values_at(ks)
-    xs = _propagate(
-        sys.A.at_points(P[:-1]), xk, _matvec(sys.B.at_points(P[:-1]), U[:-1])
-    )
-    ys = _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), U)
-    return Trajectory(x=Signal.dt(xs), y=Signal.dt(ys))
+    ks, M, c = _step_maps(sys, p, n_steps, u=u)
+    xs = _propagate(M, _check_x0(sys, x0), c)
+    return Trajectory(x=Signal.dt(xs), y=Signal.dt(_outputs(sys, p, u, ks, xs)))
 
 
 def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
@@ -186,6 +181,28 @@ def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
             X = np.dot(Mk, X) + ck
             out[k] = X
     return out
+
+
+def _step_maps(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None):
+    """Sample times ``(K + 1,)`` and maps ``x_{k+1} = M_k x_k + c_k`` of a window.
+
+    The DT recursion on ``0 .. horizon``, or :func:`rk4_on_mesh` on the
+    :func:`integration_mesh` of ``p`` and ``u``; without ``u``, ``c`` is None.
+    """
+    if sys.domain == TimeDomain.CT:
+        mesh = integration_mesh(horizon, step, *(s for s in (u, p) if s is not None))
+        M, c, _ = rk4_on_mesh(sys, p, mesh, u)
+        return mesh, M, c
+    ks = np.arange(int(horizon) + 1)
+    P = p.values_at(ks[:-1])
+    c = None if u is None else _matvec(sys.B.at_points(P), u.values_at(ks[:-1]))
+    return ks, sys.A.at_points(P), c
+
+
+def _outputs(sys: LpvSsa, p: Signal, u: Signal, times: np.ndarray, xs: np.ndarray):
+    """Outputs ``C(p) x + D(p) u`` at the sample ``times`` of the states ``xs``."""
+    P = p.values_at(times)
+    return _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), u.values_at(times))
 
 
 def _output_map(sys: LpvSsa, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -288,15 +305,11 @@ def simulate_ct(
     if sys.domain != TimeDomain.CT:
         raise InputError("simulate_ct needs a CT system")
     _check_signals(sys, u, p, t_end, out_of_region)
-    x0 = _check_x0(sys, x0)
-    mesh = integration_mesh(t_end, step, u, p)
-    M, c, _ = rk4_on_mesh(sys, p, mesh, u)
-    xs = _propagate(M, x0, c)
-    P, U = p.values_at(mesh), u.values_at(mesh)
-    ys = _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), U)
+    mesh, M, c = _step_maps(sys, p, t_end, step, u)
+    xs = _propagate(M, _check_x0(sys, x0), c)
     return Trajectory(
         x=Signal.ct(mesh, xs, PIECEWISE_CONSTANT),
-        y=Signal.ct(mesh, ys, PIECEWISE_CONSTANT),
+        y=Signal.ct(mesh, _outputs(sys, p, u, mesh, xs), PIECEWISE_CONSTANT),
     )
 
 
@@ -328,26 +341,21 @@ def transition_matrices_dt(sys: LpvSsa, p: Signal, n_steps: int) -> np.ndarray:
         raise InputError("transition_matrices_dt needs a DT system")
     if not p.covers(n_steps):
         raise InputError("scheduling signal does not cover the requested horizon")
-    A = sys.A.at_points(p.values_at(np.arange(n_steps)))
-    return _propagate(A, np.eye(sys.n_x))
+    _, M, _ = _step_maps(sys, p, n_steps)
+    return _propagate(M, np.eye(sys.n_x))
 
 
-def transition_matrices_ct(
-    sys: LpvSsa, p: Signal, t_end: float, step: float, *, mesh: np.ndarray = None
-) -> tuple:
+def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) -> tuple:
     """Mesh and RK4-integrated ``Phi(t, 0)`` on [0, t_end] (CT).
 
     Returns ``(mesh, Phi)`` with ``Phi[k]`` the transition matrix at
-    ``mesh[k]``.  Pass ``mesh`` to integrate on a preassembled grid (it
-    must refine the scheduling signal's breakpoints).
+    ``mesh[k]``.
     """
     if sys.domain != TimeDomain.CT:
         raise InputError("transition_matrices_ct needs a CT system")
     if not p.covers(t_end):
         raise InputError("scheduling signal does not cover the requested horizon")
-    if mesh is None:
-        mesh = integration_mesh(t_end, step, p)
-    M, _, _ = rk4_on_mesh(sys, p, mesh)
+    mesh, M, _ = _step_maps(sys, p, t_end, step)
     return mesh, _propagate(M, np.eye(sys.n_x))
 
 
@@ -360,14 +368,9 @@ def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:
     for every shared ``(u, p)``.
     """
     _check_signature(sys1, sys2)
-    n1, n2 = sys1.n_x, sys2.n_x
-    A, B, C, D = [], [], [], []
-    for i in range(sys1.n_p + 1):
-        Ai = np.zeros((n1 + n2, n1 + n2))
-        Ai[:n1, :n1] = sys1.A.coeffs[i]
-        Ai[n1:, n1:] = sys2.A.coeffs[i]
-        A.append(Ai)
-        B.append(np.vstack([sys1.B.coeffs[i], sys2.B.coeffs[i]]))
-        C.append(np.hstack([sys1.C.coeffs[i], -sys2.C.coeffs[i]]))
-        D.append(sys1.D.coeffs[i] - sys2.D.coeffs[i])
+    Z = np.zeros((sys1.n_x, sys2.n_x))
+    A = [np.block([[A1, Z], [Z.T, A2]]) for A1, A2 in zip(sys1.A.coeffs, sys2.A.coeffs)]
+    B = [np.vstack(Bs) for Bs in zip(sys1.B.coeffs, sys2.B.coeffs)]
+    C = [np.hstack([C1, -C2]) for C1, C2 in zip(sys1.C.coeffs, sys2.C.coeffs)]
+    D = [D1 - D2 for D1, D2 in zip(sys1.D.coeffs, sys2.D.coeffs)]
     return LpvSsa.from_matrices(A, B, C, D, sys1.region, sys1.domain)

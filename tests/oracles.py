@@ -119,3 +119,32 @@ def ct_reference_gramian(sys, p, mesh):
     Y0 = np.stack([np.eye(n), np.zeros((n, n))])
     W = rk4_reference(deriv, Y0, mesh)[-1, 1]
     return 0.5 * (W + W.T)
+
+
+def match_reference(sys_from, x0, sys_to, u, p, horizon, step=1e-3, rtol=1e-10):
+    """Initial-state match composed of whole simulations, one map at a time.
+
+    Simulates ``sys_from`` from ``x0`` and ``sys_to`` from zero with
+    ``io_response`` (checked against the per-point loops above elsewhere in
+    the suite), builds the free-response map of ``sys_to`` on the output
+    samples from ``transition_matrices_dt`` in DT, or from the per-stage RK4
+    transition on the simulated mesh in CT, and ``_output_map``, then solves
+    the least-squares problem at the relative floor ``rtol``.
+    """
+    from lpvssa.core import TimeDomain
+    from lpvssa.simulation import _output_map, io_response, transition_matrices_dt
+
+    y_from = io_response(sys_from, x0, u, p, horizon, step=step)
+    y_forced = io_response(sys_to, np.zeros(sys_to.n_x), u, p, horizon, step=step).values
+    if sys_to.domain == TimeDomain.DT:
+        times = np.arange(int(horizon) + 1)
+        Phi = transition_matrices_dt(sys_to, p, int(horizon))
+    else:
+        times = y_from.times
+        Phi = ct_reference_transition(sys_to, p, times)
+    M = _output_map(sys_to, p.values_at(times), Phi)
+    y = y_from.values
+    x0_to = np.linalg.lstsq(M, (y - y_forced).reshape(-1), rcond=rtol)[0]
+    y_match = y_forced + (M @ x0_to).reshape(y.shape)
+    scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
+    return x0_to, float(np.linalg.norm(y - y_match)) / scale
