@@ -12,7 +12,9 @@ counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
 are kept as builders for tests and export and decide nothing.
 ``RankDecision.from_matrix`` on an arbitrary matrix defaults to the
 machine-level floor ``max(rows, cols) * 2**-52``.  Invertibility of
-``A(p)`` is judged at ``SINGULARITY_RTOL``.  Orthonormal bases returned
+``A(p)`` is judged by the scaled SVD test at ``SINGULARITY_RTOL``, and
+:func:`check_rc` decides it on the whole region by branch and bound on
+boxes, with no random draw.  Orthonormal bases returned
 from SVDs are sign-normalized so the largest-magnitude entry of each
 column is positive.
 """
@@ -20,10 +22,9 @@ column is positive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
@@ -55,7 +56,8 @@ __all__ = [
 
 DEFAULT_MAX_ENTRIES = 10**7  # entry cap of the explicit builders only
 SINGULARITY_RTOL = 1e-10
-RC_CHUNK = 2048  # scheduling points per stacked SVD in check_rc
+RC_MAX_BOXES = 4096  # box budget of the DT regularity search
+RC_NEWTON_STEPS = 8  # Newton steps on sigma_min before a search gives up
 # rank floor for iterated subspaces and transition-matrix stacks, whose
 # rounding debris sits well above machine precision (see the docstrings)
 ITERATION_RTOL = 1e-10
@@ -260,42 +262,112 @@ def is_span_reachable_from_zero(sys: LpvSsa, rtol: float = None):
     return is_observable(transpose_dual(sys), rtol)
 
 
-def _singular_mask(As: np.ndarray) -> np.ndarray:
-    """Scaled invertibility test on a ``(K, n, n)`` stack, one stacked SVD.
+def _scaled_singular(s: np.ndarray) -> np.ndarray:
+    """Scaled invertibility test on stacked singular values ``(K, n)``, descending.
 
-    Entry ``k`` is True when the smallest singular value of ``As[k]`` is
-    at most ``SINGULARITY_RTOL`` times its largest (an all-zero matrix
-    included).
+    Entry ``k`` is True when the smallest singular value is at most
+    ``SINGULARITY_RTOL`` times the largest (an all-zero matrix included).
     """
-    s = np.linalg.svd(As, compute_uv=False)
     return s[:, -1] <= SINGULARITY_RTOL * s[:, 0]
 
 
-def _first_singular(sys: LpvSsa, points: np.ndarray):
-    """First point, in the given order, at which ``A(p)`` is singular, or None.
+def _singular_mask(As: np.ndarray) -> np.ndarray:
+    """The scaled invertibility test on a ``(K, n, n)`` stack, one stacked SVD."""
+    return _scaled_singular(np.linalg.svd(As, compute_uv=False))
 
-    ``A`` is evaluated and tested in chunks of ``RC_CHUNK`` points, which
-    bounds the memory held at once and stops early on a refutation.
+
+def _newton_witness(sys: LpvSsa, starts: np.ndarray):
+    """A scheduling point at which ``A`` fails the scaled test, or None.
+
+    Runs ``RC_NEWTON_STEPS`` Newton steps on ``sigma_min(A(p))`` from each
+    start point at once.  The gradient of ``sigma_min`` along ``p_i`` is
+    ``u^T A_i v`` (``u``, ``v`` its singular vectors), and each step
+    ``p -= sigma_min g / |g|^2`` goes to the zero of the linearization,
+    clipped to the box.  A point is returned only after it passed
+    :func:`_singular_mask`.
     """
-    for start in range(0, points.shape[0], RC_CHUNK):
-        block = points[start : start + RC_CHUNK]
-        hit = np.flatnonzero(_singular_mask(sys.A.at_points(block)))
+    lo, hi = sys.region.lower, sys.region.upper
+    slopes = np.stack(sys.A.coeffs[1:])
+    P = np.array(starts, dtype=float)
+    for step in range(RC_NEWTON_STEPS + 1):
+        As = sys.A.at_points(P)
+        hit = np.flatnonzero(_singular_mask(As))
         if hit.size:
-            return block[hit[0]].copy()
-    return None
+            return P[hit[0]]
+        if step == RC_NEWTON_STEPS:
+            return None
+        U, s, Vh = np.linalg.svd(As)
+        g = np.einsum("ka,iab,kb->ki", U[:, :, -1], slopes, Vh[:, -1, :])
+        gg = np.sum(g * g, axis=1)
+        scale = np.divide(s[:, -1], gg, out=np.zeros_like(gg), where=gg > 0)
+        P = np.clip(P - scale[:, None] * g, lo, hi)
+
+
+def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray):
+    """``det A(a + t (b - a))`` as a Chebyshev series in ``t`` on ``[0, 1]``.
+
+    The determinant is a polynomial of degree at most ``n_x`` in ``t``, so
+    its interpolant at the ``n_x + 1`` Chebyshev nodes is exact up to
+    rounding: one ``at_points`` call and one stacked determinant.
+    Numerically-zero leading coefficients are dropped.
+    """
+    t = _chebyshev_nodes(0.0, 1.0, sys.n_x + 1)
+    dets = np.linalg.det(sys.A.at_points(a + t[:, None] * (b - a)))
+    fit = np.polynomial.Chebyshev.fit(t, dets, sys.n_x, domain=[0.0, 1.0])
+    return fit.trim(1e-12 * float(np.max(np.abs(fit.coef))))
+
+
+def _segment_roots(det: np.polynomial.Chebyshev) -> np.ndarray:
+    """Real roots of the interpolant in ``[0, 1]`` (within ``1e-9``), clipped.
+
+    An identically-zero determinant vanishes everywhere; its candidate is
+    the midpoint.
+    """
+    if not np.any(det.coef):
+        return np.array([0.5])
+    if det.degree() < 1:
+        return np.zeros(0)
+    r = det.roots()
+    real = np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))
+    inside = (r.real >= -1e-9) & (r.real <= 1.0 + 1e-9)
+    return np.clip(r.real[real & inside], 0.0, 1.0)
+
+
+def _segment_witness(sys: LpvSsa, a: np.ndarray, b: np.ndarray):
+    """A verified singular point on the segment from ``a`` to ``b``, or None.
+
+    The candidates are the real roots of the determinant interpolant,
+    polished by :func:`_newton_witness`.  When ``det A`` takes opposite
+    signs at ``a`` and ``b``, a root lies on the segment.
+    """
+    t = _segment_roots(_det_on_segment(sys, a, b))
+    if t.size == 0:
+        return None
+    return _newton_witness(sys, a + t[:, None] * (b - a))
 
 
 @dataclass(frozen=True)
 class RcCertificate:
     """Outcome of the regularity check.
 
-    ``dt_invertibility`` is ``"not-applicable"`` in CT (nothing beyond the
-    region shape is required there), ``"certified"`` when the 1-d
-    determinant polynomial provably has no root in the interval,
-    ``"heuristic-pass"`` when only grid plus random sampling was available
-    (``n_p >= 2``; the grid resolution is recorded), and
-    ``"refuted-with-witness"`` with a scheduling point at which the state
-    matrix fails the scaled invertibility test.
+    ``dt_invertibility`` is one of:
+
+    - ``"not-applicable"`` in CT (nothing beyond the region shape is
+      required there);
+    - ``"certified"``: ``A(p)`` passes the scaled invertibility test on
+      the whole box.  With one scheduling variable the determinant
+      polynomial ``det_poly_1d`` has no root in the interval; otherwise
+      Weyl's bound certified ``boxes`` boxes and ``sigma_min(A(p)) >=
+      sigma_min_bound`` everywhere;
+    - ``"refuted-with-witness"``: ``witness`` is a scheduling point at
+      which ``A`` fails the scaled test (:func:`_singular_mask`);
+    - ``"undecided"``: the box budget ran out with neither.
+      ``sigma_min_bound`` is the smallest lower bound left open and
+      ``box`` (rows: lower and upper corner) the box that holds it.
+
+    ``holds`` is true only for ``"certified"`` and ``"not-applicable"``.
+    ``grid_per_axis`` is the grid the sign-change search used (``n_p >=
+    2``).
     """
 
     convex_ok: bool
@@ -303,13 +375,15 @@ class RcCertificate:
     witness: np.ndarray = None
     det_poly_1d: np.ndarray = None
     grid_per_axis: int = None
+    boxes: int = None
+    sigma_min_bound: float = None
+    box: np.ndarray = None
 
     @property
     def holds(self) -> bool:
         return self.convex_ok and self.dt_invertibility in (
             "not-applicable",
             "certified",
-            "heuristic-pass",
         )
 
 
@@ -318,110 +392,144 @@ def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * count))
 
 
-def _rc_univariate(sys: LpvSsa) -> RcCertificate:
-    lo, hi = float(sys.region.lower[0]), float(sys.region.upper[0])
-    deg = sys.n_x
-    nodes = _chebyshev_nodes(lo, hi, deg + 1)
-    vals = np.linalg.det(sys.A.at_points(nodes[:, None]))
-    coeffs = (
-        npoly.polyfit(nodes, vals, deg) if deg > 0 else np.array([vals[0]])
-    )
-    scale = float(np.max(np.abs(coeffs)))
-    # drop numerically-zero leading coefficients from the report
-    while coeffs.size > 1 and abs(coeffs[-1]) <= 1e-12 * scale:
-        coeffs = coeffs[:-1]
-
-    def refute(p_star):
-        return RcCertificate(
-            convex_ok=True,
-            dt_invertibility="refuted-with-witness",
-            witness=np.array([p_star]),
-            det_poly_1d=coeffs,
-        )
-
-    if scale == 0.0:
-        return refute(0.5 * (lo + hi))
-
-    # candidate singular points: polynomial roots inside the interval,
-    # refined by a sign-change scan, plus the interval ends
-    candidates = [lo, hi, 0.5 * (lo + hi)]
-    if coeffs.size > 1:
-        margin = 1e-9 * (hi - lo)
-        for r in npoly.polyroots(coeffs):
-            if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-                t = float(np.clip(r.real, lo, hi))
-                if lo - margin <= r.real <= hi + margin:
-                    candidates.append(t)
-    scan = np.linspace(lo, hi, 65)
-    dets = npoly.polyval(scan, coeffs)
-    for i in np.where(dets[:-1] * dets[1:] < 0)[0]:
-        a, b = scan[i], scan[i + 1]
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if npoly.polyval(a, coeffs) * npoly.polyval(m, coeffs) <= 0:
-                b = m
-            else:
-                a = m
-        candidates.append(0.5 * (a + b))
-
-    witness = _first_singular(sys, np.array(candidates)[:, None])
-    if witness is not None:
-        return refute(witness[0])
+def _refuted(witness: np.ndarray, **fields) -> RcCertificate:
     return RcCertificate(
-        convex_ok=True, dt_invertibility="certified", det_poly_1d=coeffs
+        convex_ok=True, dt_invertibility="refuted-with-witness", witness=witness, **fields
     )
 
 
-def check_rc(sys: LpvSsa, grid_per_axis: int = 10, *, seed: int = 12345) -> RcCertificate:
+def _rc_univariate(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
+    """One scheduling variable: the determinant polynomial decides.
+
+    The interval ends and midpoint are tested first.  Then no root of the
+    interpolant in the interval certifies, and a root that a scaled SVD
+    test confirms refutes; an unconfirmed root leaves the decision to the
+    box search.
+    """
+    lo, hi = sys.region.lower, sys.region.upper
+    det = _det_on_segment(sys, lo, hi)
+    coeffs = np.polynomial.Chebyshev(det.coef, domain=[lo[0], hi[0]]).convert(
+        kind=np.polynomial.Polynomial
+    ).coef
+    ends = lo + np.array([[0.0], [0.5], [1.0]]) * (hi - lo)
+    hit = np.flatnonzero(_singular_mask(sys.A.at_points(ends)))
+    if hit.size:
+        return _refuted(ends[hit[0]], det_poly_1d=coeffs)
+    t = _segment_roots(det)
+    if t.size == 0:
+        return RcCertificate(True, "certified", det_poly_1d=coeffs)
+    witness = _newton_witness(sys, lo + t[:, None] * (hi - lo))
+    if witness is not None:
+        return _refuted(witness, det_poly_1d=coeffs)
+    return replace(_rc_boxes(sys, grid_per_axis), det_poly_1d=coeffs)
+
+
+def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
+    """Decide DT invertibility of ``A(p)`` on the box by branch and bound.
+
+    A box with centre ``c`` and half-widths ``r`` satisfies, by Weyl's
+    perturbation bound (Horn & Johnson 1991, section 3.3), ``sigma_min(A(p))
+    >= sigma_min(A(c)) - sum_i r_i ||A_i||_2`` and ``sigma_max(A(p)) <=
+    sigma_max(A(c)) + sum_i r_i ||A_i||_2`` for every ``p`` in it.  Both
+    bounds are widened by an explicit floating-point margin ``8 (n_x +
+    n_p + 1) eps`` times a bound on ``||A(p)||_2`` over the region (the
+    rounding of ``A(c)``, of its SVD, of the norms and of the box
+    corners).  A box is certified when the lower bound exceeds
+    ``SINGULARITY_RTOL`` times the upper one; every other box is bisected
+    along the axis of largest ``r_i ||A_i||_2``.  Each frontier of boxes
+    costs one ``at_points`` call and one stacked SVD.
+
+    A witness comes from a box centre that fails the scaled test, or from
+    a sign change of ``det A`` between the uncertified centres and, once
+    the root box is open, the ``grid_per_axis`` grid, resolved by
+    :func:`_segment_witness`.  When the ``RC_MAX_BOXES`` budget runs out,
+    or a box is too small for its bound to tighten, Newton steps from the
+    worst box get a last try before the verdict is ``"undecided"``.
+    """
+    lo, hi = sys.region.lower, sys.region.upper
+    norms = np.linalg.norm(np.stack(sys.A.coeffs[1:]), 2, axis=(1, 2))
+    reach = np.linalg.norm(sys.A.coeffs[0], 2) + np.maximum(np.abs(lo), np.abs(hi)) @ norms
+    margin = 8 * (sys.n_x + sys.n_p + 1) * np.finfo(float).eps * reach
+    centres, radii = (0.5 * (lo + hi))[None], (0.5 * (hi - lo))[None]
+    boxes, certified_min = 0, np.inf
+    while True:
+        As = sys.A.at_points(centres)
+        s = np.linalg.svd(As, compute_uv=False)
+        boxes += centres.shape[0]
+        hit = np.flatnonzero(_scaled_singular(s))
+        if hit.size:
+            return _refuted(centres[hit[0]], boxes=boxes)
+        spread = radii @ norms + margin
+        lower = s[:, -1] - spread
+        open_ = lower <= SINGULARITY_RTOL * (s[:, 0] + spread)
+        certified_min = min(certified_min, lower[~open_].min(initial=np.inf))
+        if not open_.any():
+            return RcCertificate(
+                True, "certified", boxes=boxes, sigma_min_bound=float(certified_min)
+            )
+        centres, radii, lower = centres[open_], radii[open_], lower[open_]
+        points, dets = centres, np.linalg.det(As[open_])
+        if boxes == 1:
+            grid = sys.region.grid(grid_per_axis)
+            points = np.vstack([points, grid])
+            dets = np.concatenate([dets, np.linalg.det(sys.A.at_points(grid))])
+        i, j = np.argmax(dets), np.argmin(dets)
+        if dets[i] > 0.0 > dets[j]:
+            witness = _segment_witness(sys, points[j], points[i])
+            if witness is not None:
+                return _refuted(witness, boxes=boxes)
+        weight = radii * norms
+        if boxes + 2 * centres.shape[0] > RC_MAX_BOXES or np.any(weight.sum(axis=1) <= margin):
+            break
+        rows, axis = np.arange(centres.shape[0]), np.argmax(weight, axis=1)
+        radii = radii.copy()
+        radii[rows, axis] *= 0.5
+        step = np.zeros_like(radii)
+        step[rows, axis] = radii[rows, axis]
+        centres, radii = np.vstack([centres - step, centres + step]), np.vstack([radii, radii])
+    worst = int(np.argmin(lower))
+    witness = _newton_witness(sys, centres[worst : worst + 1])
+    if witness is not None:
+        return _refuted(witness, boxes=boxes)
+    return RcCertificate(
+        True,
+        "undecided",
+        boxes=boxes,
+        sigma_min_bound=float(lower[worst]),
+        box=np.clip(np.stack([centres[worst] - radii[worst], centres[worst] + radii[worst]]), lo, hi),
+    )
+
+
+def check_rc(sys: LpvSsa, grid_per_axis: int = 10) -> RcCertificate:
     """Regularity certificate: region shape plus DT invertibility of ``A(p)``.
 
     CT systems only need the region to be convex with nonempty interior,
-    which holds for every validated box.  In DT with one scheduling
-    variable, ``det A(p)`` is interpolated exactly as a polynomial at
-    Chebyshev nodes and its real roots are isolated inside the interval;
-    with two or more variables the check samples a tensor grid
-    (``grid_per_axis`` points per axis) plus ``10 * grid_per_axis**n_p``
-    seeded uniform draws, tested with stacked SVDs, and can only return
-    a heuristic pass or a refutation whose witness is the first singular
-    point in that order.
+    which holds for every validated box.  In DT the verdict is
+    deterministic (no random draw) and never a pass without a proof:
+
+    - one scheduling variable: ``det A(p)`` is interpolated exactly at
+      Chebyshev nodes; no real root in the interval certifies, and a root
+      that passes the scaled SVD test refutes;
+    - otherwise, and for a 1-d root no SVD test confirms: the Weyl-bound
+      box search of :func:`_rc_boxes` certifies, refutes with a verified
+      witness (a failing box centre, or a root between points of opposite
+      ``det`` sign on the ``grid_per_axis`` grid or among open box
+      centres), or returns ``"undecided"`` with its smallest bound.
     """
     convex_ok = sys.region.has_interior()
     if sys.domain == TimeDomain.CT:
         return RcCertificate(convex_ok=convex_ok, dt_invertibility="not-applicable")
-    if sys.n_x == 0:
-        return RcCertificate(
-            convex_ok=convex_ok,
-            dt_invertibility="certified",
-            det_poly_1d=np.array([1.0]) if sys.n_p == 1 else None,
-        )
-    if sys.n_p == 1:
-        cert = _rc_univariate(sys)
-        if not convex_ok:
-            cert = RcCertificate(
-                convex_ok=False,
-                dt_invertibility=cert.dt_invertibility,
-                witness=cert.witness,
-                det_poly_1d=cert.det_poly_1d,
-            )
-        return cert
-    if grid_per_axis < 1:
+    if sys.n_p >= 2 and grid_per_axis < 1:
         raise InputError("grid_per_axis must be positive")
-    pts = sys.region.grid(grid_per_axis)
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([pts, sys.region.sample(rng, 10 * grid_per_axis**sys.n_p)])
-    witness = _first_singular(sys, pts)
-    if witness is not None:
-        return RcCertificate(
-            convex_ok=convex_ok,
-            dt_invertibility="refuted-with-witness",
-            witness=witness,
-            grid_per_axis=grid_per_axis,
-        )
-    return RcCertificate(
-        convex_ok=convex_ok,
-        dt_invertibility="heuristic-pass",
-        grid_per_axis=grid_per_axis,
-    )
+    if sys.n_x == 0 and sys.n_p == 1:
+        cert = RcCertificate(True, "certified", det_poly_1d=np.array([1.0]))
+    elif sys.n_x == 0:  # the minimum over no singular value is +inf
+        cert = RcCertificate(True, "certified", boxes=0, sigma_min_bound=np.inf)
+    elif sys.n_p == 1:
+        cert = _rc_univariate(sys, grid_per_axis)
+    else:
+        cert = replace(_rc_boxes(sys, grid_per_axis), grid_per_axis=grid_per_axis)
+    return replace(cert, convex_ok=convex_ok)
 
 
 @dataclass(frozen=True)

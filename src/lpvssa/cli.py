@@ -58,10 +58,10 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except InputError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             _sys.exit(2)
         except ResourceCapError as exc:
-            click.echo(f"resource cap: {exc}", err=True)
+            _echo(f"resource cap: {exc}", err=True)
             _sys.exit(3)
 
     return wrapper
@@ -102,8 +102,19 @@ def _jsonable(obj):
     return obj
 
 
+def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` with ``err``).
+
+    Without ``file``, click caches a text wrapper per stream object, and
+    the cache entry keeps that stream alive: a caller that runs commands
+    in one process with a fresh ``sys.stdout`` each time would keep every
+    output buffer.
+    """
+    click.echo(message, file=_sys.stderr if err else _sys.stdout, nl=nl)
+
+
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(_jsonable(payload), indent=2))
+    _echo(json.dumps(_jsonable(payload), indent=2))
 
 
 def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict:
@@ -132,15 +143,26 @@ def _rc_payload(rc) -> dict:
 def _rc_text(rc) -> str:
     if rc.dt_invertibility == "not-applicable":
         return "regularity: satisfied (CT; box region is convex with interior)"
+    if rc.dt_invertibility == "certified" and rc.boxes is not None:
+        return (
+            f"regularity: certified (sigma_min(A(p)) >= {rc.sigma_min_bound:.6g} "
+            f"on the region by Weyl's bound; boxes visited: {rc.boxes})"
+        )
     if rc.dt_invertibility == "certified":
         poly = np.array2string(rc.det_poly_1d, precision=12)
         return f"regularity: certified (det A(p) root-free on the interval; coefficients {poly})"
-    if rc.dt_invertibility == "heuristic-pass":
+    if rc.dt_invertibility == "undecided":
         return (
-            f"regularity: heuristic pass (grid {rc.grid_per_axis} per axis "
-            "plus random sampling; not a certificate)"
+            f"regularity: undecided (sigma_min lower bound {rc.sigma_min_bound:.6g} on "
+            f"the box {_point(rc.box[0])} .. {_point(rc.box[1])}; boxes visited: "
+            f"{rc.boxes}; not a certificate)"
         )
-    return f"regularity: refuted, witness p* = {np.array2string(rc.witness)}"
+    return f"regularity: refuted, witness p* = {_point(rc.witness)}"
+
+
+def _point(p) -> str:
+    """A scheduling point with every digit, so it can be checked again."""
+    return "[" + ", ".join(repr(float(v)) for v in p) + "]"
 
 
 _rank_rtol_option = click.option(
@@ -155,6 +177,13 @@ _rank_rtol_option = click.option(
 _json_option = click.option(
     "--json", "as_json", is_flag=True, help="Machine-readable output."
 )
+_grid_option = click.option(
+    "--grid",
+    default=10,
+    show_default=True,
+    help="Points per axis of the grid searched for a sign change of det A(p) once the "
+    "whole region fails Weyl's bound (DT regularity).",
+)
 
 
 @click.group()
@@ -165,7 +194,7 @@ def main():
 
 @main.command()
 @click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid", default=10, show_default=True, help="Regularity grid per axis (DT, n_p >= 2).")
+@_grid_option
 @_rank_rtol_option
 @_json_option
 @_guard
@@ -194,12 +223,12 @@ def check(system_file, grid, rank_rtol, as_json):
         )
         _emit_json(payload)
         return
-    click.echo(f"observable: {'yes' if obs else 'no'} (rank {obs_dec.rank}/{sys_.n_x})")
-    click.echo(
+    _echo(f"observable: {'yes' if obs else 'no'} (rank {obs_dec.rank}/{sys_.n_x})")
+    _echo(
         f"span-reachable from zero: {'yes' if reach else 'no'} "
         f"(rank {reach_dec.rank}/{sys_.n_x})"
     )
-    click.echo(_rc_text(rc))
+    _echo(_rc_text(rc))
 
 
 @main.command()
@@ -211,7 +240,7 @@ def check(system_file, grid, rank_rtol, as_json):
     default=None,
     help="Transform sidecar path [default: OUT with a .transform.json suffix].",
 )
-@click.option("--grid", default=10, show_default=True, help="Regularity grid per axis.")
+@_grid_option
 @_rank_rtol_option
 @_json_option
 @_guard
@@ -246,10 +275,10 @@ def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
         )
         _emit_json(payload)
         return
-    click.echo(f"reduced dimension: {result.o} (from {sys_.n_x})")
-    click.echo(f"status: {result.minimality}")
-    click.echo(_rc_text(result.rc))
-    click.echo(f"wrote {out_path} and {sidecar}")
+    _echo(f"reduced dimension: {result.o} (from {sys_.n_x})")
+    _echo(f"status: {result.minimality}")
+    _echo(_rc_text(result.rc))
+    _echo(f"wrote {out_path} and {sidecar}")
 
 
 @main.command()
@@ -277,13 +306,13 @@ def iso(file1, file2, tol, rank_rtol, as_json):
         )
         _emit_json(payload)
         return
-    click.echo(f"verdict: {r.verdict}")
-    click.echo(f"residual: {r.residual:.3e}")
+    _echo(f"verdict: {r.verdict}")
+    _echo(f"residual: {r.residual:.3e}")
     if r.obstruction:
-        click.echo(f"obstruction: {r.obstruction}")
+        _echo(f"obstruction: {r.obstruction}")
     if r.T is not None:
-        click.echo("T =")
-        click.echo(np.array2string(r.T, precision=12, suppress_small=True))
+        _echo("T =")
+        _echo(np.array2string(r.T, precision=12, suppress_small=True))
 
 
 @main.command()
@@ -335,14 +364,14 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
             )
         else:
             out_path.write_text(trajectory_to_csv(traj))
-        click.echo(f"wrote {out_path}")
+        _echo(f"wrote {out_path}")
         return
     if as_json:
         payload = _base_payload("simulate", None, decides_rank=False)
         payload["trajectory"] = trajectory_to_json(traj)
         _emit_json(payload)
         return
-    click.echo(trajectory_to_csv(traj), nl=False)
+    _echo(trajectory_to_csv(traj), nl=False)
 
 
 @main.command()
@@ -384,14 +413,14 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
         )
         _emit_json(payload)
         return
-    click.echo(
+    _echo(
         f"behavior equivalence: {'PASS' if report.passed else 'FAIL'} "
         f"(max residual {report.max_residual:.3e} vs tolerance {report.tolerance:.1e}, "
         f"{report.trials} trials, horizon {report.horizon})"
     )
     for name, rc in (("system 1", report.rc_sys1), ("system 2", report.rc_sys2)):
-        click.echo(f"{name} {_rc_text(rc)}")
-    click.echo(f"note: {report.note}")
+        _echo(f"{name} {_rc_text(rc)}")
+    _echo(f"note: {report.note}")
 
 
 @main.command()
@@ -430,14 +459,14 @@ def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
         _emit_json(payload)
     else:
         for msg in diagnostics:
-            click.echo(f"diagnostic: {msg}")
+            _echo(f"diagnostic: {msg}")
         if found is None:
-            click.echo("no revealing scheduling found")
+            _echo("no revealing scheduling found")
         else:
-            click.echo(f"found a revealing scheduling on window {found[1]}")
+            _echo(f"found a revealing scheduling on window {found[1]}")
     if found and out:
         Path(out).write_text(serialize_signal(found[0]))
-        click.echo(f"wrote {out}", err=as_json)
+        _echo(f"wrote {out}", err=as_json)
 
 
 if __name__ == "__main__":

@@ -307,8 +307,10 @@ def behavior_equivalence_empirical(
     with the other system's best initial state — in both directions.  The
     verdict compares the worst residual against ``tol`` (default ``1e-6``
     in DT, ``1e-4`` in CT; default horizon 20 steps / 2.0 time units).
-    The regularity status of both systems is reported because behavior
-    equality only coincides with i/o-family equality under regularity.
+    The regularity certificates of both systems (:func:`check_rc` with
+    ``grid_per_axis``: certified, refuted with a witness, or undecided)
+    are reported because behavior equality only coincides with i/o-family
+    equality under regularity.
     """
     _check_signature(sys1, sys2)
     dt = sys1.domain == TimeDomain.DT

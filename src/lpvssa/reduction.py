@@ -115,8 +115,9 @@ def minimize(
 
     Minimality of the observable reduction is only guaranteed under the
     regularity certificate, so the certificate is evaluated alongside and
-    the result is flagged ``"minimal (behavioral)"`` when it certifies or
-    heuristically passes, and ``"observable reduction only"`` otherwise.
+    the result is flagged ``"minimal (behavioral)"`` only when it holds
+    (``"certified"``, or ``"not-applicable"`` in CT), and ``"observable
+    reduction only"`` when regularity is refuted or undecided.
     (Without regularity an observable system can still admit a smaller
     realization of the same behavior.)
     """

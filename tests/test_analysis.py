@@ -273,12 +273,13 @@ class TestCheckRc:
         assert cert.dt_invertibility == "not-applicable"
         assert cert.holds and cert.det_poly_1d is None
 
-    def test_multivariate_heuristic_pass(self):
+    def test_multivariate_certified(self):
         rng = np.random.default_rng(11)
         sys = random_system(rng, n_x=3, n_p=2, rc_shift=2.0)
         cert = check_rc(sys, grid_per_axis=5)
-        assert cert.dt_invertibility == "heuristic-pass"
+        assert cert.dt_invertibility == "certified"
         assert cert.grid_per_axis == 5
+        assert cert.boxes == 1 and cert.sigma_min_bound > 0
         assert cert.holds
 
     def test_multivariate_refuted(self):

@@ -464,3 +464,27 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert lpvssa.__version__ in result.output
+
+
+class TestInProcess:
+    def test_output_buffer_is_released(self, data_dir, tmp_path):
+        # a caller that runs commands in one process with a fresh stdout
+        # per call must not have every output buffer kept alive
+        import contextlib
+        import gc
+        import io
+        import weakref
+
+        refs = []
+        for args in (
+            ["check", _worked_file(data_dir)],
+            ["minimize", _worked_file(data_dir), "--out", str(tmp_path / "m.json"), "--json"],
+        ):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main(args, standalone_mode=False, prog_name="lpvssa")
+            assert "regularity" in buf.getvalue() or "rc" in json.loads(buf.getvalue())
+            refs.append(weakref.ref(buf))
+            del buf
+        gc.collect()
+        assert all(r() is None for r in refs)
