@@ -6,15 +6,15 @@ stacks behind ``equivalence.find_isomorphism``) runs through one
 polynomial-time kernel, the compressed subspace iteration of
 :func:`_observability_iteration`, at one rank floor: a singular value
 counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
-(``1e-10``; ``rtol`` overrides it).  The explicit extended matrices
-(:func:`extended_observability_matrix`,
+(``1e-10``; ``rtol`` overrides it).  :func:`_threshold` is the only
+SVD that decides a rank, and :func:`_rank_floor` resolves the floor for
+it, the least-squares solves and the CLI.  The explicit extended
+matrices (:func:`extended_observability_matrix`,
 :func:`extended_reachability_matrix`) have ``(n_p + 1)^n`` blocks; they
 are kept as builders for tests and export and decide nothing.
-``RankDecision.from_matrix`` on an arbitrary matrix defaults to the
-machine-level floor ``max(rows, cols) * 2**-52``.  Invertibility of
-``A(p)`` is judged by the scaled SVD test at ``SINGULARITY_RTOL``, and
-:func:`check_rc` decides it on the whole region by branch and bound on
-boxes, with no random draw.  Orthonormal bases returned
+Invertibility of ``A(p)`` is judged by the scaled SVD test at
+``SINGULARITY_RTOL``, and :func:`check_rc` decides it on the whole region
+by branch and bound on boxes, with no random draw.  Orthonormal bases returned
 from SVDs are sign-normalized so the largest-magnitude entry of each
 column is positive.
 """
@@ -30,7 +30,7 @@ from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
 from .simulation import (
-    _guard_region,
+    _check_signals,
     _output_map,
     _propagate,
     integration_mesh,
@@ -51,7 +51,6 @@ __all__ = [
     "freeze_scheduling",
     "ltv_window_observability",
     "find_revealing_scheduling",
-    "orthonormal_kernel",
 ]
 
 DEFAULT_MAX_ENTRIES = 10**7  # entry cap of the explicit builders only
@@ -63,11 +62,17 @@ RC_NEWTON_STEPS = 8  # Newton steps on sigma_min before a search gives up
 ITERATION_RTOL = 1e-10
 
 
-def _effective_tolerance(s: np.ndarray, shape, rtol) -> float:
+def _rank_floor(rtol: float = None) -> float:
+    """The relative rank floor that runs: ``ITERATION_RTOL`` unless ``rtol`` is given.
+
+    It must be finite and nonnegative; 1 or more is legal and counts no
+    singular value.
+    """
     if rtol is None:
-        rtol = max(shape) * 2.0**-52 if min(shape) else 0.0
-    smax = float(s[0]) if s.size else 0.0
-    return smax * rtol
+        return ITERATION_RTOL
+    if not 0.0 <= rtol < np.inf:  # False for NaN too
+        raise InputError(f"rank floor must be finite and nonnegative, got {rtol!r}")
+    return float(rtol)
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,8 @@ class RankDecision:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray, rtol: float = None) -> "RankDecision":
-        M = np.asarray(M, dtype=float)
-        s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-        tol = _effective_tolerance(s, M.shape, rtol)
-        return cls(rank=int(np.sum(s > tol)), singular_values=s, tolerance_used=tol)
+        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10`` unless ``rtol``)."""
+        return _threshold(M, rtol)[0]
 
 
 def _sign_fix(V: np.ndarray) -> np.ndarray:
@@ -94,24 +97,6 @@ def _sign_fix(V: np.ndarray) -> np.ndarray:
         if col.size and col[np.argmax(np.abs(col))] < 0:
             V[:, j] = -col
     return V
-
-
-def orthonormal_kernel(M: np.ndarray, rtol: float = None) -> np.ndarray:
-    """Orthonormal null-space basis of ``M`` (columns), sign-normalized.
-
-    The basis columns are the right singular vectors whose singular values
-    fall at or below the rank tolerance, kept in SVD order.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    if n == 0:
-        return np.zeros((0, 0))
-    if M.shape[0] == 0:
-        return np.eye(n)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    tol = _effective_tolerance(s, M.shape, rtol)
-    rank = int(np.sum(s > tol))
-    return _sign_fix(Vh[rank:].T)
 
 
 def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
@@ -171,14 +156,23 @@ def extended_reachability_matrix(
     ).T
 
 
-def _threshold(M: np.ndarray, rtol: float):
-    """One SVD of ``M``: its rank decision and the orthonormal rows it keeps."""
+def _threshold(M: np.ndarray, rtol: float = None, *, kernel: bool = False):
+    """The one rank threshold: one SVD of ``M``, ``sigma_max`` times :func:`_rank_floor`.
+
+    Returns the RankDecision, the rows of ``Vh`` it keeps (an orthonormal
+    row basis) and, with ``kernel``, the rest of the full SVD's ``Vh`` as
+    sign-normalized columns (an orthonormal kernel basis).  Without
+    ``kernel`` the SVD is the reduced one, which has no complete kernel for
+    a wide ``M``, and the kernel is None.
+    """
+    M = np.asarray(M, dtype=float)
+    floor, n = _rank_floor(rtol), M.shape[1]
     if M.size == 0:
-        return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, M.shape[1]))
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    tol = _effective_tolerance(s, M.shape, rtol)
-    keep = s > tol
-    return RankDecision(int(np.sum(keep)), s, tol), Vh[keep]
+        return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else None
+    _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
+    tol = float(s[0]) * floor
+    rank = int(np.sum(s > tol))
+    return RankDecision(rank, s, tol), Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
 
 
 def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
@@ -206,14 +200,11 @@ def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
         stack, so ``decision.rank == Q.shape[0]``.
     """
     n = A_coeffs[0].shape[0]
-    floor = ITERATION_RTOL if rtol is None else rtol
-    decision, Q = _threshold(np.vstack(C_coeffs), floor)
+    decision, Q, _ = _threshold(np.vstack(C_coeffs), rtol)
     for _ in range(max(n - 1, 0)):
         if not 0 < Q.shape[0] < n:
             break
-        decision, grown = _threshold(
-            np.vstack([Q] + [Q @ Ai for Ai in A_coeffs]), floor
-        )
+        decision, grown, _ = _threshold(np.vstack([Q] + [Q @ Ai for Ai in A_coeffs]), rtol)
         unchanged = grown.shape[0] == Q.shape[0]
         Q = grown
         if unchanged:
@@ -227,10 +218,11 @@ def unobservable_subspace(sys: LpvSsa, rtol: float = None) -> np.ndarray:
     The orthogonal complement of the row basis that the observability
     kernel (:func:`_observability_iteration`) ends with; it spans
     ``Ker O_{n_x - 1}``.  The rank floor defaults to ``1e-10`` relative
-    (``ITERATION_RTOL``); pass ``rtol`` to override.
+    (``ITERATION_RTOL``); pass ``rtol`` to override.  ``Q`` has orthonormal
+    rows, so its complement is taken at the fixed floor whatever ``rtol``.
     """
     Q, _ = _observability_iteration(sys.C.coeffs, sys.A.coeffs, rtol)
-    return orthonormal_kernel(Q)
+    return _threshold(Q, kernel=True)[2]
 
 
 def is_observable(sys: LpvSsa, rtol: float = None):
@@ -548,19 +540,15 @@ class LtvSystem:
         return self.times.shape[0]
 
 
-def freeze_scheduling(
-    sys: LpvSsa, p: Signal, *, out_of_region: str = "reject"
-) -> LtvSystem:
+def freeze_scheduling(sys: LpvSsa, p: Signal) -> LtvSystem:
     """Evaluate the affine matrix functions along a scheduling signal.
 
     The result holds one matrix quadruple per signal sample (per step in
-    DT, per mesh node in CT).
+    DT, per mesh node in CT).  Every signal covers the window ``[0, 0]``,
+    so :func:`_check_signals` rejects only a wrong domain, a wrong
+    dimension or a sample outside the region.
     """
-    if p.domain != sys.domain:
-        raise InputError("scheduling signal domain must match the system")
-    if p.dim != sys.n_p:
-        raise InputError(f"scheduling signal has dimension {p.dim}, expected {sys.n_p}")
-    _guard_region(sys, p, out_of_region)
+    _check_signals(sys, p, 0)
     K = p.n_samples
     As, Bs, Cs, Ds = (f.at_points(p.values) for f in (sys.A, sys.B, sys.C, sys.D))
     times = (
@@ -576,7 +564,6 @@ def ltv_window_observability(
     rtol: float = None,
     *,
     step: float = None,
-    out_of_region: str = "reject",
 ):
     """Observability of the frozen-scheduling LTV system on ``[0, t_end]``.
 
@@ -588,27 +575,23 @@ def ltv_window_observability(
 
     Both stacks are chains of matrix products, whose rounding turns exact
     rank deficiencies into debris of order ``eps * ||Phi||``, so the rank
-    decision defaults to the ``1e-10`` relative floor used by the
-    subspace iteration rather than the machine-level convention; pass
-    ``rtol`` to override.
+    decision runs at the ``1e-10`` relative floor of the subspace
+    iteration; pass ``rtol`` to override.
+
+    A window that is not positive, or a scheduling that
+    :func:`_check_signals` rejects on it, raises InputError.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    if rtol is None:
-        rtol = ITERATION_RTOL
-    if p.domain != sys.domain:
-        raise InputError("scheduling signal domain must match the system")
-    _guard_region(sys, p, out_of_region)
     dt = sys.domain == TimeDomain.DT
     t_end = int(t_end) if dt else float(t_end)
     if t_end <= 0:
         raise InputError(
             "t_end must be a positive integer in DT" if dt else "t_end must be positive in CT"
         )
-    if not p.covers(t_end):
-        raise InputError("scheduling signal does not cover the window")
+    _check_signals(sys, p, t_end)
     if dt:
         Phi = transition_matrices_dt(sys, p, t_end)
         stack = _output_map(sys, p.values_at(np.arange(t_end + 1)), Phi)

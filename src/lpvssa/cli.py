@@ -9,7 +9,8 @@ they raise it.  Every command is deterministic given its files and
 flags.  Machine-readable output (``--json``) carries the tool version
 and the tolerances that ran.  The environment variable
 ``LPVSSA_RANK_RTOL`` overrides the rank floor (``1e-10`` relative); the
-``--rank-rtol`` flag takes precedence over the environment.
+``--rank-rtol`` flag takes precedence over the environment; a floor that
+is negative or not finite is an input error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import __version__
 from .analysis import (
     ITERATION_RTOL,
     SINGULARITY_RTOL,
+    _rank_floor,
     check_rc,
     find_revealing_scheduling,
     is_observable,
@@ -122,9 +124,7 @@ def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict
     that decided the verdicts (commands that decide no rank omit it)."""
     tolerances = {"rank_rtol": rank_rtol}
     if decides_rank:
-        tolerances["rank_rtol_used"] = (
-            ITERATION_RTOL if rank_rtol is None else rank_rtol
-        )
+        tolerances["rank_rtol_used"] = _rank_floor(rank_rtol)
     tolerances["singularity_rtol"] = SINGULARITY_RTOL
     return {"version": __version__, "command": command, "tolerances": tolerances}
 

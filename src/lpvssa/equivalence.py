@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    ITERATION_RTOL,
     RcCertificate,
     _observability_iteration,
+    _rank_floor,
     check_rc,
     is_observable,
 )
@@ -137,6 +137,7 @@ def find_isomorphism(
         unobservable realizations are not unique.
     """
     _check_signature(sys1, sys2)
+    rcond = _rank_floor(rtol)
     n1, n2 = sys1.n_x, sys2.n_x
     if n1 != n2:
         return IsoResult(
@@ -164,7 +165,7 @@ def find_isomorphism(
             condition_number=1.0,
         )
     O2, O1 = _paired_obs_stacks(sys2, sys1, rtol)
-    T = np.linalg.lstsq(O2, O1, rcond=ITERATION_RTOL if rtol is None else rtol)[0]
+    T = np.linalg.lstsq(O2, O1, rcond=rcond)[0]
     residual = check_isomorphism(sys1, sys2, T)
     cond = float(np.linalg.cond(T))
     if residual < tol and cond < CONDITION_CAP:
@@ -213,8 +214,7 @@ def _match(w_from, x0, w_to, rtol: float = None):
     """Least-squares state of window ``w_to`` reproducing ``w_from``'s output from ``x0``."""
     (O_from, f_from), (O_to, f_to) = w_from, w_to
     y = f_from + (O_from @ x0).reshape(f_from.shape)
-    floor = ITERATION_RTOL if rtol is None else rtol
-    x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=floor)[0]
+    x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=_rank_floor(rtol))[0]
     y_match = f_to + (O_to @ x0_to).reshape(y.shape)
     scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
     return x0_to, float(np.linalg.norm(y - y_match)) / scale
@@ -230,7 +230,6 @@ def match_initial_state(
     *,
     step: float = 1e-3,
     rtol: float = None,
-    out_of_region: str = "reject",
 ):
     """Best initial state of ``sys_to`` reproducing ``sys_from``'s output.
 
@@ -250,7 +249,7 @@ def match_initial_state(
         trajectories grow by many orders of magnitude over the horizon.
     """
     _check_signature(sys_from, sys_to)
-    _check_signals(sys_from, u, p, horizon, out_of_region)
+    _check_signals(sys_from, p, horizon, u)
     x0 = _check_x0(sys_from, x0)
     w_from, w_to = (_window(s, u, p, horizon, step) for s in (sys_from, sys_to))
     return _match(w_from, x0, w_to, rtol)
@@ -328,7 +327,7 @@ def behavior_equivalence_empirical(
         u = random_input(sys1.n_u, rng, sys1.domain, **span)
         x1 = _unit_ball(rng, sys1.n_x)
         x2 = _unit_ball(rng, sys2.n_x)
-        _check_signals(sys1, u, p, horizon, "reject")
+        _check_signals(sys1, p, horizon, u)
         w1, w2 = (_window(s, u, p, horizon, step) for s in (sys1, sys2))
         _, residuals[k, 0] = _match(w1, x1, w2)
         _, residuals[k, 1] = _match(w2, x2, w1)

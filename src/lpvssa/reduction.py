@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import RcCertificate, check_rc, unobservable_subspace, orthonormal_kernel
+from .analysis import RcCertificate, _threshold, check_rc, unobservable_subspace
 from .core import LpvSsa, transpose_dual
 from .errors import InputError
 
@@ -83,7 +83,9 @@ def observability_reduction(
         raise InputError("invalid system: " + "; ".join(problems))
     n = sys.n_x
     K = unobservable_subspace(sys, rtol)
-    W = orthonormal_kernel(K.T, rtol)  # orthogonal complement of the kernel
+    # orthogonal complement of the kernel; K has orthonormal columns, so the
+    # fixed floor, not rtol, splits it off
+    W = _threshold(K.T, kernel=True)[2]
     o = W.shape[1]
     if rng is not None:
         W = W @ _random_orthogonal(rng, o)

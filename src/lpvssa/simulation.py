@@ -20,7 +20,6 @@ all steps at once: the stage times are unchanged, only rounding differs.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -52,36 +51,30 @@ def _check_signature(sys1: LpvSsa, sys2: LpvSsa) -> None:
         raise InputError("systems must share the scheduling region")
 
 
-def _guard_region(sys: LpvSsa, p: Signal, out_of_region: str, stacklevel: int = 3):
-    bad = p.restrict_check(sys.region)
-    if not bad.size:
-        return
-    msg = (
-        f"{bad.size} scheduling sample(s) outside the region "
-        f"(first at index {bad[0]})"
-    )
-    if out_of_region == "reject":
-        raise InputError(msg)
-    if out_of_region == "warn":
-        warnings.warn(msg, stacklevel=stacklevel)
-    else:
-        raise InputError(f"unknown out_of_region mode {out_of_region!r}")
+def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
+    """The one validation of a (system, signal, window) triple; InputError if not.
 
-
-def _check_signals(sys: LpvSsa, u: Signal, p: Signal, horizon, out_of_region: str):
-    if u.domain != sys.domain or p.domain != sys.domain:
-        raise InputError("signal time domains must match the system")
+    The scheduling ``p``, and the input ``u`` when given, must be in the
+    system's time domain, have its ``n_p`` (``n_u``) columns and cover
+    ``[0, horizon]``, a DT horizon must be nonnegative, and every sample of
+    ``p`` must lie in the scheduling region (to ``1e-12``).
+    """
     if sys.domain == TimeDomain.DT and int(horizon) < 0:
         raise InputError("n_steps must be nonnegative")
-    if u.dim != sys.n_u:
-        raise InputError(f"input signal has dimension {u.dim}, expected {sys.n_u}")
-    if p.dim != sys.n_p:
-        raise InputError(f"scheduling signal has dimension {p.dim}, expected {sys.n_p}")
-    if not u.covers(horizon):
-        raise InputError("input signal does not cover the requested horizon")
-    if not p.covers(horizon):
-        raise InputError("scheduling signal does not cover the requested horizon")
-    _guard_region(sys, p, out_of_region, stacklevel=4)
+    for name, sig, dim in [("scheduling", p, sys.n_p), ("input", u, sys.n_u)]:
+        if sig is None:
+            continue
+        if sig.domain != sys.domain:
+            raise InputError(f"{name} signal time domain must match the system")
+        if sig.dim != dim:
+            raise InputError(f"{name} signal has dimension {sig.dim}, expected {dim}")
+        if not sig.covers(horizon):
+            raise InputError(f"{name} signal does not cover the requested horizon")
+    bad = p.restrict_check(sys.region)
+    if bad.size:
+        raise InputError(
+            f"{bad.size} scheduling sample(s) outside the region (first at index {bad[0]})"
+        )
 
 
 def _check_x0(sys: LpvSsa, x0) -> np.ndarray:
@@ -99,8 +92,6 @@ def simulate_dt(
     u: Signal,
     p: Signal,
     n_steps: int,
-    *,
-    out_of_region: str = "reject",
 ) -> Trajectory:
     """Run the exact DT recursion for ``t = 0 .. n_steps``.
 
@@ -118,16 +109,17 @@ def simulate_dt(
     n_steps : int
         Number of recursion steps; the trajectory holds ``n_steps + 1``
         aligned state/output samples.
-    out_of_region : {"reject", "warn"}
-        Handling of scheduling samples outside the region.
 
     Returns
     -------
     Trajectory
+
+    Signals that :func:`_check_signals` rejects on the horizon, a
+    scheduling sample outside the region included, raise InputError.
     """
     if sys.domain != TimeDomain.DT:
         raise InputError("simulate_dt needs a DT system")
-    _check_signals(sys, u, p, n_steps, out_of_region)
+    _check_signals(sys, p, n_steps, u)
     ks, M, c = _step_maps(sys, p, n_steps, u=u)
     xs = _propagate(M, _check_x0(sys, x0), c)
     return Trajectory(x=Signal.dt(xs), y=Signal.dt(_outputs(sys, p, u, ks, xs)))
@@ -287,8 +279,6 @@ def simulate_ct(
     p: Signal,
     t_end: float,
     step: float,
-    *,
-    out_of_region: str = "reject",
 ) -> Trajectory:
     """Integrate the CT system on [0, t_end] with fixed-step RK4.
 
@@ -304,7 +294,7 @@ def simulate_ct(
     """
     if sys.domain != TimeDomain.CT:
         raise InputError("simulate_ct needs a CT system")
-    _check_signals(sys, u, p, t_end, out_of_region)
+    _check_signals(sys, p, t_end, u)
     mesh, M, c = _step_maps(sys, p, t_end, step, u)
     xs = _propagate(M, _check_x0(sys, x0), c)
     return Trajectory(
@@ -321,7 +311,6 @@ def io_response(
     horizon,
     *,
     step: float = 1e-3,
-    out_of_region: str = "reject",
 ) -> Signal:
     """Finite-horizon output of the system from ``x0`` under ``(u, p)``.
 
@@ -331,16 +320,15 @@ def io_response(
     the integrator mesh).
     """
     if sys.domain == TimeDomain.DT:
-        return simulate_dt(sys, x0, u, p, horizon, out_of_region=out_of_region).y
-    return simulate_ct(sys, x0, u, p, horizon, step, out_of_region=out_of_region).y
+        return simulate_dt(sys, x0, u, p, horizon).y
+    return simulate_ct(sys, x0, u, p, horizon, step).y
 
 
 def transition_matrices_dt(sys: LpvSsa, p: Signal, n_steps: int) -> np.ndarray:
     """State-transition matrices ``Phi(t, 0)`` for ``t = 0 .. n_steps`` (DT)."""
     if sys.domain != TimeDomain.DT:
         raise InputError("transition_matrices_dt needs a DT system")
-    if not p.covers(n_steps):
-        raise InputError("scheduling signal does not cover the requested horizon")
+    _check_signals(sys, p, n_steps)
     _, M, _ = _step_maps(sys, p, n_steps)
     return _propagate(M, np.eye(sys.n_x))
 
@@ -353,8 +341,7 @@ def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) ->
     """
     if sys.domain != TimeDomain.CT:
         raise InputError("transition_matrices_ct needs a CT system")
-    if not p.covers(t_end):
-        raise InputError("scheduling signal does not cover the requested horizon")
+    _check_signals(sys, p, t_end)
     mesh, M, _ = _step_maps(sys, p, t_end, step)
     return mesh, _propagate(M, np.eye(sys.n_x))
 

@@ -345,8 +345,6 @@ class TestFreezeScheduling:
         p = Signal.dt(np.array([[2.0]]))
         with pytest.raises(InputError):
             freeze_scheduling(constant_2state, p)
-        with pytest.warns(UserWarning):
-            freeze_scheduling(constant_2state, p, out_of_region="warn")
 
 
 class TestLtvWindow:

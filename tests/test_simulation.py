@@ -60,10 +60,6 @@ class TestSimulateDt:
         p = Signal.dt(np.full((5, 1), 3.0))  # region is [-1, 1]
         with pytest.raises(InputError):
             simulate_dt(constant_2state, [0.0, 0.0], _zeros_u(4), p, 4)
-        with pytest.warns(UserWarning):
-            simulate_dt(
-                constant_2state, [0.0, 0.0], _zeros_u(4), p, 4, out_of_region="warn"
-            )
 
 
 class TestIoResponse:

@@ -1,0 +1,132 @@
+"""One window guard: every window entry point rejects a bad triple.
+
+``simulation._check_signals`` is the only validation of a (system,
+scheduling signal, window) triple.  Each entry point below gets a system
+with ``n_p = 2`` on ``[-1, 1]^2`` and a scheduling signal that is wrong in
+exactly one way (time domain, dimension, coverage of the window, or one
+sample outside the region), and must raise InputError.
+"""
+
+import numpy as np
+import pytest
+
+from lpvssa import (
+    InputError,
+    Signal,
+    TimeDomain,
+    behavior_equivalence_empirical,
+    equivalence,
+    freeze_scheduling,
+    io_response,
+    ltv_window_observability,
+    match_initial_state,
+    simulate_ct,
+    simulate_dt,
+)
+from lpvssa.signals import PIECEWISE_LINEAR
+from lpvssa.simulation import transition_matrices_ct, transition_matrices_dt
+
+from conftest import random_system
+
+DT, CT = TimeDomain.DT, TimeDomain.CT
+HORIZON = {DT: 4, CT: 1.0}
+STEP = 0.1
+
+
+def _scheduling(domain, dim=2, end=None, value=0.25):
+    """A constant scheduling signal on ``[0, end]`` (default: the window)."""
+    end = HORIZON[domain] if end is None else end
+    if domain == DT:
+        return Signal.dt(np.full((int(end) + 1, dim), value))
+    return Signal.ct([0.0, end], np.full((2, dim), value), PIECEWISE_LINEAR)
+
+
+def _out_of_region(domain):
+    p = _scheduling(domain)
+    values = p.values.copy()
+    values[-1, 1] = 1.5
+    if domain == DT:
+        return Signal.dt(values)
+    return Signal.ct(p.times, values, PIECEWISE_LINEAR)
+
+
+BAD = {
+    "wrong-domain": lambda d: _scheduling(CT if d == DT else DT),
+    "wrong-dimension": lambda d: _scheduling(d, dim=3),
+    # DT: one sample short of n_steps; CT: a linear signal ending halfway
+    "too-short": lambda d: _scheduling(d, end=HORIZON[d] - 1 if d == DT else HORIZON[d] / 2),
+    "out-of-region": _out_of_region,
+}
+
+
+def _input(sys):
+    if sys.domain == DT:
+        return Signal.dt(np.zeros((HORIZON[DT] + 1, sys.n_u)))
+    return Signal.ct_constant(np.zeros(sys.n_u), HORIZON[CT])
+
+
+def _equivalence(sys, p, monkeypatch):
+    # the trial signals are drawn inside; hand the bad one to every trial
+    monkeypatch.setattr(equivalence, "random_scheduling", lambda *a, **k: p)
+    behavior_equivalence_empirical(sys, sys, trials=1, horizon=HORIZON[sys.domain], step=STEP)
+
+
+ENTRY_POINTS = {
+    "simulate_dt": (
+        (DT,), lambda s, p, mp: simulate_dt(s, np.zeros(s.n_x), _input(s), p, HORIZON[DT])
+    ),
+    "simulate_ct": (
+        (CT,),
+        lambda s, p, mp: simulate_ct(s, np.zeros(s.n_x), _input(s), p, HORIZON[CT], STEP),
+    ),
+    "io_response": (
+        (DT, CT),
+        lambda s, p, mp: io_response(
+            s, np.zeros(s.n_x), _input(s), p, HORIZON[s.domain], step=STEP
+        ),
+    ),
+    "transition_matrices_dt": ((DT,), lambda s, p, mp: transition_matrices_dt(s, p, HORIZON[DT])),
+    "transition_matrices_ct": (
+        (CT,), lambda s, p, mp: transition_matrices_ct(s, p, HORIZON[CT], STEP)
+    ),
+    "match_initial_state": (
+        (DT, CT),
+        lambda s, p, mp: match_initial_state(
+            s, np.zeros(s.n_x), s, _input(s), p, HORIZON[s.domain], step=STEP
+        ),
+    ),
+    "behavior_equivalence_empirical": ((DT, CT), _equivalence),
+    "freeze_scheduling": ((DT, CT), lambda s, p, mp: freeze_scheduling(s, p)),
+    "ltv_window_observability": (
+        (DT, CT),
+        lambda s, p, mp: ltv_window_observability(s, p, HORIZON[s.domain], step=STEP),
+    ),
+}
+
+
+def _cases():
+    for name, (domains, _) in ENTRY_POINTS.items():
+        for domain in domains:
+            for bad in BAD:
+                # freezing has no window beyond the signal itself
+                if name == "freeze_scheduling" and bad == "too-short":
+                    continue
+                yield pytest.param(name, domain, bad, id=f"{name}-{domain.value}-{bad}")
+
+
+def _system(domain):
+    return random_system(np.random.default_rng(3), n_x=3, n_p=2, n_u=1, n_y=1, domain=domain)
+
+
+@pytest.mark.parametrize("name,domain,bad", list(_cases()))
+def test_bad_window_rejected(name, domain, bad, monkeypatch):
+    sys = _system(domain)
+    with pytest.raises(InputError):
+        ENTRY_POINTS[name][1](sys, BAD[bad](domain), monkeypatch)
+
+
+@pytest.mark.parametrize("name,domain", [(n, d) for n, (ds, _) in ENTRY_POINTS.items() for d in ds])
+def test_good_window_accepted(name, domain, monkeypatch):
+    """The same calls run with the admissible signal the bad ones perturb."""
+    sys = _system(domain)
+    ENTRY_POINTS[name][1](sys, _scheduling(domain), monkeypatch)
