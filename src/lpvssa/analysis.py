@@ -29,14 +29,7 @@ import numpy as np
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
-from .simulation import (
-    _check_signals,
-    _output_map,
-    _propagate,
-    integration_mesh,
-    rk4_on_mesh,
-    transition_matrices_dt,
-)
+from .simulation import _check_signals, _propagate, _window, integration_mesh, rk4_on_mesh
 
 __all__ = [
     "RankDecision",
@@ -347,10 +340,8 @@ class RcCertificate:
     - ``"not-applicable"`` in CT (nothing beyond the region shape is
       required there);
     - ``"certified"``: ``A(p)`` passes the scaled invertibility test on
-      the whole box.  With one scheduling variable the determinant
-      polynomial ``det_poly_1d`` has no root in the interval; otherwise
-      Weyl's bound certified ``boxes`` boxes and ``sigma_min(A(p)) >=
-      sigma_min_bound`` everywhere;
+      the whole box: Weyl's bound certified ``boxes`` boxes and
+      ``sigma_min(A(p)) >= sigma_min_bound`` everywhere;
     - ``"refuted-with-witness"``: ``witness`` is a scheduling point at
       which ``A`` fails the scaled test (:func:`_singular_mask`);
     - ``"undecided"``: the box budget ran out with neither.
@@ -358,8 +349,10 @@ class RcCertificate:
       ``box`` (rows: lower and upper corner) the box that holds it.
 
     ``holds`` is true only for ``"certified"`` and ``"not-applicable"``.
-    ``grid_per_axis`` is the grid the sign-change search used (``n_p >=
-    2``).
+    Every DT certificate carries ``grid_per_axis``, the grid of the
+    sign-change search, and ``boxes``.  With one scheduling variable
+    ``det_poly_1d`` holds the coefficients of ``det A(p)`` (constant
+    first) as evidence; it decides nothing.
     """
 
     convex_ok: bool
@@ -384,36 +377,8 @@ def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * count))
 
 
-def _refuted(witness: np.ndarray, **fields) -> RcCertificate:
-    return RcCertificate(
-        convex_ok=True, dt_invertibility="refuted-with-witness", witness=witness, **fields
-    )
-
-
-def _rc_univariate(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
-    """One scheduling variable: the determinant polynomial decides.
-
-    The interval ends and midpoint are tested first.  Then no root of the
-    interpolant in the interval certifies, and a root that a scaled SVD
-    test confirms refutes; an unconfirmed root leaves the decision to the
-    box search.
-    """
-    lo, hi = sys.region.lower, sys.region.upper
-    det = _det_on_segment(sys, lo, hi)
-    coeffs = np.polynomial.Chebyshev(det.coef, domain=[lo[0], hi[0]]).convert(
-        kind=np.polynomial.Polynomial
-    ).coef
-    ends = lo + np.array([[0.0], [0.5], [1.0]]) * (hi - lo)
-    hit = np.flatnonzero(_singular_mask(sys.A.at_points(ends)))
-    if hit.size:
-        return _refuted(ends[hit[0]], det_poly_1d=coeffs)
-    t = _segment_roots(det)
-    if t.size == 0:
-        return RcCertificate(True, "certified", det_poly_1d=coeffs)
-    witness = _newton_witness(sys, lo + t[:, None] * (hi - lo))
-    if witness is not None:
-        return _refuted(witness, det_poly_1d=coeffs)
-    return replace(_rc_boxes(sys, grid_per_axis), det_poly_1d=coeffs)
+def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
+    return RcCertificate(True, "refuted-with-witness", witness=witness, boxes=boxes)
 
 
 def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
@@ -434,7 +399,10 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
     A witness comes from a box centre that fails the scaled test, or from
     a sign change of ``det A`` between the uncertified centres and, once
     the root box is open, the ``grid_per_axis`` grid, resolved by
-    :func:`_segment_witness`.  When the ``RC_MAX_BOXES`` budget runs out,
+    :func:`_segment_witness`.  When the root box yields neither, the roots
+    of ``det A`` along the region's main diagonal are tried, which finds
+    roots of even multiplicity on it (for ``n_p = 1`` the diagonal is the
+    interval itself).  When the ``RC_MAX_BOXES`` budget runs out,
     or a box is too small for its bound to tighten, Newton steps from the
     worst box get a last try before the verdict is ``"undecided"``.
     """
@@ -450,7 +418,7 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
         boxes += centres.shape[0]
         hit = np.flatnonzero(_scaled_singular(s))
         if hit.size:
-            return _refuted(centres[hit[0]], boxes=boxes)
+            return _refuted(centres[hit[0]], boxes)
         spread = radii @ norms + margin
         lower = s[:, -1] - spread
         open_ = lower <= SINGULARITY_RTOL * (s[:, 0] + spread)
@@ -466,10 +434,11 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
             points = np.vstack([points, grid])
             dets = np.concatenate([dets, np.linalg.det(sys.A.at_points(grid))])
         i, j = np.argmax(dets), np.argmin(dets)
-        if dets[i] > 0.0 > dets[j]:
-            witness = _segment_witness(sys, points[j], points[i])
-            if witness is not None:
-                return _refuted(witness, boxes=boxes)
+        witness = _segment_witness(sys, points[j], points[i]) if dets[i] > 0.0 > dets[j] else None
+        if witness is None and boxes == 1:  # roots of even multiplicity
+            witness = _segment_witness(sys, lo, hi)
+        if witness is not None:
+            return _refuted(witness, boxes)
         weight = radii * norms
         if boxes + 2 * centres.shape[0] > RC_MAX_BOXES or np.any(weight.sum(axis=1) <= margin):
             break
@@ -482,7 +451,7 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
     worst = int(np.argmin(lower))
     witness = _newton_witness(sys, centres[worst : worst + 1])
     if witness is not None:
-        return _refuted(witness, boxes=boxes)
+        return _refuted(witness, boxes)
     return RcCertificate(
         True,
         "undecided",
@@ -497,31 +466,29 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10) -> RcCertificate:
 
     CT systems only need the region to be convex with nonempty interior,
     which holds for every validated box.  In DT the verdict is
-    deterministic (no random draw) and never a pass without a proof:
-
-    - one scheduling variable: ``det A(p)`` is interpolated exactly at
-      Chebyshev nodes; no real root in the interval certifies, and a root
-      that passes the scaled SVD test refutes;
-    - otherwise, and for a 1-d root no SVD test confirms: the Weyl-bound
-      box search of :func:`_rc_boxes` certifies, refutes with a verified
-      witness (a failing box centre, or a root between points of opposite
-      ``det`` sign on the ``grid_per_axis`` grid or among open box
-      centres), or returns ``"undecided"`` with its smallest bound.
+    deterministic (no random draw) and never a pass without a proof: for
+    every ``n_p`` the Weyl-bound box search of :func:`_rc_boxes`
+    certifies, refutes with a verified witness (a failing box centre, or a
+    root of ``det A`` between points of opposite sign on the
+    ``grid_per_axis`` grid or among open box centres, or on the region's
+    main diagonal), or returns ``"undecided"`` with its smallest bound.
+    With one scheduling variable the certificate also reports the
+    coefficients of ``det A(p)`` (``det_poly_1d``).
     """
     convex_ok = sys.region.has_interior()
     if sys.domain == TimeDomain.CT:
         return RcCertificate(convex_ok=convex_ok, dt_invertibility="not-applicable")
-    if sys.n_p >= 2 and grid_per_axis < 1:
+    if grid_per_axis < 1:
         raise InputError("grid_per_axis must be positive")
-    if sys.n_x == 0 and sys.n_p == 1:
-        cert = RcCertificate(True, "certified", det_poly_1d=np.array([1.0]))
-    elif sys.n_x == 0:  # the minimum over no singular value is +inf
+    if sys.n_x == 0:  # the minimum over no singular value is +inf
         cert = RcCertificate(True, "certified", boxes=0, sigma_min_bound=np.inf)
-    elif sys.n_p == 1:
-        cert = _rc_univariate(sys, grid_per_axis)
     else:
-        cert = replace(_rc_boxes(sys, grid_per_axis), grid_per_axis=grid_per_axis)
-    return replace(cert, convex_ok=convex_ok)
+        cert = _rc_boxes(sys, grid_per_axis)
+    if sys.n_p == 1:  # reported evidence; the box search decided
+        lo, hi = sys.region.lower, sys.region.upper
+        det = np.polynomial.Chebyshev(_det_on_segment(sys, lo, hi).coef, domain=[lo[0], hi[0]])
+        cert = replace(cert, det_poly_1d=det.convert(kind=np.polynomial.Polynomial).coef)
+    return replace(cert, convex_ok=convex_ok, grid_per_axis=grid_per_axis)
 
 
 @dataclass(frozen=True)
@@ -544,11 +511,13 @@ def freeze_scheduling(sys: LpvSsa, p: Signal) -> LtvSystem:
     """Evaluate the affine matrix functions along a scheduling signal.
 
     The result holds one matrix quadruple per signal sample (per step in
-    DT, per mesh node in CT).  Every signal covers the window ``[0, 0]``,
-    so :func:`_check_signals` rejects only a wrong domain, a wrong
-    dimension or a sample outside the region.
+    DT, per mesh node in CT), so every sample is checked: a window just
+    past the last sample reads them all, and :func:`_check_signals`
+    rejects only a wrong domain, a wrong dimension or a sample outside the
+    region on it.
     """
-    _check_signals(sys, p, 0)
+    end = p.n_samples - 1 if p.times is None else np.nextafter(p.times[-1], np.inf)
+    _check_signals(sys, p, end)
     K = p.n_samples
     As, Bs, Cs, Ds = (f.at_points(p.values) for f in (sys.A, sys.B, sys.C, sys.D))
     times = (
@@ -593,8 +562,7 @@ def ltv_window_observability(
         )
     _check_signals(sys, p, t_end)
     if dt:
-        Phi = transition_matrices_dt(sys, p, t_end)
-        stack = _output_map(sys, p.values_at(np.arange(t_end + 1)), Phi)
+        stack = _window(sys, p, t_end)[0]
     else:
         mesh = integration_mesh(t_end, t_end / 200.0 if step is None else step, p)
         M, _, G = rk4_on_mesh(sys, p, mesh, gramian=True)

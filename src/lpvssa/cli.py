@@ -143,14 +143,11 @@ def _rc_payload(rc) -> dict:
 def _rc_text(rc) -> str:
     if rc.dt_invertibility == "not-applicable":
         return "regularity: satisfied (CT; box region is convex with interior)"
-    if rc.dt_invertibility == "certified" and rc.boxes is not None:
+    if rc.dt_invertibility == "certified":
         return (
             f"regularity: certified (sigma_min(A(p)) >= {rc.sigma_min_bound:.6g} "
             f"on the region by Weyl's bound; boxes visited: {rc.boxes})"
         )
-    if rc.dt_invertibility == "certified":
-        poly = np.array2string(rc.det_poly_1d, precision=12)
-        return f"regularity: certified (det A(p) root-free on the interval; coefficients {poly})"
     if rc.dt_invertibility == "undecided":
         return (
             f"regularity: undecided (sigma_min lower bound {rc.sigma_min_bound:.6g} on "

@@ -23,16 +23,7 @@ from .analysis import (
 from .core import LpvSsa, TimeDomain
 from .errors import InputError
 from .signals import Signal, random_input, random_scheduling
-from .simulation import (
-    _check_signals,
-    _check_signature,
-    _check_x0,
-    _output_map,
-    _outputs,
-    _propagate,
-    _step_maps,
-    error_system,
-)
+from .simulation import _check_signals, _check_signature, _check_x0, _window, error_system
 
 __all__ = [
     "IsoResult",
@@ -199,17 +190,6 @@ def find_isomorphism(
     )
 
 
-def _window(sys: LpvSsa, u: Signal, p: Signal, horizon, step: float):
-    """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
-
-    One :func:`_step_maps` call feeds both; from ``x0`` the sampled output
-    is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.
-    """
-    times, M, c = _step_maps(sys, p, horizon, step, u)
-    O = _output_map(sys, p.values_at(times), _propagate(M, np.eye(sys.n_x)))
-    return O, _outputs(sys, p, u, times, _propagate(M, np.zeros(sys.n_x), c))
-
-
 def _match(w_from, x0, w_to, rtol: float = None):
     """Least-squares state of window ``w_to`` reproducing ``w_from``'s output from ``x0``."""
     (O_from, f_from), (O_to, f_to) = w_from, w_to
@@ -251,7 +231,7 @@ def match_initial_state(
     _check_signature(sys_from, sys_to)
     _check_signals(sys_from, p, horizon, u)
     x0 = _check_x0(sys_from, x0)
-    w_from, w_to = (_window(s, u, p, horizon, step) for s in (sys_from, sys_to))
+    w_from, w_to = (_window(s, p, horizon, step, u) for s in (sys_from, sys_to))
     return _match(w_from, x0, w_to, rtol)
 
 
@@ -328,7 +308,7 @@ def behavior_equivalence_empirical(
         x1 = _unit_ball(rng, sys1.n_x)
         x2 = _unit_ball(rng, sys2.n_x)
         _check_signals(sys1, p, horizon, u)
-        w1, w2 = (_window(s, u, p, horizon, step) for s in (sys1, sys2))
+        w1, w2 = (_window(s, p, horizon, step, u) for s in (sys1, sys2))
         _, residuals[k, 0] = _match(w1, x1, w2)
         _, residuals[k, 1] = _match(w2, x2, w1)
     max_residual = float(residuals.max())

@@ -4,8 +4,10 @@ One front end, :func:`_step_maps`, picks the step rule for every window
 and returns the maps of ``x_{k+1} = M_k x_k + c_k``: ``M_k = A(p(k))`` and
 ``c_k = B(p(k)) u(k)`` in DT, the RK4 maps of :func:`rk4_on_mesh` in CT,
 with signals and matrices evaluated along the whole horizon in one batch.
-Simulation, transition matrices and initial-state matching share it, then
-:func:`_propagate` (the only loop in Python) and the ``C x + D u`` readout.
+Simulation, transition matrices and the free-response map of
+:func:`_window` (initial-state matching, equivalence trials and DT window
+observability) share it, then :func:`_propagate` (the only loop in Python)
+and the ``C x + D u`` readout.
 
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
@@ -25,7 +27,7 @@ import numpy as np
 
 from .core import LpvSsa, TimeDomain
 from .errors import InputError
-from .signals import PIECEWISE_CONSTANT, Signal, Trajectory
+from .signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, Signal, Trajectory
 
 __all__ = [
     "simulate_dt",
@@ -57,7 +59,10 @@ def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
     The scheduling ``p``, and the input ``u`` when given, must be in the
     system's time domain, have its ``n_p`` (``n_u``) columns and cover
     ``[0, horizon]``, a DT horizon must be nonnegative, and every sample of
-    ``p`` must lie in the scheduling region (to ``1e-12``).
+    ``p`` that the window reads must lie in the scheduling region (to
+    ``1e-12``): in DT the samples ``0 .. horizon``, in CT sample 0, the
+    samples before ``horizon`` and, for a piecewise-linear ``p``, the
+    first node at or after it.
     """
     if sys.domain == TimeDomain.DT and int(horizon) < 0:
         raise InputError("n_steps must be nonnegative")
@@ -70,7 +75,13 @@ def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
             raise InputError(f"{name} signal has dimension {sig.dim}, expected {dim}")
         if not sig.covers(horizon):
             raise InputError(f"{name} signal does not cover the requested horizon")
+    if sys.domain == TimeDomain.DT:
+        last = int(horizon)
+    else:
+        last = int(np.searchsorted(p.times, float(horizon), side="left"))
+        last = last if p.interpolation == PIECEWISE_LINEAR else max(last - 1, 0)
     bad = p.restrict_check(sys.region)
+    bad = bad[bad <= last]
     if bad.size:
         raise InputError(
             f"{bad.size} scheduling sample(s) outside the region (first at index {bad[0]})"
@@ -201,6 +212,20 @@ def _output_map(sys: LpvSsa, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     """Rows ``C(P[k]) Phi[k]`` stacked: initial state to zero-input outputs."""
     CPhi = sys.C.at_points(P) @ Phi
     return CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
+
+
+def _window(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None):
+    """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
+
+    One :func:`_step_maps` call feeds both; from ``x0`` the sampled output
+    is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.  Without ``u``,
+    ``f`` is None.
+    """
+    times, M, c = _step_maps(sys, p, horizon, step, u)
+    O = _output_map(sys, p.values_at(times), _propagate(M, np.eye(sys.n_x)))
+    if u is None:
+        return O, None
+    return O, _outputs(sys, p, u, times, _propagate(M, np.zeros(sys.n_x), c))
 
 
 def _stage_values(sig: Signal, mesh: np.ndarray) -> tuple:

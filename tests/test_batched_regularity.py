@@ -91,6 +91,30 @@ def double_root():
     )
 
 
+def near_double_root():
+    """``A(p) = [[p - 0.3, 1e-7, 0], [-1e-7, p - 0.3, 0], [0, 0, 1e4]]`` on ``[0, 1]``.
+
+    ``det A = 1e4 ((p - 0.3)^2 + 1e-14)`` has no real root, yet at ``p = 0.3``
+    the singular values are ``(1e4, 1e-7, 1e-7)``: ``A`` fails the scaled test.
+    """
+    A0 = np.array([[-0.3, 1e-7, 0.0], [-1e-7, -0.3, 0.0], [0.0, 0.0, 1e4]])
+    Z, C = np.zeros((3, 1)), np.ones((1, 3))
+    return LpvSsa.from_matrices(
+        [A0, np.diag([1.0, 1.0, 0.0])], [Z, Z], [C, C], [np.zeros((1, 1))] * 2,
+        ([0.0], [1.0]), "dt",
+    )
+
+
+def with_inert_coordinate(sys):
+    """``sys`` with one more scheduling coordinate, on ``[-1, 1]``, that enters nowhere."""
+
+    def pad(f):
+        return list(f.coeffs) + [np.zeros_like(f.coeffs[0])]
+
+    region = (np.append(sys.region.lower, -1.0), np.append(sys.region.upper, 1.0))
+    return LpvSsa.from_matrices(pad(sys.A), pad(sys.B), pad(sys.C), pad(sys.D), region, sys.domain)
+
+
 class TestAtPoints:
     def test_bit_identical_to_pointwise_evaluation(self):
         rng = np.random.default_rng(0)
@@ -206,7 +230,7 @@ class TestSweeps:
             assert pointwise_singular(sys, cert.witness)
         assert changed >= 190
 
-    @pytest.mark.parametrize("n_p", [2, 3])
+    @pytest.mark.parametrize("n_p", [1, 2, 3])
     @pytest.mark.parametrize("shift", [0.6, 0.8, 1.0])
     def test_shifted_systems_certified(self, n_p, shift):
         rng = np.random.default_rng(4)
@@ -253,7 +277,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 class TestProperties:
     @settings(max_examples=30, deadline=None, database=None)
-    @given(seed=seeds, n_p=st.integers(2, 3), shift=st.sampled_from([0.0, 0.7, 2.0]))
+    @given(seed=seeds, n_p=st.integers(1, 3), shift=st.sampled_from([0.0, 0.7, 2.0]))
     def test_orthogonal_conjugation_keeps_verdict(self, seed, n_p, shift):
         rng = np.random.default_rng(seed)
         n_x = int(rng.integers(2, 7))
@@ -332,14 +356,15 @@ class TestCliText:
 
 class TestUnivariate:
     def test_badly_scaled_constant_refuted_at_an_end(self):
-        # det A = 1e11 has no root, but sigma_min / sigma_max = 1e-11
+        # det A = 1e11 has no root, but sigma_min / sigma_max = 1e-11, so
+        # the first point evaluated, the centre of the interval, refutes
         sys = LpvSsa.from_matrices(
             [np.diag([1e11, 1.0]), np.zeros((2, 2))], [np.zeros((2, 1))] * 2,
             [np.ones((1, 2))] * 2, [np.zeros((1, 1))] * 2, ([0.0], [1.0]), "dt",
         )
         cert = assert_consistent(sys, 10)
         assert cert.dt_invertibility == "refuted-with-witness"
-        assert cert.witness[0] == 0.0
+        assert cert.witness[0] == 0.5
 
     def test_double_root_refuted(self):
         # det A = (p - c)^2 touches zero without a sign change
@@ -352,3 +377,54 @@ class TestUnivariate:
         assert cert.dt_invertibility == "refuted-with-witness"
         assert abs(cert.witness[0] - c) < 1e-6
         assert cert.det_poly_1d.shape == (3,)
+
+
+class TestOnePath:
+    """One box search decides every ``n_p``; ``n_p = 1`` is not special."""
+
+    def test_near_double_root_refuted(self, tmp_path):
+        sys = near_double_root()
+        cert = assert_consistent(sys, 10)
+        assert cert.dt_invertibility == "refuted-with-witness"
+        assert abs(cert.witness[0] - 0.3) < 1e-5
+        assert cert.det_poly_1d.shape == (3,)
+        inert = assert_consistent(with_inert_coordinate(sys), 10)
+        assert inert.dt_invertibility == "refuted-with-witness"
+        assert inert.witness[0] == cert.witness[0]
+        path = tmp_path / "near_double_root.json"
+        path.write_text(serialize_system(sys))
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "regularity: refuted, witness p* = " in result.output
+        out = tmp_path / "min.json"
+        result = CliRunner().invoke(main, ["minimize", str(path), "--out", str(out), "--json"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["minimality"] == "observable reduction only"
+        assert doc["rc"]["holds"] is False
+
+    def test_inert_coordinate_keeps_verdict_and_witness(self):
+        rng = np.random.default_rng(8)
+        for k in range(300):
+            n_x = int(rng.integers(1, 9))
+            sys = random_system(rng, n_p=1, n_x=n_x, rc_shift=(0.0, 0.5, 1.0)[k % 3])
+            one, two = check_rc(sys), check_rc(with_inert_coordinate(sys))
+            assert one.dt_invertibility == two.dt_invertibility
+            assert (one.witness is None) == (two.witness is None)
+            if one.witness is not None:
+                assert one.witness[0] == two.witness[0]
+            for cert in (one, two):
+                assert cert.grid_per_axis == 10 and cert.boxes >= 1
+                if cert.dt_invertibility != "refuted-with-witness":
+                    assert cert.sigma_min_bound is not None
+
+    def test_grid_below_one_rejected_for_one_variable(self, worked_example):
+        with pytest.raises(InputError):
+            check_rc(worked_example, 0)
+
+    def test_worked_example_carries_box_evidence(self, worked_example):
+        cert = check_rc(worked_example)
+        assert cert.dt_invertibility == "certified"
+        assert cert.boxes >= 1 and cert.grid_per_axis == 10
+        assert 0.0 < cert.sigma_min_bound
+        assert _rc_text(cert).startswith("regularity: certified (sigma_min(A(p)) >= ")

@@ -13,9 +13,11 @@ import pytest
 from lpvssa import (
     InputError,
     LpvSsa,
+    RankDecision,
     Signal,
     TimeDomain,
     behavior_equivalence_empirical,
+    ltv_window_observability,
     match_initial_state,
     observability_reduction,
     simulate_ct,
@@ -146,3 +148,32 @@ def test_match_solves_at_the_iteration_floor():
     assert abs(x0_to[0] - 1.0) <= 1e-9
     assert abs(x0_to[1]) <= 1e-10
     assert residual < 1e-9
+
+
+class TestFreeResponseMap:
+    """``simulation._window`` is the one free-response map, windows included."""
+
+    def test_dt_window_stack_is_the_transition_matrix_stack(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            sys = random_system(rng, n_p=int(rng.integers(1, 4)))
+            p = random_scheduling(sys.region, rng, sys.domain, n_steps=N_STEPS)
+            _, decision = ltv_window_observability(sys, p, N_STEPS)
+            Phi = simulation.transition_matrices_dt(sys, p, N_STEPS)
+            stack = simulation._output_map(sys, p.values_at(np.arange(N_STEPS + 1)), Phi)
+            want = RankDecision.from_matrix(stack).singular_values
+            assert np.array_equal(decision.singular_values, want)
+
+    @pytest.mark.parametrize("domain", [TimeDomain.DT, TimeDomain.CT])
+    def test_no_input_no_forced_output(self, domain):
+        rng = np.random.default_rng(10)
+        sys = random_system(rng, n_p=2, domain=domain)
+        _, p = _signals(rng, domain, sys.n_u, sys.n_p, PIECEWISE_CONSTANT)
+        if domain == TimeDomain.DT:
+            horizon, u = N_STEPS, Signal.dt(rng.standard_normal((N_STEPS + 1, sys.n_u)))
+        else:  # no breakpoint of its own, so both windows share the mesh
+            horizon, u = T_END, Signal.ct_constant(rng.standard_normal(sys.n_u), T_END)
+        O, f = simulation._window(sys, p, horizon, STEP)
+        O_u, f_u = simulation._window(sys, p, horizon, STEP, u)
+        assert f is None and f_u.shape == (O.shape[0] // sys.n_y, sys.n_y)
+        assert np.array_equal(O, O_u)

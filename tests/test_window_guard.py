@@ -23,7 +23,7 @@ from lpvssa import (
     simulate_ct,
     simulate_dt,
 )
-from lpvssa.signals import PIECEWISE_LINEAR
+from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR
 from lpvssa.simulation import transition_matrices_ct, transition_matrices_dt
 
 from conftest import random_system
@@ -130,3 +130,51 @@ def test_good_window_accepted(name, domain, monkeypatch):
     """The same calls run with the admissible signal the bad ones perturb."""
     sys = _system(domain)
     ENTRY_POINTS[name][1](sys, _scheduling(domain), monkeypatch)
+
+
+class TestSamplesRead:
+    """The region is checked on the samples a window reads, and no others."""
+
+    def test_dt_sample_past_the_window_ignored(self, constant_2state):
+        u = Signal.dt(np.zeros((5, 1)))
+        inside = np.array([[0.5], [-0.5], [1.0], [0.0], [0.25]])
+        p = Signal.dt(np.vstack([inside, [[3.0]]]))
+        got = simulate_dt(constant_2state, [1.0, 1.0], u, p, 4)
+        ref = simulate_dt(constant_2state, [1.0, 1.0], u, Signal.dt(inside), 4)
+        assert np.array_equal(got.x.values, ref.x.values)
+        assert np.array_equal(got.y.values, ref.y.values)
+        with pytest.raises(InputError, match="first at index 5"):
+            simulate_dt(constant_2state, [1.0, 1.0], Signal.dt(np.zeros((6, 1))), p, 5)
+
+    def test_ct_constant_node_past_the_window_ignored(self):
+        sys = _system(CT)
+        u = Signal.ct_constant(np.zeros(sys.n_u), 2.0)
+        p = Signal.ct([0.0, 0.5, 2.0], [[0.2, 0.1], [-0.3, 0.4], [3.0, 0.0]])
+        inside = Signal.ct([0.0, 0.5], [[0.2, 0.1], [-0.3, 0.4]])
+        got = simulate_ct(sys, np.ones(sys.n_x), u, p, 1.0, STEP)
+        ref = simulate_ct(sys, np.ones(sys.n_x), u, inside, 1.0, STEP)
+        assert np.array_equal(got.y.values, ref.y.values)
+        # the window [0, 2] ends on the node, whose value it never reads
+        simulate_ct(sys, np.ones(sys.n_x), u, p, 2.0, STEP)
+        with pytest.raises(InputError, match="first at index 2"):
+            simulate_ct(sys, np.ones(sys.n_x), u, p, 2.5, STEP)
+
+    def test_ct_linear_reads_the_first_node_at_or_after_the_window(self):
+        sys = _system(CT)
+        u = Signal.ct_constant(np.zeros(sys.n_u), 3.0)
+        values = [[0.2, 0.1], [-0.3, 0.4], [0.5, 0.5], [3.0, 0.0]]
+        p = Signal.ct([0.0, 0.5, 1.5, 3.0], values, PIECEWISE_LINEAR)
+        simulate_ct(sys, np.ones(sys.n_x), u, p, 1.0, STEP)
+        simulate_ct(sys, np.ones(sys.n_x), u, p, 1.5, STEP)
+        with pytest.raises(InputError, match="first at index 3"):
+            simulate_ct(sys, np.ones(sys.n_x), u, p, 1.6, STEP)
+
+    @pytest.mark.parametrize("interpolation", [None, PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    def test_freezing_checks_every_sample(self, interpolation):
+        values = [[0.1, 0.2], [0.3, 0.4], [3.0, 0.0]]
+        if interpolation is None:
+            sys, p = _system(DT), Signal.dt(values)
+        else:
+            sys, p = _system(CT), Signal.ct([0.0, 0.5, 2.0], values, interpolation)
+        with pytest.raises(InputError, match="first at index 2"):
+            freeze_scheduling(sys, p)
