@@ -48,7 +48,7 @@ found = find_revealing_scheduling(minimal, trials=50, window=3, seed=42)
 p_found, window = found
 print(f"found one on window {window}: samples {np.round(p_found.values.ravel(), 4)}")
 
-print("\n=== continuous time: integrate and test a Gramian window ===")
+print("\n=== continuous time: rank the stacked C(t) Phi(t, 0) window ===")
 from lpvssa import LpvSsa
 
 ct = LpvSsa.from_matrices(
@@ -64,4 +64,4 @@ u_ct = Signal.ct_constant([1.0], 1.0)
 traj = simulate_ct(ct, [1.0, 0.0], u_ct, p_ct, 1.0, 1e-3)
 print(f"state at t=1: {np.round(traj.x.values[-1], 6)}")
 ok, dec = ltv_window_observability(ct, p_ct, 1.0)
-print(f"Gramian window test on [0, 1]: observable = {ok} (rank {dec.rank})")
+print(f"window test on the RK4 mesh of [0, 1]: observable = {ok} (rank {dec.rank})")

@@ -8,8 +8,10 @@ polynomial-time kernel, the compressed subspace iteration of
 counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
 (``1e-10``; ``rtol`` overrides it).  :func:`_threshold` is the only
 SVD that decides a rank, and :func:`_rank_floor` resolves the floor for
-it, the least-squares solves and the CLI.  The explicit extended
-matrices (:func:`extended_observability_matrix`,
+it, the least-squares solves and the CLI.  Window observability
+(:func:`ltv_window_observability`) thresholds the stacked ``C Phi`` map of
+``simulation._window`` at the same floor, in DT and CT alike.  The
+explicit extended matrices (:func:`extended_observability_matrix`,
 :func:`extended_reachability_matrix`) have ``(n_p + 1)^n`` blocks; they
 are kept as builders for tests and export and decide nothing.
 Invertibility of ``A(p)`` is judged by the scaled SVD test at
@@ -29,7 +31,7 @@ import numpy as np
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
-from .simulation import _check_signals, _propagate, _window, integration_mesh, rk4_on_mesh
+from .simulation import _check_signals, _window
 
 __all__ = [
     "RankDecision",
@@ -536,16 +538,15 @@ def ltv_window_observability(
 ):
     """Observability of the frozen-scheduling LTV system on ``[0, t_end]``.
 
-    DT: stacks ``C(t) Phi(t, 0)`` for ``t = 0 .. t_end`` and tests for
-    full column rank.  CT: integrates the observability Gramian
-    ``int Phi^T C^T C Phi dt`` with the RK4 machinery of the simulation
-    module and tests its rank (note the Gramian's singular values live on
-    a squared scale relative to the stacked-matrix convention).
-
-    Both stacks are chains of matrix products, whose rounding turns exact
-    rank deficiencies into debris of order ``eps * ||Phi||``, so the rank
-    decision runs at the ``1e-10`` relative floor of the subspace
-    iteration; pass ``rtol`` to override.
+    Tests the window matrix of :func:`simulation._window` for full column
+    rank: the rows ``C(t) Phi(t, 0)`` stacked over the samples, ``t = 0 ..
+    t_end`` in DT and the nodes of the RK4 integration mesh in CT (step
+    ``step``, by default ``t_end / 200``, refined with the breakpoints of
+    ``p``).  The stack is a chain of matrix products, whose rounding turns
+    exact rank deficiencies into debris of order ``eps * ||Phi||``, so the
+    rank decision runs at the ``1e-10`` relative floor of the subspace
+    iteration, in both domains on the scale of the singular values of
+    ``C Phi`` themselves; pass ``rtol`` to override.
 
     A window that is not positive, or a scheduling that
     :func:`_check_signals` rejects on it, raises InputError.
@@ -561,14 +562,7 @@ def ltv_window_observability(
             "t_end must be a positive integer in DT" if dt else "t_end must be positive in CT"
         )
     _check_signals(sys, p, t_end)
-    if dt:
-        stack = _window(sys, p, t_end)[0]
-    else:
-        mesh = integration_mesh(t_end, t_end / 200.0 if step is None else step, p)
-        M, _, G = rk4_on_mesh(sys, p, mesh, gramian=True)
-        Phi = _propagate(M, np.eye(sys.n_x))[:-1]
-        W = (np.swapaxes(Phi, 1, 2) @ G @ Phi).sum(axis=0)
-        stack = 0.5 * (W + W.T)
+    stack = _window(sys, p, t_end, t_end / 200.0 if step is None else step)[0]
     decision = RankDecision.from_matrix(stack, rtol)
     return decision.rank == sys.n_x, decision
 

@@ -1,13 +1,11 @@
 """Command-line interface exposing the library over JSON documents.
 
 Exit codes: 0 when the command ran to completion (verdicts do not change
-the exit code), 2 on input errors, 3 when a resource cap is hit.  Every
-rank decision runs through the polynomial-time observability kernel, so
-no command builds a capped matrix: code 3 is kept for the explicit
-extended-matrix builders of the library (``ResourceCapError``), and only
-they raise it.  Every command is deterministic given its files and
-flags.  Machine-readable output (``--json``) carries the tool version
-and the tolerances that ran.  The environment variable
+the exit code), 2 on input errors.  Every rank decision runs through the
+polynomial-time observability kernel, so no command builds a capped
+matrix.  Every command is deterministic given its files and flags.
+Machine-readable output (``--json``) carries the tool version and the
+tolerances that ran.  The environment variable
 ``LPVSSA_RANK_RTOL`` overrides the rank floor (``1e-10`` relative); the
 ``--rank-rtol`` flag takes precedence over the environment; a floor that
 is negative or not finite is an input error.
@@ -37,7 +35,7 @@ from .analysis import (
 )
 from .core import LpvSsa, TimeDomain
 from .equivalence import behavior_equivalence_empirical, find_isomorphism
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 from .io import (
     parse_signal,
     parse_system,
@@ -62,9 +60,6 @@ def _guard(fn):
         except InputError as exc:
             _echo(f"error: {exc}", err=True)
             _sys.exit(2)
-        except ResourceCapError as exc:
-            _echo(f"resource cap: {exc}", err=True)
-            _sys.exit(3)
 
     return wrapper
 

@@ -5,9 +5,9 @@ and returns the maps of ``x_{k+1} = M_k x_k + c_k``: ``M_k = A(p(k))`` and
 ``c_k = B(p(k)) u(k)`` in DT, the RK4 maps of :func:`rk4_on_mesh` in CT,
 with signals and matrices evaluated along the whole horizon in one batch.
 Simulation, transition matrices and the free-response map of
-:func:`_window` (initial-state matching, equivalence trials and DT window
-observability) share it, then :func:`_propagate` (the only loop in Python)
-and the ``C x + D u`` readout.
+:func:`_window` (initial-state matching, equivalence trials and window
+observability, in DT and CT alike) share it, then :func:`_propagate` (the
+only loop in Python) and the ``C x + D u`` readout of :func:`_outputs`.
 
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
@@ -133,7 +133,9 @@ def simulate_dt(
     _check_signals(sys, p, n_steps, u)
     ks, M, c = _step_maps(sys, p, n_steps, u=u)
     xs = _propagate(M, _check_x0(sys, x0), c)
-    return Trajectory(x=Signal.dt(xs), y=Signal.dt(_outputs(sys, p, u, ks, xs)))
+    P = p.values_at(ks)
+    ys = _outputs(sys, P, sys.C.at_points(P), u.values_at(ks), xs)
+    return Trajectory(x=Signal.dt(xs), y=Signal.dt(ys))
 
 
 def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
@@ -194,7 +196,7 @@ def _step_maps(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = 
     """
     if sys.domain == TimeDomain.CT:
         mesh = integration_mesh(horizon, step, *(s for s in (u, p) if s is not None))
-        M, c, _ = rk4_on_mesh(sys, p, mesh, u)
+        M, c = rk4_on_mesh(sys, p, mesh, u)
         return mesh, M, c
     ks = np.arange(int(horizon) + 1)
     P = p.values_at(ks[:-1])
@@ -202,30 +204,29 @@ def _step_maps(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = 
     return ks, sys.A.at_points(P), c
 
 
-def _outputs(sys: LpvSsa, p: Signal, u: Signal, times: np.ndarray, xs: np.ndarray):
-    """Outputs ``C(p) x + D(p) u`` at the sample ``times`` of the states ``xs``."""
-    P = p.values_at(times)
-    return _matvec(sys.C.at_points(P), xs) + _matvec(sys.D.at_points(P), u.values_at(times))
-
-
-def _output_map(sys: LpvSsa, P: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """Rows ``C(P[k]) Phi[k]`` stacked: initial state to zero-input outputs."""
-    CPhi = sys.C.at_points(P) @ Phi
-    return CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
+def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.ndarray):
+    """Outputs ``C[k] xs[k] + D(P[k]) U[k]``, where ``C`` is ``sys.C`` at ``P``."""
+    return _matvec(C, xs) + _matvec(sys.D.at_points(P), U)
 
 
 def _window(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None):
     """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
 
-    One :func:`_step_maps` call feeds both; from ``x0`` the sampled output
-    is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.  Without ``u``,
-    ``f`` is None.
+    One :func:`_step_maps` call, one read of ``p`` at the sample times and
+    one evaluation of ``C`` on it feed both.  ``O`` stacks the rows
+    ``C(p(t_k)) Phi(t_k, 0)`` over the samples (the DT steps ``0 ..
+    horizon``, or the nodes of the CT integration mesh); from ``x0`` the
+    sampled output is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.
+    Without ``u``, ``f`` is None.
     """
     times, M, c = _step_maps(sys, p, horizon, step, u)
-    O = _output_map(sys, p.values_at(times), _propagate(M, np.eye(sys.n_x)))
+    P = p.values_at(times)
+    C = sys.C.at_points(P)
+    CPhi = C @ _propagate(M, np.eye(sys.n_x))
+    O = CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
     if u is None:
         return O, None
-    return O, _outputs(sys, p, u, times, _propagate(M, np.zeros(sys.n_x), c))
+    return O, _outputs(sys, P, C, u.values_at(times), _propagate(M, np.zeros(sys.n_x), c))
 
 
 def _stage_values(sig: Signal, mesh: np.ndarray) -> tuple:
@@ -249,9 +250,7 @@ def _at_stages(f, stages: tuple) -> tuple:
     return tuple(f.at_points(P) for P in stages)
 
 
-def rk4_on_mesh(
-    sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None, *, gramian: bool = False
-) -> tuple:
+def rk4_on_mesh(sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None) -> tuple:
     """Classical RK4 for ``dx/dt = A(p) x + B(p) u`` as one affine map per step.
 
     Step ``k`` (``h = b - a``) is exactly ``x_{k+1} = M_k x_k + c_k``: with
@@ -259,15 +258,13 @@ def rk4_on_mesh(
     ``S_{i+1} = I + nu_i h K_i`` (``nu = 1/2, 1/2, 1``) and ``K_i = A_i S_i``
     give ``M = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)``, and ``c`` is built the
     same way from the stage forcing ``B_i u_i``.  Without ``u`` the system
-    is homogeneous and ``c`` is None.  With ``gramian``, ``G_k = h/6 sum_i
-    w_i (C_i S_i)^T (C_i S_i)`` is the RK4 increment of the observability
-    Gramian ``dW/dt = Phi^T C^T C Phi``: ``W_{k+1} = W_k + Phi_k^T G_k Phi_k``.
-    ``mesh`` must refine the breakpoints of ``p`` and ``u``.
+    is homogeneous and ``c`` is None.  ``mesh`` must refine the breakpoints
+    of ``p`` and ``u``.
 
     Returns
     -------
-    (M, c, G)
-        ``(K, n_x, n_x)``, ``(K, n_x)`` or None, ``(K, n_x, n_x)`` or None.
+    (M, c)
+        ``(K, n_x, n_x)``, and ``(K, n_x)`` or None.
     """
     h = np.diff(mesh)[:, None, None]
     hv = h[:, 0]
@@ -275,26 +272,19 @@ def rk4_on_mesh(
     ps = _stage_values(p, mesh)
     A = _at_stages(sys.A, ps)
     K = A[0]
-    M, c, G = eye + (h / 6.0) * K, None, None
+    M, c = eye + (h / 6.0) * K, None
     if u is not None:
         F = tuple(map(_matvec, _at_stages(sys.B, ps), _stage_values(u, mesh)))
         g = F[0]
         c = (hv / 6.0) * g
-    if gramian:
-        C = _at_stages(sys.C, ps)
-        G = (h / 6.0) * (np.swapaxes(C[0], 1, 2) @ C[0])
     # stages 2 to 4: (stage point, node of the previous stage, weight)
     for j, nu, w in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
-        S = eye + (nu * h) * K
-        K = A[j] @ S
+        K = A[j] @ (eye + (nu * h) * K)
         M += (w / 6.0 * h) * K
         if u is not None:
             g = _matvec(A[j], (nu * hv) * g) + F[j]
             c += (w / 6.0 * hv) * g
-        if gramian:
-            CS = C[j] @ S
-            G += (w / 6.0 * h) * (np.swapaxes(CS, 1, 2) @ CS)
-    return M, c, G
+    return M, c
 
 
 def simulate_ct(
@@ -322,9 +312,10 @@ def simulate_ct(
     _check_signals(sys, p, t_end, u)
     mesh, M, c = _step_maps(sys, p, t_end, step, u)
     xs = _propagate(M, _check_x0(sys, x0), c)
+    P = p.values_at(mesh)
+    ys = _outputs(sys, P, sys.C.at_points(P), u.values_at(mesh), xs)
     return Trajectory(
-        x=Signal.ct(mesh, xs, PIECEWISE_CONSTANT),
-        y=Signal.ct(mesh, _outputs(sys, p, u, mesh, xs), PIECEWISE_CONSTANT),
+        x=Signal.ct(mesh, xs, PIECEWISE_CONSTANT), y=Signal.ct(mesh, ys, PIECEWISE_CONSTANT)
     )
 
 

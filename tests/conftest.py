@@ -49,6 +49,22 @@ def make_constant_1state() -> LpvSsa:
     )
 
 
+def make_weakly_coupled_ct() -> LpvSsa:
+    """A CT system observable only through a 1e-6 coupling.
+
+    ``A_0 = [[-0.2, 1e-6], [0, -0.2]]`` and ``C_0 = [1 0]``, every other
+    coefficient zero, on ``[-1, 1]``.  The stacked window matrix ``C Phi`` on
+    ``[0, 1]`` has singular values of about ``12.9`` and ``3.7e-6``, far
+    apart but both above the ``1e-10`` relative floor; squared, as in a
+    Gramian, the second falls below it.
+    """
+    Z = np.zeros((2, 2))
+    A0 = np.array([[-0.2, 1e-6], [0.0, -0.2]])
+    C0 = np.array([[1.0, 0.0]])
+    B, D = np.zeros((2, 1)), np.zeros((1, 1))
+    return LpvSsa.from_matrices([A0, Z], [B, B], [C0, 0 * C0], [D, D], ([-1.0], [1.0]), "ct")
+
+
 def random_system(
     rng: np.random.Generator,
     *,

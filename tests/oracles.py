@@ -106,19 +106,10 @@ def ct_reference_transition(sys, p, mesh):
     return rk4_reference(deriv, np.eye(sys.n_x), mesh)
 
 
-def ct_reference_gramian(sys, p, mesh):
-    """Observability Gramian ``int Phi^T C^T C Phi dt`` over the mesh, symmetrized."""
-    n = sys.n_x
-
-    def deriv(t, a, b, Y):
-        pt = _rk4_stage_value(p, t, a, b)
-        Phi = Y[0]
-        CPhi = sys.C(pt) @ Phi
-        return np.stack([sys.A(pt) @ Phi, CPhi.T @ CPhi])
-
-    Y0 = np.stack([np.eye(n), np.zeros((n, n))])
-    W = rk4_reference(deriv, Y0, mesh)[-1, 1]
-    return 0.5 * (W + W.T)
+def output_map(sys, P, Phi):
+    """Rows ``C(P[k]) Phi[k]`` stacked: initial state to zero-input outputs."""
+    CPhi = sys.C.at_points(P) @ Phi
+    return CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
 
 
 def match_reference(sys_from, x0, sys_to, u, p, horizon, step=1e-3, rtol=1e-10):
@@ -128,11 +119,11 @@ def match_reference(sys_from, x0, sys_to, u, p, horizon, step=1e-3, rtol=1e-10):
     ``io_response`` (checked against the per-point loops above elsewhere in
     the suite), builds the free-response map of ``sys_to`` on the output
     samples from ``transition_matrices_dt`` in DT, or from the per-stage RK4
-    transition on the simulated mesh in CT, and ``_output_map``, then solves
+    transition on the simulated mesh in CT, and :func:`output_map`, then solves
     the least-squares problem at the relative floor ``rtol``.
     """
     from lpvssa.core import TimeDomain
-    from lpvssa.simulation import _output_map, io_response, transition_matrices_dt
+    from lpvssa.simulation import io_response, transition_matrices_dt
 
     y_from = io_response(sys_from, x0, u, p, horizon, step=step)
     y_forced = io_response(sys_to, np.zeros(sys_to.n_x), u, p, horizon, step=step).values
@@ -142,7 +133,7 @@ def match_reference(sys_from, x0, sys_to, u, p, horizon, step=1e-3, rtol=1e-10):
     else:
         times = y_from.times
         Phi = ct_reference_transition(sys_to, p, times)
-    M = _output_map(sys_to, p.values_at(times), Phi)
+    M = output_map(sys_to, p.values_at(times), Phi)
     y = y_from.values
     x0_to = np.linalg.lstsq(M, (y - y_forced).reshape(-1), rcond=rtol)[0]
     y_match = y_forced + (M @ x0_to).reshape(y.shape)

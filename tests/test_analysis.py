@@ -21,7 +21,7 @@ from lpvssa import (
     unobservable_subspace,
 )
 
-from conftest import random_system
+from conftest import make_weakly_coupled_ct, random_system
 from oracles import literal_observability_recursion, word_reach_rank
 
 
@@ -385,6 +385,34 @@ class TestLtvWindow:
             if ok:
                 assert is_observable(sys)[0]
 
+    def test_ct_window_pass_implies_lpv_observability(self):
+        rng = np.random.default_rng(16)
+        passed = 0
+        for _ in range(60):
+            sys = random_system(
+                rng, domain=TimeDomain.CT, unobservable_dim=int(rng.integers(0, 3)) or None
+            )
+            times = np.linspace(0.0, 1.0, 5)[:-1]
+            p = Signal.ct(times, rng.uniform(-1, 1, (times.size, sys.n_p)))
+            ok, dec = ltv_window_observability(sys, p, 1.0)
+            assert dec.rank <= sys.n_x
+            if ok:
+                passed += 1
+                assert is_observable(sys)[0]
+        assert passed > 0
+
+    def test_ct_window_ranks_the_stack_not_its_square(self):
+        sys = make_weakly_coupled_ct()
+        assert is_observable(sys)[0]
+        p = Signal.ct_constant([0.0], 1.0)
+        ok, dec = ltv_window_observability(sys, p, 1.0)
+        assert ok and dec.rank == 2
+        # singular values of C Phi itself, not of the Gramian (C Phi)^T (C Phi)
+        assert dec.singular_values[0] == pytest.approx(12.9, rel=0.01)
+        assert dec.singular_values[1] == pytest.approx(3.7e-6, rel=0.05)
+        found = find_revealing_scheduling(sys, trials=1, window=1.0, seed=0)
+        assert found is not None
+
     def test_ct_gramian_scalar(self):
         sys = LpvSsa.from_matrices(
             [[[-0.3]], [[0.2]]], [[[1.0]], [[0.0]]], [[[1.0]], [[0.0]]],
@@ -395,7 +423,7 @@ class TestLtvWindow:
         assert ok and dec.rank == 1
 
     def test_ct_gramian_detects_unobservable_direction(self):
-        # second state never reaches the output: Gramian rank 1
+        # second state never reaches the output: window rank 1
         sys = LpvSsa.from_matrices(
             [np.diag([-0.2, -0.4]), np.zeros((2, 2))],
             [np.ones((2, 1)), np.zeros((2, 1))],

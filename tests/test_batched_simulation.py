@@ -25,11 +25,10 @@ from lpvssa import (
     simulate_dt,
 )
 from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR
-from lpvssa.simulation import transition_matrices_ct, transition_matrices_dt
+from lpvssa.simulation import integration_mesh, transition_matrices_ct, transition_matrices_dt
 
 from conftest import random_system
 from oracles import (
-    ct_reference_gramian,
     ct_reference_simulation,
     ct_reference_transition,
     dt_reference_simulation,
@@ -87,7 +86,7 @@ class TestCtMatchesPerStageRk4:
         mesh, Phi = transition_matrices_ct(sys, p, self.T_END, self.STEP)
         _close(Phi, ct_reference_transition(sys, p, mesh))
 
-    def test_ct_gramian(self, n_p, p_interp, u_interp, monkeypatch):
+    def test_ct_window_stack(self, n_p, p_interp, u_interp, monkeypatch):
         _, sys, p, _ = self._inputs(n_p, p_interp, u_interp, 300 + n_p)
         seen = []
         original = analysis.RankDecision.from_matrix
@@ -98,8 +97,10 @@ class TestCtMatchesPerStageRk4:
 
         monkeypatch.setattr(analysis.RankDecision, "from_matrix", spy)
         ltv_window_observability(sys, p, self.T_END, step=self.STEP)
-        mesh = analysis.integration_mesh(self.T_END, self.STEP, p)
-        _close(seen[-1], ct_reference_gramian(sys, p, mesh))
+        mesh = integration_mesh(self.T_END, self.STEP, p)
+        Phi = ct_reference_transition(sys, p, mesh)
+        rows = [sys.C(p.value_at(t)) @ Phi_t for t, Phi_t in zip(mesh, Phi)]
+        _close(seen[-1], np.vstack(rows))
 
 
 class TestDtBitIdentical:

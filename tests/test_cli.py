@@ -5,9 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 import lpvssa
-from lpvssa.cli import main, _guard
-from lpvssa.errors import ResourceCapError
+from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
+
+from conftest import make_weakly_coupled_ct
 
 
 
@@ -423,6 +424,16 @@ class TestReveal:
         assert doc["found"] is True
         assert doc["scheduling"]["kind"] == "dt"
 
+    def test_ct_weak_coupling_found(self, runner, tmp_path):
+        # observable through a 1e-6 coupling that only the stacked window
+        # matrix resolves at the 1e-10 floor (a Gramian would square it away)
+        path = _write_system(tmp_path, make_weakly_coupled_ct(), "weak.json")
+        check = runner.invoke(main, ["check", path])
+        assert "observable: yes (rank 2/2)" in check.output
+        result = runner.invoke(main, ["reveal", path, "--window", "1"])
+        assert result.exit_code == 0, result.output
+        assert "found a revealing scheduling on window 1.0" in result.output
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, runner):
@@ -446,18 +457,6 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         result = runner.invoke(main, ["check", str(bad)])
         assert result.exit_code == 2
-
-    def test_resource_cap_maps_to_exit_three(self, runner):
-        import click
-
-        @click.command()
-        @_guard
-        def boom():
-            raise ResourceCapError("too big")
-
-        result = runner.invoke(boom, [])
-        assert result.exit_code == 3
-        assert "resource cap" in result.output
 
 
 def test_version_flag(runner):

@@ -26,7 +26,7 @@ from lpvssa import (
 from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, random_input, random_scheduling
 
 from conftest import conjugate_system, random_invertible, random_system
-from oracles import match_reference
+from oracles import match_reference, output_map
 from test_observability_kernel import near_unobservable
 
 T_END, STEP, N_STEPS = 1.0, 0.05, 12
@@ -160,7 +160,7 @@ class TestFreeResponseMap:
             p = random_scheduling(sys.region, rng, sys.domain, n_steps=N_STEPS)
             _, decision = ltv_window_observability(sys, p, N_STEPS)
             Phi = simulation.transition_matrices_dt(sys, p, N_STEPS)
-            stack = simulation._output_map(sys, p.values_at(np.arange(N_STEPS + 1)), Phi)
+            stack = output_map(sys, p.values_at(np.arange(N_STEPS + 1)), Phi)
             want = RankDecision.from_matrix(stack).singular_values
             assert np.array_equal(decision.singular_values, want)
 
