@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -320,14 +321,15 @@ def _segment_roots(det: np.polynomial.Chebyshev) -> np.ndarray:
     return np.clip(r.real[real & inside], 0.0, 1.0)
 
 
-def _segment_witness(sys: LpvSsa, a: np.ndarray, b: np.ndarray):
+def _segment_witness(sys: LpvSsa, a: np.ndarray, b: np.ndarray, det):
     """A verified singular point on the segment from ``a`` to ``b``, or None.
 
-    The candidates are the real roots of the determinant interpolant,
-    polished by :func:`_newton_witness`.  When ``det A`` takes opposite
-    signs at ``a`` and ``b``, a root lies on the segment.
+    The candidates are the real roots of ``det``, the determinant
+    interpolant of the segment (:func:`_det_on_segment`), polished by
+    :func:`_newton_witness`.  When ``det A`` takes opposite signs at ``a``
+    and ``b``, a root lies on the segment.
     """
-    t = _segment_roots(_det_on_segment(sys, a, b))
+    t = _segment_roots(det)
     if t.size == 0:
         return None
     return _newton_witness(sys, a + t[:, None] * (b - a))
@@ -383,7 +385,7 @@ def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
     return RcCertificate(True, "refuted-with-witness", witness=witness, boxes=boxes)
 
 
-def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
+def _rc_boxes(sys: LpvSsa, grid_per_axis: int, diagonal) -> RcCertificate:
     """Decide DT invertibility of ``A(p)`` on the box by branch and bound.
 
     A box with centre ``c`` and half-widths ``r`` satisfies, by Weyl's
@@ -404,9 +406,10 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
     :func:`_segment_witness`.  When the root box yields neither, the roots
     of ``det A`` along the region's main diagonal are tried, which finds
     roots of even multiplicity on it (for ``n_p = 1`` the diagonal is the
-    interval itself).  When the ``RC_MAX_BOXES`` budget runs out,
-    or a box is too small for its bound to tighten, Newton steps from the
-    worst box get a last try before the verdict is ``"undecided"``.
+    interval itself); ``diagonal()`` returns their interpolant.  When the
+    ``RC_MAX_BOXES`` budget runs out, or a box is too small for its bound
+    to tighten, Newton steps from the worst box get a last try before the
+    verdict is ``"undecided"``.
     """
     lo, hi = sys.region.lower, sys.region.upper
     norms = np.linalg.norm(np.stack(sys.A.coeffs[1:]), 2, axis=(1, 2))
@@ -436,9 +439,12 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int) -> RcCertificate:
             points = np.vstack([points, grid])
             dets = np.concatenate([dets, np.linalg.det(sys.A.at_points(grid))])
         i, j = np.argmax(dets), np.argmin(dets)
-        witness = _segment_witness(sys, points[j], points[i]) if dets[i] > 0.0 > dets[j] else None
+        witness = None
+        if dets[i] > 0.0 > dets[j]:
+            a, b = points[j], points[i]
+            witness = _segment_witness(sys, a, b, _det_on_segment(sys, a, b))
         if witness is None and boxes == 1:  # roots of even multiplicity
-            witness = _segment_witness(sys, lo, hi)
+            witness = _segment_witness(sys, lo, hi, diagonal())
         if witness is not None:
             return _refuted(witness, boxes)
         weight = radii * norms
@@ -482,13 +488,14 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10) -> RcCertificate:
         return RcCertificate(convex_ok=convex_ok, dt_invertibility="not-applicable")
     if grid_per_axis < 1:
         raise InputError("grid_per_axis must be positive")
+    lo, hi = sys.region.lower, sys.region.upper
+    diagonal = cache(partial(_det_on_segment, sys, lo, hi))  # interpolated at most once
     if sys.n_x == 0:  # the minimum over no singular value is +inf
         cert = RcCertificate(True, "certified", boxes=0, sigma_min_bound=np.inf)
     else:
-        cert = _rc_boxes(sys, grid_per_axis)
+        cert = _rc_boxes(sys, grid_per_axis, diagonal)
     if sys.n_p == 1:  # reported evidence; the box search decided
-        lo, hi = sys.region.lower, sys.region.upper
-        det = np.polynomial.Chebyshev(_det_on_segment(sys, lo, hi).coef, domain=[lo[0], hi[0]])
+        det = np.polynomial.Chebyshev(diagonal().coef, domain=[lo[0], hi[0]])
         cert = replace(cert, det_poly_1d=det.convert(kind=np.polynomial.Polynomial).coef)
     return replace(cert, convex_ok=convex_ok, grid_per_axis=grid_per_axis)
 

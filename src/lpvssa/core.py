@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# Matrix entries per block of :meth:`AffineMatrixFunction.at_points` (128 KiB
+# of doubles): a block and its product temporary fit in L2.
+_BLOCK_DOUBLES = 16384
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -110,7 +115,10 @@ class AffineMatrixFunction:
     def at_points(self, points) -> np.ndarray:
         """Evaluate at many scheduling points at once.
 
-        Accumulates in the same coefficient-index order as
+        The points are taken in blocks of about ``_BLOCK_DOUBLES`` matrix
+        entries, so a block of the result and its product temporary stay
+        in cache: each block is filled with ``M_0`` and accumulates
+        ``p_i M_i`` in place, in the same coefficient-index order as
         :meth:`__call__`, so ``at_points(P)[k]`` is bit-identical to
         ``self(P[k])``.
 
@@ -127,9 +135,16 @@ class AffineMatrixFunction:
             raise InputError(
                 f"scheduling points have shape {P.shape}, expected (K, {self.n_p})"
             )
-        out = np.repeat(self.coeffs[0][None], P.shape[0], axis=0)
-        for i in range(self.n_p):
-            out += P[:, i, None, None] * self.coeffs[i + 1]
+        out = np.empty((P.shape[0],) + self.shape)
+        block = max(1, _BLOCK_DOUBLES // max(1, self.coeffs[0].size))
+        tmp = np.empty((min(block, P.shape[0]),) + self.shape)
+        for start in range(0, P.shape[0], block):
+            Pb, Ob = P[start : start + block], out[start : start + block]
+            Tb = tmp[: Ob.shape[0]]
+            Ob[...] = self.coeffs[0]
+            for i in range(self.n_p):
+                np.multiply(Pb[:, i, None, None], self.coeffs[i + 1], out=Tb)
+                Ob += Tb
         return out
 
     def transpose(self) -> "AffineMatrixFunction":

@@ -10,6 +10,7 @@ canonical documents.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -55,15 +56,24 @@ def _expect_object(node, path: str, required, optional=()) -> dict:
 
 
 def _number_list(node, path: str) -> list:
+    """The entries of a JSON list of finite numbers, as a list of floats.
+
+    An error names the first bad entry; an integer beyond the float range
+    is not finite.
+    """
     if not isinstance(node, list):
         raise InputError(f"{path}: expected a list of numbers")
     out = []
     for i, v in enumerate(node):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise InputError(f"{path}/{i}: expected a number")
-        if not np.isfinite(v):
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
             raise InputError(f"{path}/{i}: number must be finite")
-        out.append(float(v))
+        out.append(v)
     return out
 
 

@@ -172,19 +172,26 @@ def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
-    """Iterates ``X_0 .. X_K`` of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero)."""
-    X = np.array(X0, dtype=float)
-    out = np.empty((M.shape[0] + 1,) + X.shape)
-    out[0] = X
-    # np.dot runs the same BLAS kernel as ``@`` with less dispatch per call
+    """Iterates ``X_0 .. X_K`` of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero).
+
+    Each step writes straight into row ``k + 1`` of the result, so no
+    step allocates or copies and the rounding is that of ``M_k @ X_k +
+    c_k``: without ``c``, one ``np.dot`` (the BLAS kernel of ``@``) from
+    row ``k``; with it, the ``np.dot`` into one reused buffer and one
+    ``np.add`` of buffer and ``c_k`` into the row (an add in place on the
+    row is markedly slower when the row has one element, ``n_x = 1``).
+    """
+    X0 = np.asarray(X0, dtype=float)
+    out = np.empty((M.shape[0] + 1,) + X0.shape)
+    out[0] = X0
     if c is None:
-        for k, Mk in enumerate(M, 1):
-            X = np.dot(Mk, X)
-            out[k] = X
+        for Mk, X, row in zip(M, out, out[1:]):
+            np.dot(Mk, X, row)
     else:
-        for k, (Mk, ck) in enumerate(zip(M, c), 1):
-            X = np.dot(Mk, X) + ck
-            out[k] = X
+        MX = np.empty(X0.shape)
+        for Mk, ck, X, row in zip(M, c, out, out[1:]):
+            np.dot(Mk, X, MX)
+            np.add(MX, ck, row)
     return out
 
 

@@ -428,3 +428,22 @@ class TestOnePath:
         assert cert.boxes >= 1 and cert.grid_per_axis == 10
         assert 0.0 < cert.sigma_min_bound
         assert _rc_text(cert).startswith("regularity: certified (sigma_min(A(p)) >= ")
+
+
+class TestDeterminantOnce:
+    def test_worked_example_interpolates_det_once(self, worked_example, monkeypatch):
+        real = analysis._det_on_segment
+        calls = []
+
+        def spy(sys, a, b):
+            calls.append((a, b))
+            return real(sys, a, b)
+
+        monkeypatch.setattr(analysis, "_det_on_segment", spy)
+        cert = check_rc(worked_example)
+        assert len(calls) == 1
+        assert cert.dt_invertibility == "certified" and cert.witness is None
+        lo, hi = worked_example.region.lower, worked_example.region.upper
+        det = np.polynomial.Chebyshev(real(worked_example, lo, hi).coef, domain=[lo[0], hi[0]])
+        assert np.array_equal(cert.det_poly_1d, det.convert(kind=np.polynomial.Polynomial).coef)
+        assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)

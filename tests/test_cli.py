@@ -487,3 +487,23 @@ class TestInProcess:
             del buf
         gc.collect()
         assert all(r() is None for r in refs)
+
+
+class TestHugeIntegerExitCode:
+    def test_check_exits_2_naming_the_entry(self, runner, tmp_path, worked_example):
+        doc = json.loads(serialize_system(worked_example))
+        doc["A"][0]["data"][0] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "/A/0/data/0: number must be finite" in result.output
+
+    def test_simulate_exits_2_on_a_huge_signal_entry(self, runner, data_dir, tmp_path):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"kind": "dt", "values": [[0.5], [10**400]]}))
+        result = runner.invoke(
+            main, ["simulate", _worked_file(data_dir), "--p", str(p), "--horizon", "1"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "/values/1/0: number must be finite" in result.output

@@ -187,3 +187,38 @@ class TestTrajectoryExport:
         assert doc["T"]["shape"] == [3, 3]
         assert doc["Pi"]["shape"] == [2, 3]
         assert doc["minimality"] == "minimal (behavioral)"
+
+
+class TestHugeIntegers:
+    """An integer literal beyond the float range is a non-finite number."""
+
+    HUGE = 10**400
+
+    def test_system_entry_names_path(self, worked_example):
+        doc = json.loads(serialize_system(worked_example))
+        doc["A"][0]["data"][0] = self.HUGE
+        with pytest.raises(InputError, match="/A/0/data/0: number must be finite"):
+            parse_system(json.dumps(doc))
+        doc = json.loads(serialize_system(worked_example))
+        doc["region"]["upper"] = [-self.HUGE]
+        with pytest.raises(InputError, match="/region/upper/0: number must be finite"):
+            parse_system(json.dumps(doc))
+
+    def test_signal_entries_name_paths(self):
+        with pytest.raises(InputError, match="/values/1/0: number must be finite"):
+            parse_signal(json.dumps({"kind": "dt", "values": [[1.0], [self.HUGE]]}))
+        doc = {"kind": "ct", "times": [0, self.HUGE], "values": [[1.0], [2.0]],
+               "interpolation": "piecewise-constant"}
+        with pytest.raises(InputError, match="/times/1: number must be finite"):
+            parse_signal(json.dumps(doc))
+
+    def test_first_bad_entry_is_named(self):
+        with pytest.raises(InputError, match="/values/0/1: expected a number"):
+            parse_signal(json.dumps({"kind": "dt", "values": [[1.0, True, self.HUGE]]}))
+        with pytest.raises(InputError, match="/values/0/1: number must be finite"):
+            parse_signal(json.dumps({"kind": "dt", "values": [[1.0, self.HUGE, "x"]]}))
+
+    def test_large_finite_integers_convert_like_float(self):
+        big = [2**53 + 1, 2**63 + 12345, -(2**64) - 1, 10**300, 0]
+        sig = parse_signal(json.dumps({"kind": "dt", "values": [big]}))
+        assert sig.values[0].tolist() == [float(v) for v in big]
