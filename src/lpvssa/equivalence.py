@@ -23,7 +23,14 @@ from .analysis import (
 from .core import LpvSsa, TimeDomain
 from .errors import InputError
 from .signals import Signal, random_input, random_scheduling
-from .simulation import _check_signals, _check_signature, _check_x0, _window, error_system
+from .simulation import (
+    _check_signals,
+    _check_signature,
+    _check_x0,
+    _window,
+    error_system,
+    integration_mesh,
+)
 
 __all__ = [
     "IsoResult",
@@ -35,6 +42,12 @@ __all__ = [
 ]
 
 CONDITION_CAP = 1e12
+
+# Entries per propagated array of one chunk of trials in
+# behavior_equivalence_empirical (512 KiB of doubles): a chunk is one batch
+# of windows per system, whose largest arrays hold about
+# ``samples * (n_x + 1)**2`` doubles per trial.
+_TRIAL_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,16 @@ def behavior_equivalence_empirical(
     ``grid_per_axis``: certified, refuted with a witness, or undecided)
     are reported because behavior equality only coincides with i/o-family
     equality under regularity.
+
+    All signals are drawn first, trial by trial in the order scheduling,
+    input, ``sys1`` state, ``sys2`` state, so a seed gives the same signals
+    however the trials are evaluated.  The trials' signals share one
+    sample grid (the DT steps, or in CT ``segments`` pieces on one uniform
+    mesh), so the trials are evaluated in chunks, each one batch of
+    windows per system (see :func:`simulation._window`).  A chunk holds as
+    many trials as fit in a private budget of ``_TRIAL_DOUBLES`` doubles
+    per propagated array (at least one trial), so memory stays bounded
+    for any ``trials``.
     """
     _check_signature(sys1, sys2)
     dt = sys1.domain == TimeDomain.DT
@@ -300,17 +323,23 @@ def behavior_equivalence_empirical(
     if trials < 1:
         raise InputError("trials must be positive")
     rng = np.random.default_rng(seed)
-    residuals = np.zeros((trials, 2))
     span = dict(n_steps=int(horizon)) if dt else dict(t_end=float(horizon), segments=segments)
-    for k in range(trials):
-        p = random_scheduling(sys1.region, rng, sys1.domain, **span)
-        u = random_input(sys1.n_u, rng, sys1.domain, **span)
-        x1 = _unit_ball(rng, sys1.n_x)
-        x2 = _unit_ball(rng, sys2.n_x)
-        _check_signals(sys1, p, horizon, u)
-        w1, w2 = (_window(s, p, horizon, step, u) for s in (sys1, sys2))
-        _, residuals[k, 0] = _match(w1, x1, w2)
-        _, residuals[k, 1] = _match(w2, x2, w1)
+    ps, us, x1s, x2s = [], [], [], []
+    for _ in range(trials):
+        ps.append(random_scheduling(sys1.region, rng, sys1.domain, **span))
+        us.append(random_input(sys1.n_u, rng, sys1.domain, **span))
+        x1s.append(_unit_ball(rng, sys1.n_x))
+        x2s.append(_unit_ball(rng, sys2.n_x))
+        _check_signals(sys1, ps[-1], horizon, us[-1])
+    samples = int(horizon) + 1 if dt else integration_mesh(horizon, step, ps[0], us[0]).size
+    chunk = max(1, _TRIAL_DOUBLES // (samples * (max(sys1.n_x, sys2.n_x) + 1) ** 2))
+    residuals = np.zeros((trials, 2))
+    for lo in range(0, trials, chunk):
+        p, u = tuple(ps[lo : lo + chunk]), tuple(us[lo : lo + chunk])
+        (O1, f1), (O2, f2) = (_window(s, p, horizon, step, u) for s in (sys1, sys2))
+        for k, w1, w2 in zip(range(lo, trials), zip(O1, f1), zip(O2, f2)):
+            _, residuals[k, 0] = _match(w1, x1s[k], w2)
+            _, residuals[k, 1] = _match(w2, x2s[k], w1)
     max_residual = float(residuals.max())
     return EquivalenceReport(
         trials=trials,

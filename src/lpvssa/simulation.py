@@ -9,6 +9,14 @@ Simulation, transition matrices and the free-response map of
 observability, in DT and CT alike) share it, then :func:`_propagate` (the
 only loop in Python) and the ``C x + D u`` readout of :func:`_outputs`.
 
+The window functions also take a *batch*: a tuple of ``B`` scheduling
+signals (and of ``B`` inputs) that share one sample grid, the same DT
+horizon or one CT integration mesh (that of all the batch's signals).
+Their arrays then carry a batch axis right after the time axis (``M`` is
+``(K, B, n_x, n_x)``), every coefficient function is evaluated once on the
+stacked points, and one step loop propagates all ``B`` windows.  Each
+batch member's matrices are bit-identical to those of its own window.
+
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
 straddles a discontinuity.  Piecewise-constant signals take their segment
@@ -46,10 +54,10 @@ def _check_signature(sys1: LpvSsa, sys2: LpvSsa) -> None:
             "systems must share n_u, n_y, n_p and time domain: "
             f"{sys1.signature()} vs {sys2.signature()}"
         )
-    if not (
-        np.allclose(sys1.region.lower, sys2.region.lower)
-        and np.allclose(sys1.region.upper, sys2.region.upper)
-    ):
+    # np.allclose's rule on both bounds at once (regions are finite)
+    a = np.concatenate([sys1.region.lower, sys1.region.upper])
+    b = np.concatenate([sys2.region.lower, sys2.region.upper])
+    if not np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)):
         raise InputError("systems must share the scheduling region")
 
 
@@ -167,8 +175,21 @@ def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
 
 
 def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Row-wise products ``Ms[k] @ vs[k]`` of a matrix and a vector stack."""
-    return np.matmul(Ms, vs[:, :, None])[:, :, 0]
+    """Products ``Ms[..., :, :] @ vs[..., :]`` of a matrix and a vector stack."""
+    return np.matmul(Ms, vs[..., None])[..., 0]
+
+
+def _values(sig, ts: np.ndarray) -> np.ndarray:
+    """Values at ``ts`` of a signal, ``(K, dim)``, or of a batch, ``(K, B, dim)``."""
+    if isinstance(sig, tuple):
+        return np.stack([s.values_at(ts) for s in sig], axis=1)
+    return sig.values_at(ts)
+
+
+def _at(f, P: np.ndarray) -> np.ndarray:
+    """Affine function ``f`` at points ``P`` of shape ``(..., n_p)``, in one batch."""
+    lead = P.shape[:-1]
+    return f.at_points(P.reshape(math.prod(lead), P.shape[-1])).reshape(lead + f.shape)
 
 
 def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
@@ -176,47 +197,59 @@ def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
 
     Each step writes straight into row ``k + 1`` of the result, so no
     step allocates or copies and the rounding is that of ``M_k @ X_k +
-    c_k``: without ``c``, one ``np.dot`` (the BLAS kernel of ``@``) from
-    row ``k``; with it, the ``np.dot`` into one reused buffer and one
-    ``np.add`` of buffer and ``c_k`` into the row (an add in place on the
-    row is markedly slower when the row has one element, ``n_x = 1``).
+    c_k``: without ``c``, one product from row ``k``; with it, the product
+    into one reused buffer and one ``np.add`` of buffer and ``c_k`` into
+    the row (an add in place on the row is markedly slower when the row
+    has one element, ``n_x = 1``).  The product is ``np.dot`` (the BLAS
+    kernel of ``@``) for a ``(K, n, n)`` stack, and ``np.matmul`` for a
+    batch ``(K, B, n, n)`` with ``X0`` of shape ``(B, n, m)``; each batch
+    slice then rounds as ``np.dot`` would on it.
     """
     X0 = np.asarray(X0, dtype=float)
     out = np.empty((M.shape[0] + 1,) + X0.shape)
     out[0] = X0
+    product = np.dot if M.ndim == 3 else np.matmul
     if c is None:
         for Mk, X, row in zip(M, out, out[1:]):
-            np.dot(Mk, X, row)
+            product(Mk, X, row)
     else:
         MX = np.empty(X0.shape)
         for Mk, ck, X, row in zip(M, c, out, out[1:]):
-            np.dot(Mk, X, MX)
+            product(Mk, X, MX)
             np.add(MX, ck, row)
     return out
 
 
-def _step_maps(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None):
+def _step_maps(sys: LpvSsa, p, horizon, step: float = None, u=None):
     """Sample times ``(K + 1,)`` and maps ``x_{k+1} = M_k x_k + c_k`` of a window.
 
     The DT recursion on ``0 .. horizon``, or :func:`rk4_on_mesh` on the
     :func:`integration_mesh` of ``p`` and ``u``; without ``u``, ``c`` is None.
+    For a batch (tuples ``p`` and ``u``) the mesh refines every signal of
+    it, and ``M`` and ``c`` gain the batch axis after the time axis.
     """
     if sys.domain == TimeDomain.CT:
-        mesh = integration_mesh(horizon, step, *(s for s in (u, p) if s is not None))
+        signals = [s for sig in (u, p) if sig is not None
+                   for s in (sig if isinstance(sig, tuple) else (sig,))]
+        mesh = integration_mesh(horizon, step, *signals)
         M, c = rk4_on_mesh(sys, p, mesh, u)
         return mesh, M, c
     ks = np.arange(int(horizon) + 1)
-    P = p.values_at(ks[:-1])
-    c = None if u is None else _matvec(sys.B.at_points(P), u.values_at(ks[:-1]))
-    return ks, sys.A.at_points(P), c
+    P = _values(p, ks[:-1])
+    c = None if u is None else _matvec(_at(sys.B, P), _values(u, ks[:-1]))
+    return ks, _at(sys.A, P), c
 
 
 def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.ndarray):
-    """Outputs ``C[k] xs[k] + D(P[k]) U[k]``, where ``C`` is ``sys.C`` at ``P``."""
-    return _matvec(C, xs) + _matvec(sys.D.at_points(P), U)
+    """Outputs ``C[k] xs[k] + D(P[k]) U[k]``, where ``C`` is ``sys.C`` at ``P``.
+
+    ``P``, ``C``, ``U`` and ``xs`` share their leading axes: the samples,
+    and for a batch the batch axis after them.
+    """
+    return _matvec(C, xs) + _matvec(_at(sys.D, P), U)
 
 
-def _window(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None):
+def _window(sys: LpvSsa, p, horizon, step: float = None, u=None):
     """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
 
     One :func:`_step_maps` call, one read of ``p`` at the sample times and
@@ -224,24 +257,50 @@ def _window(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = Non
     ``C(p(t_k)) Phi(t_k, 0)`` over the samples (the DT steps ``0 ..
     horizon``, or the nodes of the CT integration mesh); from ``x0`` the
     sampled output is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.
-    Without ``u``, ``f`` is None.
+    Without ``u``, ``f`` is None.  With ``u``, one propagation carries
+    ``[Phi | x_f]`` from ``[I | 0]`` under the forcing ``[0 | c_k]``; ``O`` is
+    read from the contiguous ``Phi`` block, bit-identical to propagating
+    ``Phi`` alone, while the forced state ``x_f`` differs from its own
+    propagation only by rounding.
+
+    A batch (tuples of ``B`` signals ``p`` and ``u``, see the module
+    docstring) returns ``O`` of shape ``(B, samples * n_y, n_x)`` and ``f``
+    of shape ``(B, samples, n_y)``, member ``b`` computed as the window of
+    ``p[b]`` and ``u[b]`` on the batch's sample grid.  Memory grows with
+    ``B``, so callers pass batches of bounded size.
     """
     times, M, c = _step_maps(sys, p, horizon, step, u)
-    P = p.values_at(times)
-    C = sys.C.at_points(P)
-    CPhi = C @ _propagate(M, np.eye(sys.n_x))
-    O = CPhi.reshape(CPhi.shape[0] * sys.n_y, sys.n_x)
+    P = _values(p, times)
+    C = _at(sys.C, P)
+    n = sys.n_x
     if u is None:
-        return O, None
-    return O, _outputs(sys, P, C, u.values_at(times), _propagate(M, np.zeros(sys.n_x), c))
+        X0, F = np.eye(n), None
+    else:
+        X0, F = np.eye(n, n + 1), np.zeros(c.shape + (n + 1,))
+        F[..., n] = c
+    X = _propagate(M, np.broadcast_to(X0, M.shape[1:-1] + X0.shape[1:]), F)
+    CPhi = C @ np.ascontiguousarray(X[..., :n])
+    f = None if u is None else _outputs(sys, P, C, _values(u, times), X[..., n])
+    rows = CPhi.shape[0] * sys.n_y
+    if isinstance(p, tuple):
+        O = np.moveaxis(CPhi, 1, 0).reshape(len(p), rows, n)
+        return O, None if f is None else np.moveaxis(f, 1, 0)
+    return CPhi.reshape(rows, n), f
 
 
-def _stage_values(sig: Signal, mesh: np.ndarray) -> tuple:
+def _stage_values(sig, mesh: np.ndarray) -> tuple:
     """Values of ``sig`` at ``a``, the midpoint and ``b`` of every step ``[a, b]``.
 
     A piecewise-constant signal takes its segment value (at the midpoint)
-    at every stage, and the three ``(K, dim)`` arrays are one.
+    at every stage, and the three ``(K, dim)`` arrays are one.  A batch
+    gives ``(K, B, dim)`` arrays, one when every member is piecewise-constant.
     """
+    if isinstance(sig, tuple):
+        stages = [_stage_values(s, mesh) for s in sig]
+        if all(st[0] is st[2] for st in stages):
+            v = np.stack([st[0] for st in stages], axis=1)
+            return v, v, v
+        return tuple(np.stack(vs, axis=1) for vs in zip(*stages))
     a, b = mesh[:-1], mesh[1:]
     if sig.interpolation == PIECEWISE_CONSTANT:
         v = sig.values_at(0.5 * (a + b))
@@ -252,9 +311,9 @@ def _stage_values(sig: Signal, mesh: np.ndarray) -> tuple:
 def _at_stages(f, stages: tuple) -> tuple:
     """Affine function ``f`` at the three stage points of :func:`_stage_values`."""
     if stages[0] is stages[2]:
-        v = f.at_points(stages[0])
+        v = _at(f, stages[0])
         return v, v, v
-    return tuple(f.at_points(P) for P in stages)
+    return tuple(_at(f, P) for P in stages)
 
 
 def rk4_on_mesh(sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None) -> tuple:
@@ -266,18 +325,20 @@ def rk4_on_mesh(sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None) -> t
     give ``M = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)``, and ``c`` is built the
     same way from the stage forcing ``B_i u_i``.  Without ``u`` the system
     is homogeneous and ``c`` is None.  ``mesh`` must refine the breakpoints
-    of ``p`` and ``u``.
+    of ``p`` and ``u``.  ``p`` and ``u`` may be batches (tuples of ``B``
+    signals) on that one mesh.
 
     Returns
     -------
     (M, c)
-        ``(K, n_x, n_x)``, and ``(K, n_x)`` or None.
+        ``(K, n_x, n_x)``, and ``(K, n_x)`` or None; for a batch
+        ``(K, B, n_x, n_x)`` and ``(K, B, n_x)``.
     """
-    h = np.diff(mesh)[:, None, None]
-    hv = h[:, 0]
-    eye = np.eye(sys.n_x)
     ps = _stage_values(p, mesh)
     A = _at_stages(sys.A, ps)
+    hv = np.diff(mesh).reshape((-1,) + (1,) * (A[0].ndim - 2))
+    h = hv[..., None]
+    eye = np.eye(sys.n_x)
     K = A[0]
     M, c = eye + (h / 6.0) * K, None
     if u is not None:

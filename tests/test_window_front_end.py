@@ -120,13 +120,13 @@ class TestOneAssemblyPerSystem:
         rk4_on_mesh = simulation.rk4_on_mesh
 
         def counting(*args, **kwargs):
-            calls.append(args[2].size - 1)
+            calls.append((args[2].size - 1, len(args[1])))  # (mesh steps, trials)
             return rk4_on_mesh(*args, **kwargs)
 
         monkeypatch.setattr(simulation, "rk4_on_mesh", counting)
         report = behavior_equivalence_empirical(sys, similar, trials=3, step=0.05)
         assert report.passed
-        assert len(calls) == 6
+        assert calls == [(40, 3)] * 2  # one batch per system covers every trial
 
     def test_negative_dt_horizon_is_rejected(self, worked_minimal):
         u = Signal.dt(np.zeros((5, 1)))
