@@ -32,7 +32,7 @@ import numpy as np
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
-from .simulation import _check_signals, _window
+from .simulation import _check_signals, _grid, _sample, _window
 
 __all__ = [
     "RankDecision",
@@ -56,6 +56,7 @@ RC_NEWTON_STEPS = 8  # Newton steps on sigma_min before a search gives up
 # rank floor for iterated subspaces and transition-matrix stacks, whose
 # rounding debris sits well above machine precision (see the docstrings)
 ITERATION_RTOL = 1e-10
+REVEAL_CT_SEGMENTS = 8  # pieces of the piecewise-constant CT revealing candidates
 
 
 def _rank_floor(rtol: float = None) -> float:
@@ -555,21 +556,22 @@ def ltv_window_observability(
     iteration, in both domains on the scale of the singular values of
     ``C Phi`` themselves; pass ``rtol`` to override.
 
-    A window that is not positive, or a scheduling that
-    :func:`_check_signals` rejects on it, raises InputError.
+    A window that is not positive, or a window and scheduling that
+    :func:`_check_signals` rejects (a DT window that is not an integer
+    included), raises InputError.
 
     Returns
     -------
     (bool, RankDecision)
     """
     dt = sys.domain == TimeDomain.DT
-    t_end = int(t_end) if dt else float(t_end)
     if t_end <= 0:
         raise InputError(
             "t_end must be a positive integer in DT" if dt else "t_end must be positive in CT"
         )
     _check_signals(sys, p, t_end)
-    stack = _window(sys, p, t_end, t_end / 200.0 if step is None else step)[0]
+    times = _grid(sys.domain, t_end, t_end / 200.0 if step is None else step, p)
+    stack = _window(sys, _sample(p, times))[0]
     decision = RankDecision.from_matrix(stack, rtol)
     return decision.rank == sys.n_x, decision
 
@@ -580,8 +582,6 @@ def find_revealing_scheduling(
     window,
     seed: int,
     *,
-    ct_segments: int = 8,
-    step: float = None,
     rtol: float = None,
 ):
     """Randomized search for a scheduling signal that reveals the state.
@@ -590,8 +590,9 @@ def find_revealing_scheduling(
     scheduling signal makes the frozen LTV system observable on a finite
     window; this draws ``trials`` random signals (DT: i.i.d. uniform over
     the region per step; CT: piecewise-constant on a uniform mesh of
-    ``ct_segments`` pieces) and returns the first ``(signal, window)``
-    passing the LTV window test, or None if the search is exhausted.
+    ``REVEAL_CT_SEGMENTS`` pieces) and returns the first ``(signal,
+    window)`` passing the LTV window test (:func:`ltv_window_observability`
+    at its default step), or None if the search is exhausted.
     Unobservable systems return None immediately with a warning, since no
     such signal can exist.  Deterministic for a given seed.
     """
@@ -610,9 +611,9 @@ def find_revealing_scheduling(
             p = random_scheduling(sys.region, rng, sys.domain, n_steps=int(window))
         else:
             p = random_scheduling(
-                sys.region, rng, sys.domain, t_end=float(window), segments=ct_segments
+                sys.region, rng, sys.domain, t_end=float(window), segments=REVEAL_CT_SEGMENTS
             )
-        ok, _ = ltv_window_observability(sys, p, window, rtol, step=step)
+        ok, _ = ltv_window_observability(sys, p, window, rtol)
         if ok:
             return p, window
     return None

@@ -429,17 +429,16 @@ def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
     """Search for a scheduling signal revealing the state on a window."""
     rtol = _effective_rtol(rank_rtol)
     sys_ = _read_system(system_file)
-    window_val = int(window) if sys_.domain == TimeDomain.DT else window
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        found = find_revealing_scheduling(sys_, trials, window_val, seed, rtol=rtol)
+        found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rtol)
     diagnostics = [str(w.message) for w in caught]
     if as_json:
         payload = _base_payload("reveal", rtol)
         payload.update(
             {
                 "found": found is not None,
-                "window": window_val,
+                "window": window,
                 "trials": trials,
                 "seed": seed,
                 "diagnostics": diagnostics,

@@ -27,9 +27,10 @@ from .simulation import (
     _check_signals,
     _check_signature,
     _check_x0,
+    _grid,
+    _sample,
     _window,
     error_system,
-    integration_mesh,
 )
 
 __all__ = [
@@ -48,6 +49,8 @@ CONDITION_CAP = 1e12
 # of windows per system, whose largest arrays hold about
 # ``samples * (n_x + 1)**2`` doubles per trial.
 _TRIAL_DOUBLES = 1 << 16
+TRIAL_CT_SEGMENTS = 10  # pieces of the piecewise-constant CT trial signals
+TRIAL_RC_GRID = 5  # grid_per_axis of the reported regularity certificates
 
 
 @dataclass(frozen=True)
@@ -226,10 +229,11 @@ def match_initial_state(
 ):
     """Best initial state of ``sys_to`` reproducing ``sys_from``'s output.
 
-    One window per system under the shared ``(u, p)``: its free-response
-    map ``O`` and forced output ``f`` on the DT steps, or in CT on the mesh
-    that refines both signals.  ``sys_from`` outputs ``y = f_from + O_from x0``,
-    and ``O_to x = y - f_to`` is solved by least squares, rank-revealing at
+    One window per system under the shared ``(u, p)``, both from one read
+    of the signals: its free-response map ``O`` and forced output ``f`` on
+    the DT steps, or in CT on the mesh that refines both signals.
+    ``sys_from`` outputs ``y = f_from + O_from x0``, and ``O_to x = y -
+    f_to`` is solved by least squares, rank-revealing at
     the ``1e-10`` floor (``ITERATION_RTOL``) or ``rtol``, as short windows
     can make ``O_to`` rank-deficient.
 
@@ -244,8 +248,8 @@ def match_initial_state(
     _check_signature(sys_from, sys_to)
     _check_signals(sys_from, p, horizon, u)
     x0 = _check_x0(sys_from, x0)
-    w_from, w_to = (_window(s, p, horizon, step, u) for s in (sys_from, sys_to))
-    return _match(w_from, x0, w_to, rtol)
+    s = _sample(p, _grid(sys_from.domain, horizon, step, p, u), u)
+    return _match(_window(sys_from, s), x0, _window(sys_to, s), rtol)
 
 
 def _unit_ball(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -289,8 +293,6 @@ def behavior_equivalence_empirical(
     *,
     tol: float = None,
     step: float = 1e-2,
-    segments: int = 10,
-    grid_per_axis: int = 5,
 ) -> EquivalenceReport:
     """Randomized two-sided check that two systems share their behavior.
 
@@ -299,20 +301,22 @@ def behavior_equivalence_empirical(
     with the other system's best initial state — in both directions.  The
     verdict compares the worst residual against ``tol`` (default ``1e-6``
     in DT, ``1e-4`` in CT; default horizon 20 steps / 2.0 time units).
-    The regularity certificates of both systems (:func:`check_rc` with
-    ``grid_per_axis``: certified, refuted with a witness, or undecided)
-    are reported because behavior equality only coincides with i/o-family
-    equality under regularity.
+    The regularity certificates of both systems (:func:`check_rc` on a
+    ``TRIAL_RC_GRID`` grid: certified, refuted with a witness, or
+    undecided) are reported because behavior equality only coincides with
+    i/o-family equality under regularity.
 
     All signals are drawn first, trial by trial in the order scheduling,
     input, ``sys1`` state, ``sys2`` state, so a seed gives the same signals
     however the trials are evaluated.  The trials' signals share one
-    sample grid (the DT steps, or in CT ``segments`` pieces on one uniform
-    mesh), so the trials are evaluated in chunks, each one batch of
-    windows per system (see :func:`simulation._window`).  A chunk holds as
-    many trials as fit in a private budget of ``_TRIAL_DOUBLES`` doubles
-    per propagated array (at least one trial), so memory stays bounded
-    for any ``trials``.
+    sample grid (the DT steps, or in CT the integration mesh of
+    ``TRIAL_CT_SEGMENTS`` pieces on one uniform mesh), which is decided
+    once and sizes the chunks the trials are evaluated in.  A chunk holds
+    as many trials as fit in a private budget of ``_TRIAL_DOUBLES``
+    doubles per propagated array (at least one trial), so memory stays
+    bounded for any ``trials``.  Each chunk's signals are read once (see
+    :func:`simulation._sample`), and both systems build their batch of
+    windows from those samples (see :func:`simulation._window`).
     """
     _check_signature(sys1, sys2)
     dt = sys1.domain == TimeDomain.DT
@@ -323,7 +327,8 @@ def behavior_equivalence_empirical(
     if trials < 1:
         raise InputError("trials must be positive")
     rng = np.random.default_rng(seed)
-    span = dict(n_steps=int(horizon)) if dt else dict(t_end=float(horizon), segments=segments)
+    span = dict(t_end=float(horizon), segments=TRIAL_CT_SEGMENTS)
+    span = dict(n_steps=int(horizon)) if dt else span
     ps, us, x1s, x2s = [], [], [], []
     for _ in range(trials):
         ps.append(random_scheduling(sys1.region, rng, sys1.domain, **span))
@@ -331,12 +336,12 @@ def behavior_equivalence_empirical(
         x1s.append(_unit_ball(rng, sys1.n_x))
         x2s.append(_unit_ball(rng, sys2.n_x))
         _check_signals(sys1, ps[-1], horizon, us[-1])
-    samples = int(horizon) + 1 if dt else integration_mesh(horizon, step, ps[0], us[0]).size
-    chunk = max(1, _TRIAL_DOUBLES // (samples * (max(sys1.n_x, sys2.n_x) + 1) ** 2))
+    times = _grid(sys1.domain, horizon, step, tuple(ps), tuple(us))
+    chunk = max(1, _TRIAL_DOUBLES // (times.size * (max(sys1.n_x, sys2.n_x) + 1) ** 2))
     residuals = np.zeros((trials, 2))
     for lo in range(0, trials, chunk):
-        p, u = tuple(ps[lo : lo + chunk]), tuple(us[lo : lo + chunk])
-        (O1, f1), (O2, f2) = (_window(s, p, horizon, step, u) for s in (sys1, sys2))
+        s = _sample(tuple(ps[lo : lo + chunk]), times, tuple(us[lo : lo + chunk]))
+        (O1, f1), (O2, f2) = _window(sys1, s), _window(sys2, s)
         for k, w1, w2 in zip(range(lo, trials), zip(O1, f1), zip(O2, f2)):
             _, residuals[k, 0] = _match(w1, x1s[k], w2)
             _, residuals[k, 1] = _match(w2, x2s[k], w1)
@@ -349,8 +354,8 @@ def behavior_equivalence_empirical(
         residuals=residuals,
         max_residual=max_residual,
         passed=bool(max_residual < tol),
-        rc_sys1=check_rc(sys1, grid_per_axis),
-        rc_sys2=check_rc(sys2, grid_per_axis),
+        rc_sys1=check_rc(sys1, TRIAL_RC_GRID),
+        rc_sys2=check_rc(sys2, TRIAL_RC_GRID),
         note=(
             "pass is empirical evidence over finitely many sampled signals, "
             "not a proof of behavior equality"

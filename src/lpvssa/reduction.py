@@ -41,19 +41,7 @@ class ReductionResult:
     rc: RcCertificate = None
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0))
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
-
-
-def observability_reduction(
-    sys: LpvSsa,
-    *,
-    rng: np.random.Generator = None,
-    rtol: float = None,
-) -> ReductionResult:
+def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
     """Split off the unobservable part and keep the observable blocks.
 
     The unobservable subspace is spanned by the trailing basis vectors,
@@ -62,15 +50,14 @@ def observability_reduction(
     reduced system is observable and has the same manifest behavior; an
     observable input comes back unchanged up to an orthogonal change of
     basis (``o = n_x``), a zero-output system collapses to the
-    state-free feedthrough system (``o = 0``).
+    state-free feedthrough system (``o = 0``).  The bases come from SVDs,
+    so the completion is deterministic; a reduction of the same system in
+    other coordinates (``T_0 A_i T_0^{-1}``, ...) gives a different but
+    equally valid one, isomorphic to this.
 
     Parameters
     ----------
     sys : LpvSsa
-    rng : numpy Generator, optional
-        When given, the bases of the complement and of the kernel are
-        rotated by random orthogonal matrices: a different but equally
-        valid completion, used to exercise the isomorphism results.
     rtol : float, optional
         Rank tolerance override.
 
@@ -87,9 +74,6 @@ def observability_reduction(
     # fixed floor, not rtol, splits it off
     W = _threshold(K.T, kernel=True)[2]
     o = W.shape[1]
-    if rng is not None:
-        W = W @ _random_orthogonal(rng, o)
-        K = K @ _random_orthogonal(rng, K.shape[1])
     basis = np.hstack([W, K])  # orthogonal: complement first, kernel last
     T = basis.T
     Pi = T[:o]
@@ -110,7 +94,6 @@ def minimize(
     sys: LpvSsa,
     *,
     grid_per_axis: int = 10,
-    rng: np.random.Generator = None,
     rtol: float = None,
 ) -> ReductionResult:
     """Observability reduction with the minimality claim made explicit.
@@ -121,20 +104,16 @@ def minimize(
     (``"certified"``, or ``"not-applicable"`` in CT), and ``"observable
     reduction only"`` when regularity is refuted or undecided.
     (Without regularity an observable system can still admit a smaller
-    realization of the same behavior.)
+    realization of the same behavior.)  ``grid_per_axis`` is the sign grid
+    of :func:`check_rc`; ``rtol`` overrides the rank floor of the reduction.
     """
-    result = observability_reduction(sys, rng=rng, rtol=rtol)
+    result = observability_reduction(sys, rtol=rtol)
     rc = check_rc(sys, grid_per_axis)
     flag = "minimal (behavioral)" if rc.holds else "observable reduction only"
     return replace(result, minimality=flag, rc=rc)
 
 
-def reachability_reduction(
-    sys: LpvSsa,
-    *,
-    rng: np.random.Generator = None,
-    rtol: float = None,
-) -> ReductionResult:
+def reachability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
     """Restrict to the span-reachable-from-zero part via the dual system.
 
     Dualize, reduce, dualize back: the reduced system is span-reachable
@@ -143,7 +122,7 @@ def reachability_reduction(
     (``T A_i T^{-1}`` block upper-triangular, last rows of ``T B_i``
     zero).
     """
-    dual = observability_reduction(transpose_dual(sys), rng=rng, rtol=rtol)
+    dual = observability_reduction(transpose_dual(sys), rtol=rtol)
     return ReductionResult(
         reduced=transpose_dual(dual.reduced),
         transform_T=dual.transform_T,

@@ -1,13 +1,18 @@
 """Trajectory generation: exact DT recursion and fixed-step RK4 in CT.
 
-One front end, :func:`_step_maps`, picks the step rule for every window
-and returns the maps of ``x_{k+1} = M_k x_k + c_k``: ``M_k = A(p(k))`` and
-``c_k = B(p(k)) u(k)`` in DT, the RK4 maps of :func:`rk4_on_mesh` in CT,
-with signals and matrices evaluated along the whole horizon in one batch.
-Simulation, transition matrices and the free-response map of
-:func:`_window` (initial-state matching, equivalence trials and window
-observability, in DT and CT alike) share it, then :func:`_propagate` (the
-only loop in Python) and the ``C x + D u`` readout of :func:`_outputs`.
+Every window reads its signals once.  :func:`_grid` decides the sample
+times, the DT steps ``0 .. horizon`` or in CT the :func:`integration_mesh`
+that refines the breakpoints of every signal on the window (batch members
+included), and :func:`_sample` reads each signal once at those times and,
+in CT only, once more at the step midpoints.  Every system on the window
+then takes the same plain arrays: :func:`_step_maps` returns the maps of
+``x_{k+1} = M_k x_k + c_k`` (``M_k = A(p(k))`` and ``c_k = B(p(k)) u(k)``
+in DT, the RK4 maps of :func:`rk4_on_mesh` in CT), with the matrices
+evaluated along the whole horizon in one batch.  Simulation, transition
+matrices and the free-response map of :func:`_window` (initial-state
+matching, equivalence trials and window observability, in DT and CT
+alike) share it, then :func:`_propagate` (the only loop in Python) and the
+``C x + D u`` readout of :func:`_outputs`.
 
 The window functions also take a *batch*: a tuple of ``B`` scheduling
 signals (and of ``B`` inputs) that share one sample grid, the same DT
@@ -20,16 +25,19 @@ batch member's matrices are bit-identical to those of its own window.
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
 straddles a discontinuity.  Piecewise-constant signals take their segment
-value (the value at the step midpoint) at every stage; piecewise-linear
-signals their values at the step's start, midpoint and end, which keeps
-the nominal order.  The right-hand side is linear in the state, so each
-RK4 step is an affine map, and :func:`rk4_on_mesh` assembles the maps of
-all steps at once: the stage times are unchanged, only rounding differs.
+value (the midpoint read) at every stage; piecewise-linear signals their
+node values at the step's start and end and their midpoint value, which
+keeps the nominal order.  The right-hand side is linear in the state, so
+each RK4 step is an affine map, and :func:`rk4_on_mesh` assembles the maps
+of all steps at once: the stage times are unchanged, only rounding differs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +74,15 @@ def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
 
     The scheduling ``p``, and the input ``u`` when given, must be in the
     system's time domain, have its ``n_p`` (``n_u``) columns and cover
-    ``[0, horizon]``, a DT horizon must be nonnegative, and every sample of
-    ``p`` that the window reads must lie in the scheduling region (to
-    ``1e-12``): in DT the samples ``0 .. horizon``, in CT sample 0, the
-    samples before ``horizon`` and, for a piecewise-linear ``p``, the
-    first node at or after it.
+    ``[0, horizon]``, a DT horizon must be a nonnegative integer (``20.0``
+    counts as one, ``2.5`` does not), and every sample of ``p`` that the
+    window reads must lie in the scheduling region (to ``1e-12``): in DT
+    the samples ``0 .. horizon``, in CT sample 0, the samples before
+    ``horizon`` and, for a piecewise-linear ``p``, the first node at or
+    after it.
     """
-    if sys.domain == TimeDomain.DT and int(horizon) < 0:
-        raise InputError("n_steps must be nonnegative")
+    if sys.domain == TimeDomain.DT and not (float(horizon).is_integer() and horizon >= 0):
+        raise InputError(f"a DT horizon must be a nonnegative integer, got {horizon!r}")
     for name, sig, dim in [("scheduling", p, sys.n_p), ("input", u, sys.n_u)]:
         if sig is None:
             continue
@@ -138,11 +147,7 @@ def simulate_dt(
     """
     if sys.domain != TimeDomain.DT:
         raise InputError("simulate_dt needs a DT system")
-    _check_signals(sys, p, n_steps, u)
-    ks, M, c = _step_maps(sys, p, n_steps, u=u)
-    xs = _propagate(M, _check_x0(sys, x0), c)
-    P = p.values_at(ks)
-    ys = _outputs(sys, P, sys.C.at_points(P), u.values_at(ks), xs)
+    _, xs, ys = _simulate(sys, x0, u, p, n_steps)
     return Trajectory(x=Signal.dt(xs), y=Signal.dt(ys))
 
 
@@ -179,13 +184,6 @@ def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.matmul(Ms, vs[..., None])[..., 0]
 
 
-def _values(sig, ts: np.ndarray) -> np.ndarray:
-    """Values at ``ts`` of a signal, ``(K, dim)``, or of a batch, ``(K, B, dim)``."""
-    if isinstance(sig, tuple):
-        return np.stack([s.values_at(ts) for s in sig], axis=1)
-    return sig.values_at(ts)
-
-
 def _at(f, P: np.ndarray) -> np.ndarray:
     """Affine function ``f`` at points ``P`` of shape ``(..., n_p)``, in one batch."""
     lead = P.shape[:-1]
@@ -220,24 +218,86 @@ def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _step_maps(sys: LpvSsa, p, horizon, step: float = None, u=None):
-    """Sample times ``(K + 1,)`` and maps ``x_{k+1} = M_k x_k + c_k`` of a window.
+class _Samples(NamedTuple):
+    """A window's signals as read once by :func:`_sample`.
 
-    The DT recursion on ``0 .. horizon``, or :func:`rk4_on_mesh` on the
-    :func:`integration_mesh` of ``p`` and ``u``; without ``u``, ``c`` is None.
-    For a batch (tuples ``p`` and ``u``) the mesh refines every signal of
-    it, and ``M`` and ``c`` gain the batch axis after the time axis.
+    ``P`` and ``U`` hold ``p`` and ``u`` at the ``K + 1`` sample ``times``,
+    ``(K + 1, dim)`` or for a batch ``(K + 1, B, dim)``.  In CT
+    ``p_stages`` and ``u_stages`` hold their values at the start, midpoint
+    and end of every step, three ``(K, [B,] dim)`` arrays (one array three
+    times when every signal is piecewise-constant).  Fields of a missing
+    ``u``, and the stages in DT, are None.
+    """
+
+    times: np.ndarray
+    P: np.ndarray
+    p_stages: tuple
+    U: np.ndarray
+    u_stages: tuple
+
+
+def _grid(domain: TimeDomain, horizon, step: float, *signals) -> np.ndarray:
+    """Sample times of a window: the DT steps ``0 .. horizon``, or the CT mesh.
+
+    In CT the :func:`integration_mesh` of step ``step`` refines the
+    breakpoints of every signal given, each member of a batch (tuple)
+    included; None stands for a missing input.
+    """
+    if domain == TimeDomain.DT:
+        return np.arange(int(horizon) + 1)
+    members = [s for sig in signals if sig is not None
+               for s in (sig if isinstance(sig, tuple) else (sig,))]
+    return integration_mesh(horizon, step, *members)
+
+
+def _read(sig, times: np.ndarray) -> tuple:
+    """A signal or batch at ``times`` and, in CT, at the RK4 stages of each step.
+
+    A piecewise-constant signal takes its segment value, read at the step
+    midpoint, at all three stages; a piecewise-linear one its node values
+    at the step's start and end and its value at the midpoint.  A batch is
+    read member by member and stacked on axis 1, so in a mixed batch each
+    member keeps its own rule.
+    """
+    if sig is None:
+        return None, None
+    sigs = sig if isinstance(sig, tuple) else (sig,)
+    stack = partial(np.stack, axis=1) if isinstance(sig, tuple) else itemgetter(0)
+    nodes = stack([s.values_at(times) for s in sigs])
+    if sigs[0].domain == TimeDomain.DT:
+        return nodes, None
+    a, b = times[:-1], times[1:]
+    mids = {PIECEWISE_CONSTANT: 0.5 * (a + b), PIECEWISE_LINEAR: a + 0.5 * (b - a)}
+    mid = stack([s.values_at(mids[s.interpolation]) for s in sigs])
+    held = np.array([s.interpolation == PIECEWISE_CONSTANT for s in sigs])
+    if held.all():
+        return nodes, (mid, mid, mid)
+    held = held[:, None]  # one rule per signal, broadcast along the batch axis
+    return nodes, (np.where(held, mid, nodes[:-1]), mid, np.where(held, mid, nodes[1:]))
+
+
+def _sample(p, times: np.ndarray, u=None) -> _Samples:
+    """The one read of a window's signals on its sample ``times`` (see :func:`_grid`).
+
+    Each signal of ``p`` and ``u`` (single signals, or batches as tuples)
+    is read once at the times and, in CT only, once more at the step
+    midpoints; every system on the window then uses the same samples.
+    """
+    return _Samples(times, *_read(p, times), *_read(u, times))
+
+
+def _step_maps(sys: LpvSsa, s: _Samples):
+    """Maps ``x_{k+1} = M_k x_k + c_k`` of a sampled window (no ``u``: ``c`` is None).
+
+    DT: ``M_k = A(P_k)`` and ``c_k = B(P_k) U_k`` for the steps ``k <
+    K``; CT: :func:`rk4_on_mesh` on the stage values.  For a batch ``M``
+    and ``c`` carry the batch axis after the time axis.
     """
     if sys.domain == TimeDomain.CT:
-        signals = [s for sig in (u, p) if sig is not None
-                   for s in (sig if isinstance(sig, tuple) else (sig,))]
-        mesh = integration_mesh(horizon, step, *signals)
-        M, c = rk4_on_mesh(sys, p, mesh, u)
-        return mesh, M, c
-    ks = np.arange(int(horizon) + 1)
-    P = _values(p, ks[:-1])
-    c = None if u is None else _matvec(_at(sys.B, P), _values(u, ks[:-1]))
-    return ks, _at(sys.A, P), c
+        return rk4_on_mesh(sys, s.p_stages, s.times, s.u_stages)
+    P = s.P[:-1]
+    c = None if s.U is None else _matvec(_at(sys.B, P), s.U[:-1])
+    return _at(sys.A, P), c
 
 
 def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.ndarray):
@@ -249,84 +309,74 @@ def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.nd
     return _matvec(C, xs) + _matvec(_at(sys.D, P), U)
 
 
-def _window(sys: LpvSsa, p, horizon, step: float = None, u=None):
-    """Free-response map ``O`` and forced output ``f`` of ``sys`` on a window.
+def _window(sys: LpvSsa, s: _Samples):
+    """Free-response map ``O`` and forced output ``f`` of ``sys`` on a sampled window.
 
-    One :func:`_step_maps` call, one read of ``p`` at the sample times and
-    one evaluation of ``C`` on it feed both.  ``O`` stacks the rows
-    ``C(p(t_k)) Phi(t_k, 0)`` over the samples (the DT steps ``0 ..
-    horizon``, or the nodes of the CT integration mesh); from ``x0`` the
-    sampled output is ``f + O x0``, reshaped to ``f``'s ``(samples, n_y)``.
-    Without ``u``, ``f`` is None.  With ``u``, one propagation carries
-    ``[Phi | x_f]`` from ``[I | 0]`` under the forcing ``[0 | c_k]``; ``O`` is
-    read from the contiguous ``Phi`` block, bit-identical to propagating
-    ``Phi`` alone, while the forced state ``x_f`` differs from its own
-    propagation only by rounding.
+    The samples ``s`` of :func:`_sample` feed one :func:`_step_maps` call
+    and one evaluation of ``C`` at the sample times, and both feed ``O``
+    and ``f``.  ``O`` stacks the rows ``C(p(t_k)) Phi(t_k, 0)`` over the
+    samples (the DT steps ``0 .. horizon``, or the nodes of the CT
+    integration mesh); from ``x0`` the sampled output is ``f + O x0``,
+    reshaped to ``f``'s ``(samples, n_y)``.  Without ``u``, ``f`` is None.
+    With ``u``, one propagation carries ``[Phi | x_f]`` from ``[I | 0]``
+    under the forcing ``[0 | c_k]``; ``O`` is read from the contiguous
+    ``Phi`` block, bit-identical to propagating ``Phi`` alone, while the
+    forced state ``x_f`` differs from its own propagation only by rounding.
 
-    A batch (tuples of ``B`` signals ``p`` and ``u``, see the module
-    docstring) returns ``O`` of shape ``(B, samples * n_y, n_x)`` and ``f``
-    of shape ``(B, samples, n_y)``, member ``b`` computed as the window of
-    ``p[b]`` and ``u[b]`` on the batch's sample grid.  Memory grows with
-    ``B``, so callers pass batches of bounded size.
+    Samples of a batch (see the module docstring) give ``O`` of shape
+    ``(B, samples * n_y, n_x)`` and ``f`` of shape ``(B, samples, n_y)``,
+    member ``b`` computed as the window of its own signals on the batch's
+    sample grid.  Memory grows with ``B``, so callers pass batches of
+    bounded size.
     """
-    times, M, c = _step_maps(sys, p, horizon, step, u)
-    P = _values(p, times)
-    C = _at(sys.C, P)
+    M, c = _step_maps(sys, s)
+    C = _at(sys.C, s.P)
     n = sys.n_x
-    if u is None:
+    if c is None:
         X0, F = np.eye(n), None
     else:
         X0, F = np.eye(n, n + 1), np.zeros(c.shape + (n + 1,))
         F[..., n] = c
     X = _propagate(M, np.broadcast_to(X0, M.shape[1:-1] + X0.shape[1:]), F)
     CPhi = C @ np.ascontiguousarray(X[..., :n])
-    f = None if u is None else _outputs(sys, P, C, _values(u, times), X[..., n])
+    f = None if c is None else _outputs(sys, s.P, C, s.U, X[..., n])
     rows = CPhi.shape[0] * sys.n_y
-    if isinstance(p, tuple):
-        O = np.moveaxis(CPhi, 1, 0).reshape(len(p), rows, n)
+    if s.P.ndim == 3:  # a batch
+        O = np.moveaxis(CPhi, 1, 0).reshape(s.P.shape[1], rows, n)
         return O, None if f is None else np.moveaxis(f, 1, 0)
     return CPhi.reshape(rows, n), f
 
 
-def _stage_values(sig, mesh: np.ndarray) -> tuple:
-    """Values of ``sig`` at ``a``, the midpoint and ``b`` of every step ``[a, b]``.
-
-    A piecewise-constant signal takes its segment value (at the midpoint)
-    at every stage, and the three ``(K, dim)`` arrays are one.  A batch
-    gives ``(K, B, dim)`` arrays, one when every member is piecewise-constant.
-    """
-    if isinstance(sig, tuple):
-        stages = [_stage_values(s, mesh) for s in sig]
-        if all(st[0] is st[2] for st in stages):
-            v = np.stack([st[0] for st in stages], axis=1)
-            return v, v, v
-        return tuple(np.stack(vs, axis=1) for vs in zip(*stages))
-    a, b = mesh[:-1], mesh[1:]
-    if sig.interpolation == PIECEWISE_CONSTANT:
-        v = sig.values_at(0.5 * (a + b))
-        return v, v, v
-    return sig.values_at(a), sig.values_at(a + 0.5 * (b - a)), sig.values_at(b)
+def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
+    """Sample times, states and outputs of the validated window from ``x0``."""
+    _check_signals(sys, p, horizon, u)
+    s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
+    M, c = _step_maps(sys, s)
+    xs = _propagate(M, _check_x0(sys, x0), c)
+    return s.times, xs, _outputs(sys, s.P, _at(sys.C, s.P), s.U, xs)
 
 
 def _at_stages(f, stages: tuple) -> tuple:
-    """Affine function ``f`` at the three stage points of :func:`_stage_values`."""
+    """Affine function ``f`` at the three stage values of :func:`_read`."""
     if stages[0] is stages[2]:
         v = _at(f, stages[0])
         return v, v, v
     return tuple(_at(f, P) for P in stages)
 
 
-def rk4_on_mesh(sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None) -> tuple:
+def rk4_on_mesh(sys: LpvSsa, ps: tuple, mesh: np.ndarray, us: tuple = None) -> tuple:
     """Classical RK4 for ``dx/dt = A(p) x + B(p) u`` as one affine map per step.
 
     Step ``k`` (``h = b - a``) is exactly ``x_{k+1} = M_k x_k + c_k``: with
     ``A_i`` the state matrix at stage ``i``, the stage maps ``S_1 = I``,
     ``S_{i+1} = I + nu_i h K_i`` (``nu = 1/2, 1/2, 1``) and ``K_i = A_i S_i``
     give ``M = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4)``, and ``c`` is built the
-    same way from the stage forcing ``B_i u_i``.  Without ``u`` the system
-    is homogeneous and ``c`` is None.  ``mesh`` must refine the breakpoints
-    of ``p`` and ``u``.  ``p`` and ``u`` may be batches (tuples of ``B``
-    signals) on that one mesh.
+    same way from the stage forcing ``B_i u_i``.  ``ps`` and ``us`` are the
+    stage values of the scheduling and the input on ``mesh``, the
+    ``p_stages`` and ``u_stages`` of :func:`_sample`: three ``(K, n_p)``
+    (``(K, n_u)``) arrays, the start, midpoint and end of every step, or
+    ``(K, B, .)`` for a batch.  Without ``us`` the system is homogeneous
+    and ``c`` is None.
 
     Returns
     -------
@@ -334,22 +384,21 @@ def rk4_on_mesh(sys: LpvSsa, p: Signal, mesh: np.ndarray, u: Signal = None) -> t
         ``(K, n_x, n_x)``, and ``(K, n_x)`` or None; for a batch
         ``(K, B, n_x, n_x)`` and ``(K, B, n_x)``.
     """
-    ps = _stage_values(p, mesh)
     A = _at_stages(sys.A, ps)
     hv = np.diff(mesh).reshape((-1,) + (1,) * (A[0].ndim - 2))
     h = hv[..., None]
     eye = np.eye(sys.n_x)
     K = A[0]
     M, c = eye + (h / 6.0) * K, None
-    if u is not None:
-        F = tuple(map(_matvec, _at_stages(sys.B, ps), _stage_values(u, mesh)))
+    if us is not None:
+        F = tuple(map(_matvec, _at_stages(sys.B, ps), us))
         g = F[0]
         c = (hv / 6.0) * g
     # stages 2 to 4: (stage point, node of the previous stage, weight)
     for j, nu, w in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
         K = A[j] @ (eye + (nu * h) * K)
         M += (w / 6.0 * h) * K
-        if u is not None:
+        if us is not None:
             g = _matvec(A[j], (nu * hv) * g) + F[j]
             c += (w / 6.0 * hv) * g
     return M, c
@@ -377,11 +426,7 @@ def simulate_ct(
     """
     if sys.domain != TimeDomain.CT:
         raise InputError("simulate_ct needs a CT system")
-    _check_signals(sys, p, t_end, u)
-    mesh, M, c = _step_maps(sys, p, t_end, step, u)
-    xs = _propagate(M, _check_x0(sys, x0), c)
-    P = p.values_at(mesh)
-    ys = _outputs(sys, P, sys.C.at_points(P), u.values_at(mesh), xs)
+    mesh, xs, ys = _simulate(sys, x0, u, p, t_end, step)
     return Trajectory(
         x=Signal.ct(mesh, xs, PIECEWISE_CONSTANT), y=Signal.ct(mesh, ys, PIECEWISE_CONSTANT)
     )
@@ -413,7 +458,7 @@ def transition_matrices_dt(sys: LpvSsa, p: Signal, n_steps: int) -> np.ndarray:
     if sys.domain != TimeDomain.DT:
         raise InputError("transition_matrices_dt needs a DT system")
     _check_signals(sys, p, n_steps)
-    _, M, _ = _step_maps(sys, p, n_steps)
+    M, _ = _step_maps(sys, _sample(p, _grid(sys.domain, n_steps, None)))
     return _propagate(M, np.eye(sys.n_x))
 
 
@@ -426,8 +471,8 @@ def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) ->
     if sys.domain != TimeDomain.CT:
         raise InputError("transition_matrices_ct needs a CT system")
     _check_signals(sys, p, t_end)
-    mesh, M, _ = _step_maps(sys, p, t_end, step)
-    return mesh, _propagate(M, np.eye(sys.n_x))
+    s = _sample(p, _grid(sys.domain, t_end, step, p))
+    return s.times, _propagate(_step_maps(sys, s)[0], np.eye(sys.n_x))
 
 
 def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:

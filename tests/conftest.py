@@ -129,6 +129,12 @@ def random_invertible(rng: np.random.Generator, n: int, log_cond: float = 2.0):
     return U @ np.diag(sv) @ V.T
 
 
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random orthogonal matrix (QR of a Gaussian draw, signs fixed by ``diag R``)."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
 def conjugate_system(sys: LpvSsa, T: np.ndarray) -> LpvSsa:
     """Change of state basis z = T x."""
     Tinv = np.linalg.inv(T) if T.size else T

@@ -36,6 +36,7 @@ from conftest import (
     make_constant_1state,
     make_worked_example,
     random_invertible,
+    random_orthogonal,
     random_system,
 )
 
@@ -223,8 +224,10 @@ def test_criterion_5_isomorphism_recovery_suite():
 
 def test_criterion_6_uniqueness_of_minimal_realizations():
     sys = make_worked_example()
-    r1 = observability_reduction(sys, rng=np.random.default_rng(1001))
-    r2 = observability_reduction(sys, rng=np.random.default_rng(2002))
+    # a second completion: the reduction of the same system in rotated coordinates
+    Q = random_orthogonal(np.random.default_rng(1001), sys.n_x)
+    r1 = observability_reduction(sys)
+    r2 = observability_reduction(conjugate_system(sys, Q))
     assert not np.allclose(r1.transform_T, r2.transform_T)  # genuinely different bases
     iso = find_isomorphism(r1.reduced, r2.reduced)
     assert iso.verdict == "isomorphic"

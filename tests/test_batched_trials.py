@@ -1,9 +1,10 @@
 """Batched windows and batched equivalence trials.
 
-``simulation._window`` takes a tuple of signals that share one sample
-grid and evaluates every member in one pass; member ``b`` must equal the
-window of its own signals: ``O`` bit for bit, ``f`` up to the rounding of
-one ``[Phi | x_f]`` propagation against two.  ``behavior_equivalence_empirical``
+``simulation._window`` takes the samples of a tuple of signals that share
+one sample grid and evaluates every member in one pass; member ``b`` must
+equal the window of its own signals: ``O`` bit for bit, ``f`` up to the
+rounding of one ``[Phi | x_f]`` propagation against two.
+``behavior_equivalence_empirical``
 draws every trial's signals first and evaluates the trials in chunks
 under a memory budget; the reference below is the per-trial loop on the
 same draws.
@@ -33,6 +34,13 @@ CASES = [
     (TimeDomain.CT, PIECEWISE_CONSTANT),
     (TimeDomain.CT, PIECEWISE_LINEAR),
 ]
+MIXED = "mixed"  # CT batch members alternate between the two rules
+
+
+def _window(sys, p, horizon, u=None, step=STEP):
+    """Window of ``sys`` on the one read of ``p`` and ``u`` (signals or batches)."""
+    times = simulation._grid(sys.domain, horizon, step, p, u)
+    return simulation._window(sys, simulation._sample(p, times, u))
 
 
 def _batch(rng, sys, interpolation, size):
@@ -42,28 +50,31 @@ def _batch(rng, sys, interpolation, size):
         us = [Signal.dt(rng.standard_normal((N_STEPS + 1, sys.n_u))) for _ in range(size)]
         return tuple(ps), tuple(us)
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T_END, 5))])
-    if interpolation == PIECEWISE_LINEAR:
+    if interpolation != PIECEWISE_CONSTANT:
         times = np.append(times, T_END)
-    ps = [Signal.ct(times, rng.uniform(-1, 1, (times.size, sys.n_p)), interpolation)
-          for _ in range(size)]
-    us = [Signal.ct(times, rng.standard_normal((times.size, sys.n_u)), interpolation)
-          for _ in range(size)]
+    rules = [interpolation] * (size + 1)
+    if interpolation == MIXED:
+        rules = [(PIECEWISE_CONSTANT, PIECEWISE_LINEAR)[b % 2] for b in range(size + 1)]
+    ps = [Signal.ct(times, rng.uniform(-1, 1, (times.size, sys.n_p)), rule)
+          for rule in rules[:size]]
+    us = [Signal.ct(times, rng.standard_normal((times.size, sys.n_u)), rule)
+          for rule in rules[1:]]
     return tuple(ps), tuple(us)
 
 
 class TestBatchedWindow:
     @pytest.mark.parametrize("size", [1, 2, 7])
     @pytest.mark.parametrize("n_x", [0, 1, 5])
-    @pytest.mark.parametrize("domain, interpolation", CASES)
+    @pytest.mark.parametrize("domain, interpolation", CASES + [(TimeDomain.CT, MIXED)])
     def test_members_equal_their_own_windows(self, domain, interpolation, n_x, size):
         rng = np.random.default_rng(100 + 10 * n_x + size)
         sys = random_system(rng, n_x=n_x, n_p=2, n_u=2, n_y=2, domain=domain)
         ps, us = _batch(rng, sys, interpolation, size)
         horizon = N_STEPS if domain == TimeDomain.DT else T_END
-        O, f = simulation._window(sys, ps, horizon, STEP, us)
+        O, f = _window(sys, ps, horizon, us)
         assert O.shape[0] == f.shape[0] == size
         for b in range(size):
-            O_b, f_b = simulation._window(sys, ps[b], horizon, STEP, us[b])
+            O_b, f_b = _window(sys, ps[b], horizon, us[b])
             assert np.array_equal(O[b], O_b)
             assert f[b].shape == f_b.shape
             assert np.max(np.abs(f[b] - f_b), initial=0.0) <= 1e-12 * (
@@ -76,8 +87,8 @@ class TestBatchedWindow:
         sys = random_system(rng, n_x=4, n_p=2, n_u=1, n_y=1, domain=domain)
         ps, us = _batch(rng, sys, interpolation, 3)
         horizon = N_STEPS if domain == TimeDomain.DT else T_END
-        O_u, _ = simulation._window(sys, ps, horizon, STEP, us)
-        O, f = simulation._window(sys, ps, horizon, STEP)
+        O_u, _ = _window(sys, ps, horizon, us)
+        O, f = _window(sys, ps, horizon)
         assert f is None
         assert np.array_equal(O, O_u)
 
@@ -87,10 +98,12 @@ class TestBatchedWindow:
         sys = random_system(rng, n_x=3, n_p=2, n_u=1, n_y=1, domain=domain)
         ps, us = _batch(rng, sys, interpolation, 4)
         horizon = N_STEPS if domain == TimeDomain.DT else T_END
-        times, M, c = simulation._step_maps(sys, ps, horizon, STEP, us)
+        times = simulation._grid(sys.domain, horizon, STEP, ps, us)
+        M, c = simulation._step_maps(sys, simulation._sample(ps, times, us))
         assert M.shape == (times.size - 1, 4, 3, 3) and c.shape == (times.size - 1, 4, 3)
         for b in range(4):
-            times_b, M_b, c_b = simulation._step_maps(sys, ps[b], horizon, STEP, us[b])
+            times_b = simulation._grid(sys.domain, horizon, STEP, ps[b], us[b])
+            M_b, c_b = simulation._step_maps(sys, simulation._sample(ps[b], times_b, us[b]))
             assert np.array_equal(times, times_b)
             assert np.array_equal(M[:, b], M_b) and np.array_equal(c[:, b], c_b)
 
@@ -106,7 +119,7 @@ def _reference(sys1, sys2, trials, horizon, seed, step, segments=10):
         u = random_input(sys1.n_u, rng, sys1.domain, **span)
         x1 = _unit_ball(rng, sys1.n_x)
         x2 = _unit_ball(rng, sys2.n_x)
-        w1, w2 = (simulation._window(s, p, horizon, step, u) for s in (sys1, sys2))
+        w1, w2 = (_window(s, p, horizon, u, step) for s in (sys1, sys2))
         _, residuals[k, 0] = _match(w1, x1, w2)
         _, residuals[k, 1] = _match(w2, x2, w1)
     return residuals
@@ -121,9 +134,9 @@ class TestBatchedTrials:
         sizes = []
         window = equivalence._window
 
-        def spy(sys, p, *args):
-            sizes.append(len(p))
-            return window(sys, p, *args)
+        def spy(sys, s):
+            sizes.append(s.P.shape[1])  # the batch axis of the samples
+            return window(sys, s)
 
         monkeypatch.setattr(equivalence, "_window", spy)
         if chunk is not None:  # a budget that fits 3 trials: chunks of 3, 3 and 1

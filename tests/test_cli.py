@@ -392,6 +392,15 @@ class TestEquiv:
         assert doc["passed"] is True
         assert doc["tolerances"]["equiv_tol"] == 1e-6
 
+    def test_fractional_dt_horizon_rejected(self, runner, data_dir):
+        files = [_worked_file(data_dir), _minimal_file(data_dir)]
+        result = runner.invoke(main, ["equiv", *files, "--horizon", "2.5", "--trials", "3"])
+        assert result.exit_code == 2
+        assert "integer" in result.output
+        result = runner.invoke(main, ["equiv", *files, "--horizon", "4.0", "--trials", "3"])
+        assert result.exit_code == 0, result.output
+        assert "horizon 4.0" in result.output
+
 
 class TestReveal:
     def test_minimal_system_found_and_written(self, runner, data_dir, tmp_path):
@@ -433,6 +442,11 @@ class TestReveal:
         result = runner.invoke(main, ["reveal", path, "--window", "1"])
         assert result.exit_code == 0, result.output
         assert "found a revealing scheduling on window 1.0" in result.output
+
+    def test_fractional_dt_window_rejected(self, runner, data_dir):
+        result = runner.invoke(main, ["reveal", _minimal_file(data_dir), "--window", "2.7"])
+        assert result.exit_code == 2
+        assert "integer" in result.output
 
 
 class TestExitCodes:

@@ -16,7 +16,7 @@ from lpvssa import (
 )
 from lpvssa.signals import random_input, random_scheduling
 
-from conftest import conjugate_system, random_system
+from conftest import conjugate_system, random_orthogonal, random_system
 from oracles import word_reach_rank
 
 
@@ -170,13 +170,14 @@ class TestObservabilityReduction:
                 assert s[-1] > 1e-10
 
     def test_different_completions_isomorphic(self):
-        rng = np.random.default_rng(6)
+        # the second completion reduces the same system in rotated coordinates
+        rng, rotations = np.random.default_rng(6), np.random.default_rng(101)
         for _ in range(20):
             sys = random_system(
                 rng, n_x=4, unobservable_dim=int(rng.integers(1, 3)),
             )
-            r1 = observability_reduction(sys, rng=np.random.default_rng(101))
-            r2 = observability_reduction(sys, rng=np.random.default_rng(202))
+            r1 = observability_reduction(sys)
+            r2 = observability_reduction(conjugate_system(sys, random_orthogonal(rotations, 4)))
             iso = find_isomorphism(r1.reduced, r2.reduced)
             assert iso.verdict == "isomorphic"
             assert iso.residual < 1e-8

@@ -1,11 +1,13 @@
 """One window per system: matching and equivalence on the shared front end.
 
 ``match_initial_state`` builds the free-response map and the forced output
-of each system from one ``_step_maps`` call, and the randomized
+of each system from one read of the signals, and the randomized
 equivalence test builds both windows of a trial once and matches in both
 directions.  The oracle composes the same match from whole simulations and
 separately assembled transition matrices.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lpvssa import (
     match_initial_state,
     observability_reduction,
     simulate_ct,
+    simulate_dt,
     simulation,
 )
 from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, random_input, random_scheduling
@@ -120,7 +123,8 @@ class TestOneAssemblyPerSystem:
         rk4_on_mesh = simulation.rk4_on_mesh
 
         def counting(*args, **kwargs):
-            calls.append((args[2].size - 1, len(args[1])))  # (mesh steps, trials)
+            # (mesh steps, trials): the batch axis of the first stage array
+            calls.append((args[2].size - 1, args[1][0].shape[1]))
             return rk4_on_mesh(*args, **kwargs)
 
         monkeypatch.setattr(simulation, "rk4_on_mesh", counting)
@@ -135,6 +139,60 @@ class TestOneAssemblyPerSystem:
             match_initial_state(worked_minimal, [1.0, 0.0], worked_minimal, u, p, -1)
         with pytest.raises(InputError):
             behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=1, horizon=-1)
+
+
+class TestOneReadPerWindow:
+    """Each signal is read once per window, in CT once more at the step
+    midpoints, and every system on the window shares that read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = Counter()
+        values_at = Signal.values_at
+
+        def spy(sig, ts):
+            counts[id(sig)] += 1
+            return values_at(sig, ts)
+
+        monkeypatch.setattr(Signal, "values_at", spy)
+        return counts
+
+    @staticmethod
+    def _reads_per_signal(domain):
+        return 1 if domain == TimeDomain.DT else 2
+
+    @pytest.mark.parametrize("domain, interpolation", CASES)
+    def test_simulation(self, reads, domain, interpolation):
+        rng = np.random.default_rng(26)
+        sys = random_system(rng, n_x=3, n_p=2, n_u=1, n_y=1, domain=domain)
+        u, p = _signals(rng, domain, 1, 2, interpolation)
+        if domain == TimeDomain.DT:
+            simulate_dt(sys, np.ones(3), u, p, N_STEPS)
+        else:
+            simulate_ct(sys, np.ones(3), u, p, T_END, STEP)
+        per_signal = self._reads_per_signal(domain)
+        assert reads == {id(u): per_signal, id(p): per_signal}
+
+    @pytest.mark.parametrize("domain, interpolation", CASES)
+    def test_both_systems_of_a_match_share_the_read(self, reads, domain, interpolation):
+        rng = np.random.default_rng(27)
+        sys = random_system(rng, n_x=3, n_p=2, n_u=1, n_y=1, domain=domain)
+        similar = conjugate_system(sys, random_invertible(rng, 3))
+        u, p = _signals(rng, domain, 1, 2, interpolation)
+        horizon = N_STEPS if domain == TimeDomain.DT else T_END
+        match_initial_state(sys, np.ones(3), similar, u, p, horizon, step=STEP)
+        per_signal = self._reads_per_signal(domain)
+        assert reads == {id(u): per_signal, id(p): per_signal}
+
+    @pytest.mark.parametrize("domain", [TimeDomain.DT, TimeDomain.CT])
+    def test_both_systems_of_a_trial_chunk_share_the_read(self, reads, domain):
+        rng = np.random.default_rng(28)
+        sys = random_system(rng, n_x=3, n_p=2, n_u=1, n_y=1, domain=domain)
+        similar = conjugate_system(sys, random_invertible(rng, 3))
+        report = behavior_equivalence_empirical(sys, similar, trials=8, step=0.05)
+        assert report.passed
+        # 8 schedulings and 8 inputs, each read once for both systems
+        assert sorted(reads.values()) == [self._reads_per_signal(domain)] * 16
 
 
 def test_match_solves_at_the_iteration_floor():
@@ -173,7 +231,10 @@ class TestFreeResponseMap:
             horizon, u = N_STEPS, Signal.dt(rng.standard_normal((N_STEPS + 1, sys.n_u)))
         else:  # no breakpoint of its own, so both windows share the mesh
             horizon, u = T_END, Signal.ct_constant(rng.standard_normal(sys.n_u), T_END)
-        O, f = simulation._window(sys, p, horizon, STEP)
-        O_u, f_u = simulation._window(sys, p, horizon, STEP, u)
+        grid = simulation._grid
+        O, f = simulation._window(sys, simulation._sample(p, grid(domain, horizon, STEP, p)))
+        O_u, f_u = simulation._window(
+            sys, simulation._sample(p, grid(domain, horizon, STEP, p, u), u)
+        )
         assert f is None and f_u.shape == (O.shape[0] // sys.n_y, sys.n_y)
         assert np.array_equal(O, O_u)

@@ -61,7 +61,7 @@ BAD = {
 
 def _input(sys):
     if sys.domain == DT:
-        return Signal.dt(np.zeros((HORIZON[DT] + 1, sys.n_u)))
+        return Signal.dt(np.zeros((int(HORIZON[DT]) + 1, sys.n_u)))
     return Signal.ct_constant(np.zeros(sys.n_u), HORIZON[CT])
 
 
@@ -130,6 +130,20 @@ def test_good_window_accepted(name, domain, monkeypatch):
     """The same calls run with the admissible signal the bad ones perturb."""
     sys = _system(domain)
     ENTRY_POINTS[name][1](sys, _scheduling(domain), monkeypatch)
+
+
+DT_WINDOWS = [n for n, (ds, _) in ENTRY_POINTS.items() if DT in ds and n != "freeze_scheduling"]
+
+
+@pytest.mark.parametrize("name", DT_WINDOWS)
+def test_fractional_dt_horizon_rejected(name, monkeypatch):
+    """A DT window is a whole number of steps: 2.5 is rejected, 4.0 runs."""
+    sys = _system(DT)
+    monkeypatch.setitem(HORIZON, DT, 2.5)
+    with pytest.raises(InputError, match="integer"):
+        ENTRY_POINTS[name][1](sys, _scheduling(DT), monkeypatch)
+    monkeypatch.setitem(HORIZON, DT, 4.0)
+    ENTRY_POINTS[name][1](sys, _scheduling(DT), monkeypatch)
 
 
 class TestSamplesRead:
