@@ -32,7 +32,7 @@ import numpy as np
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError, ResourceCapError
 from .signals import Signal, random_scheduling
-from .simulation import _check_signals, _grid, _sample, _window
+from .simulation import _check_signals, _check_window, _grid, _sample, _window
 
 __all__ = [
     "RankDecision",
@@ -536,6 +536,14 @@ def freeze_scheduling(sys: LpvSsa, p: Signal) -> LtvSystem:
     return LtvSystem(domain=sys.domain, times=times, As=As, Bs=Bs, Cs=Cs, Ds=Ds)
 
 
+def _check_observed_window(domain: TimeDomain, t_end, step: float = None) -> None:
+    """:func:`_check_window`, and at least one step in DT: one sample of ``C``
+    cannot reveal a state (InputError)."""
+    _check_window(domain, t_end, step)
+    if domain == TimeDomain.DT and t_end < 1:
+        raise InputError(f"a DT window needs at least one step, got {t_end!r}")
+
+
 def ltv_window_observability(
     sys: LpvSsa,
     p: Signal,
@@ -556,19 +564,16 @@ def ltv_window_observability(
     iteration, in both domains on the scale of the singular values of
     ``C Phi`` themselves; pass ``rtol`` to override.
 
-    A window that is not positive, or a window and scheduling that
-    :func:`_check_signals` rejects (a DT window that is not an integer
-    included), raises InputError.
+    A window that :func:`_check_observed_window` rejects (no DT step, a DT
+    window that is not an integer, a CT end time or step that is not
+    finite and positive), or a scheduling that :func:`_check_signals`
+    rejects on it, raises InputError.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    dt = sys.domain == TimeDomain.DT
-    if t_end <= 0:
-        raise InputError(
-            "t_end must be a positive integer in DT" if dt else "t_end must be positive in CT"
-        )
+    _check_observed_window(sys.domain, t_end, step)
     _check_signals(sys, p, t_end)
     times = _grid(sys.domain, t_end, t_end / 200.0 if step is None else step, p)
     stack = _window(sys, _sample(p, times))[0]
@@ -593,11 +598,15 @@ def find_revealing_scheduling(
     ``REVEAL_CT_SEGMENTS`` pieces) and returns the first ``(signal,
     window)`` passing the LTV window test (:func:`ltv_window_observability`
     at its default step), or None if the search is exhausted.
-    Unobservable systems return None immediately with a warning, since no
-    such signal can exist.  Deterministic for a given seed.
+    The window is checked first, by the rule of
+    :func:`ltv_window_observability` (InputError), so a bad window is
+    rejected on every system.  Unobservable systems then return None
+    immediately with a warning, since no such signal can exist.
+    Deterministic for a given seed.
     """
     if trials < 1:
         raise InputError("trials must be positive")
+    _check_observed_window(sys.domain, window)
     observable, _ = is_observable(sys, rtol)
     if not observable:
         warnings.warn(

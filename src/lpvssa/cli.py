@@ -47,7 +47,7 @@ from .io import (
 )
 from .reduction import minimize as _minimize_op
 from .signals import Signal
-from .simulation import simulate_ct, simulate_dt
+from .simulation import _check_window, simulate_ct, simulate_dt
 
 RANK_RTOL_ENV = "LPVSSA_RANK_RTOL"
 
@@ -331,10 +331,9 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
             x0_vec = np.array([float(s) for s in x0.split(",")], dtype=float)
         except ValueError:
             raise InputError(f"cannot parse --x0 {x0!r} as comma-separated floats")
+    _check_window(sys_.domain, horizon, step)  # the default input needs a valid horizon
     if sys_.domain == TimeDomain.DT:
         n_steps = int(horizon)
-        if n_steps != horizon or n_steps < 0:
-            raise InputError("--horizon must be a nonnegative integer for DT systems")
         u = (
             parse_signal(_read_text(u_file))
             if u_file

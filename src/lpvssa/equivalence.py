@@ -26,6 +26,7 @@ from .signals import Signal, random_input, random_scheduling
 from .simulation import (
     _check_signals,
     _check_signature,
+    _check_window,
     _check_x0,
     _grid,
     _sample,
@@ -50,7 +51,6 @@ CONDITION_CAP = 1e12
 # ``samples * (n_x + 1)**2`` doubles per trial.
 _TRIAL_DOUBLES = 1 << 16
 TRIAL_CT_SEGMENTS = 10  # pieces of the piecewise-constant CT trial signals
-TRIAL_RC_GRID = 5  # grid_per_axis of the reported regularity certificates
 
 
 @dataclass(frozen=True)
@@ -301,10 +301,12 @@ def behavior_equivalence_empirical(
     with the other system's best initial state — in both directions.  The
     verdict compares the worst residual against ``tol`` (default ``1e-6``
     in DT, ``1e-4`` in CT; default horizon 20 steps / 2.0 time units).
-    The regularity certificates of both systems (:func:`check_rc` on a
-    ``TRIAL_RC_GRID`` grid: certified, refuted with a witness, or
-    undecided) are reported because behavior equality only coincides with
-    i/o-family equality under regularity.
+    The regularity certificates of both systems (:func:`check_rc` at its
+    default grid, the one ``check`` and ``minimize`` report: certified,
+    refuted with a witness, or undecided) are reported because behavior
+    equality only coincides with i/o-family equality under regularity.
+    The window (``horizon``, and ``step`` in CT) is checked by
+    :func:`simulation._check_window` before any signal is drawn.
 
     All signals are drawn first, trial by trial in the order scheduling,
     input, ``sys1`` state, ``sys2`` state, so a seed gives the same signals
@@ -326,6 +328,7 @@ def behavior_equivalence_empirical(
         tol = 1e-6 if dt else 1e-4
     if trials < 1:
         raise InputError("trials must be positive")
+    _check_window(sys1.domain, horizon, step)
     rng = np.random.default_rng(seed)
     span = dict(t_end=float(horizon), segments=TRIAL_CT_SEGMENTS)
     span = dict(n_steps=int(horizon)) if dt else span
@@ -354,8 +357,8 @@ def behavior_equivalence_empirical(
         residuals=residuals,
         max_residual=max_residual,
         passed=bool(max_residual < tol),
-        rc_sys1=check_rc(sys1, TRIAL_RC_GRID),
-        rc_sys2=check_rc(sys2, TRIAL_RC_GRID),
+        rc_sys1=check_rc(sys1),
+        rc_sys2=check_rc(sys2),
         note=(
             "pass is empirical evidence over finitely many sampled signals, "
             "not a proof of behavior equality"

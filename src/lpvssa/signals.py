@@ -170,15 +170,6 @@ class Signal:
             out[:, j] = np.interp(ts, self.times, self.values[:, j])
         return out
 
-    def restrict_check(self, region: SchedulingRegion, atol=1e-12) -> np.ndarray:
-        """Indices of samples lying outside the region (empty when all inside)."""
-        lo, hi = region.lower, region.upper
-        bad = ~(
-            np.all(self.values >= lo - atol, axis=1)
-            & np.all(self.values <= hi + atol, axis=1)
-        )
-        return np.where(bad)[0]
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -231,14 +222,13 @@ def random_input(
     n_steps: int = None,
     t_end: float = None,
     segments: int = 8,
-    scale: float = 1.0,
 ) -> Signal:
     """Random input signal with standard-normal values (piecewise-constant in CT)."""
     if domain == TimeDomain.DT:
         if n_steps is None:
             raise InputError("n_steps is required for a DT signal")
-        return Signal.dt(scale * rng.standard_normal((n_steps + 1, dim)))
+        return Signal.dt(rng.standard_normal((n_steps + 1, dim)))
     if t_end is None:
         raise InputError("t_end is required for a CT signal")
     times = np.linspace(0.0, float(t_end), segments, endpoint=False)
-    return Signal.ct(times, scale * rng.standard_normal((segments, dim)))
+    return Signal.ct(times, rng.standard_normal((segments, dim)))

@@ -69,20 +69,35 @@ def _check_signature(sys1: LpvSsa, sys2: LpvSsa) -> None:
         raise InputError("systems must share the scheduling region")
 
 
+def _check_window(domain: TimeDomain, horizon, step: float = None) -> None:
+    """The one rule for a window itself; InputError if it breaks it.
+
+    A DT horizon is a nonnegative whole number of steps (``20.0`` counts
+    as one; ``2.5``, NaN and the infinities do not).  A CT end time, and
+    the CT step when one is given, are finite and positive.
+    """
+    if domain == TimeDomain.DT:
+        if not (float(horizon).is_integer() and horizon >= 0):
+            raise InputError(f"a DT horizon must be a nonnegative integer, got {horizon!r}")
+        return
+    for name, value in (("end time", horizon), ("step", step)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InputError(f"a CT {name} must be finite and positive, got {value!r}")
+
+
 def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
     """The one validation of a (system, signal, window) triple; InputError if not.
 
-    The scheduling ``p``, and the input ``u`` when given, must be in the
-    system's time domain, have its ``n_p`` (``n_u``) columns and cover
-    ``[0, horizon]``, a DT horizon must be a nonnegative integer (``20.0``
-    counts as one, ``2.5`` does not), and every sample of ``p`` that the
-    window reads must lie in the scheduling region (to ``1e-12``): in DT
-    the samples ``0 .. horizon``, in CT sample 0, the samples before
-    ``horizon`` and, for a piecewise-linear ``p``, the first node at or
-    after it.
+    The window must pass :func:`_check_window` (a DT horizon a nonnegative
+    integer, a CT end time finite and positive).  The scheduling ``p``,
+    and the input ``u`` when given, must be in the system's time domain,
+    have its ``n_p`` (``n_u``) columns and cover ``[0, horizon]``, and
+    every sample of ``p`` that the window reads must lie in the scheduling
+    region (to ``1e-12``): in DT the samples ``0 .. horizon``, in CT
+    sample 0, the samples before ``horizon`` and, for a piecewise-linear
+    ``p``, the first node at or after it.
     """
-    if sys.domain == TimeDomain.DT and not (float(horizon).is_integer() and horizon >= 0):
-        raise InputError(f"a DT horizon must be a nonnegative integer, got {horizon!r}")
+    _check_window(sys.domain, horizon)
     for name, sig, dim in [("scheduling", p, sys.n_p), ("input", u, sys.n_u)]:
         if sig is None:
             continue
@@ -97,8 +112,8 @@ def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
     else:
         last = int(np.searchsorted(p.times, float(horizon), side="left"))
         last = last if p.interpolation == PIECEWISE_LINEAR else max(last - 1, 0)
-    bad = p.restrict_check(sys.region)
-    bad = bad[bad <= last]
+    read, lo, hi = p.values[: last + 1], sys.region.lower - 1e-12, sys.region.upper + 1e-12
+    bad = np.flatnonzero(~np.all((read >= lo) & (read <= hi), axis=1))
     if bad.size:
         raise InputError(
             f"{bad.size} scheduling sample(s) outside the region (first at index {bad[0]})"
@@ -108,9 +123,9 @@ def _check_signals(sys: LpvSsa, p: Signal, horizon, u: Signal = None) -> None:
 def _check_x0(sys: LpvSsa, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (sys.n_x,):
-        if x0.size == 1 and x0[0] == 0.0:
-            return np.zeros(sys.n_x)  # scalar 0 shorthand for the origin
         raise InputError(f"initial state has shape {x0.shape}, expected ({sys.n_x},)")
+    if not np.all(np.isfinite(x0)):
+        raise InputError("initial state must be finite")
     return x0
 
 
@@ -152,13 +167,13 @@ def simulate_dt(
 
 
 def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
-    """Uniform mesh on [0, t_end] refined with the signals' breakpoints."""
-    t_end = float(t_end)
-    step = float(step)
-    if t_end <= 0:
-        raise InputError("t_end must be positive")
-    if step <= 0:
-        raise InputError("step must be positive")
+    """Uniform mesh on [0, t_end] refined with the signals' breakpoints.
+
+    ``t_end`` and ``step`` must pass :func:`_check_window` (finite and
+    positive); InputError if not.
+    """
+    _check_window(TimeDomain.CT, t_end, step)
+    t_end, step = float(t_end), float(step)
     n = max(1, math.ceil(t_end / step - 1e-9))
     mesh = np.linspace(0.0, t_end, n + 1)
     extra = []
@@ -350,9 +365,10 @@ def _window(sys: LpvSsa, s: _Samples):
 def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     """Sample times, states and outputs of the validated window from ``x0``."""
     _check_signals(sys, p, horizon, u)
+    x0 = _check_x0(sys, x0)
     s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
     M, c = _step_maps(sys, s)
-    xs = _propagate(M, _check_x0(sys, x0), c)
+    xs = _propagate(M, x0, c)
     return s.times, xs, _outputs(sys, s.P, _at(sys.C, s.P), s.U, xs)
 
 

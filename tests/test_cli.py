@@ -449,7 +449,51 @@ class TestReveal:
         assert "integer" in result.output
 
 
+# commands with a bad window or initial state, and a fragment of their message
+BAD_WINDOW_COMMANDS = [
+    ("equiv {W} {M} --horizon nan", "DT horizon"),
+    ("equiv {W} {M} --horizon inf", "DT horizon"),
+    ("reveal {M} --window nan", "DT horizon"),
+    ("reveal {M} --window inf", "DT horizon"),
+    ("reveal {W} --window 2.7", "DT horizon"),
+    ("reveal {W} --window 0", "DT window"),
+    ("simulate {W} --p {P} --horizon nan", "DT horizon"),
+    ("simulate {CT} --p {PCT} --horizon nan", "CT end time"),
+    ("simulate {CT} --p {PCT} --horizon inf", "CT end time"),
+    ("simulate {CT} --p {PCT} --horizon 1 --step nan", "CT step"),
+    ("simulate {CT} --p {PCT} --horizon 1 --step inf", "CT step"),
+    ("equiv {CT} {CT} --horizon nan", "CT end time"),
+    ("simulate {W} --p {P} --horizon 2 --x0 nan,0,0", "initial state must be finite"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command,message",
+        BAD_WINDOW_COMMANDS,
+        ids=[c.replace("{", "").replace("}", "").replace(" ", "_") for c, _ in BAD_WINDOW_COMMANDS],
+    )
+    def test_bad_window_or_state_exits_2(self, runner, data_dir, tmp_path, command, message):
+        from lpvssa import LpvSsa, Signal
+        from lpvssa.io import serialize_signal
+
+        ct = LpvSsa.from_matrices(
+            [[[-0.4]], [[0.2]]], [[[1.0]], [[0.0]]], [[[1.0]], [[0.0]]],
+            [[[0.0]], [[0.0]]], ([-1.0], [1.0]), "ct",
+        )
+        p_ct = tmp_path / "p_ct.json"
+        p_ct.write_text(serialize_signal(Signal.ct_constant([0.5], 1.0)))
+        files = dict(
+            W=_worked_file(data_dir), M=_minimal_file(data_dir),
+            P=str(data_dir / "scheduling_zero.json"),
+            CT=_write_system(tmp_path, ct, "ct.json"), PCT=str(p_ct),
+        )
+        result = runner.invoke(main, command.format(**files).split())
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_file_is_input_error(self, runner):
         result = runner.invoke(main, ["check", "/nonexistent/sys.json"])
         assert result.exit_code == 2

@@ -1,11 +1,16 @@
 """One window guard: every window entry point rejects a bad triple.
 
 ``simulation._check_signals`` is the only validation of a (system,
-scheduling signal, window) triple.  Each entry point below gets a system
+scheduling signal, window) triple, and ``simulation._check_window`` the
+only rule for the window itself.  Each entry point below gets a system
 with ``n_p = 2`` on ``[-1, 1]^2`` and a scheduling signal that is wrong in
 exactly one way (time domain, dimension, coverage of the window, or one
-sample outside the region), and must raise InputError.
+sample outside the region), or a window that is wrong (a DT horizon that
+is not a nonnegative integer, a CT end time or step that is not finite
+and positive), and must raise InputError.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +19,10 @@ from lpvssa import (
     InputError,
     Signal,
     TimeDomain,
+    analysis,
     behavior_equivalence_empirical,
     equivalence,
+    find_revealing_scheduling,
     freeze_scheduling,
     io_response,
     ltv_window_observability,
@@ -30,12 +37,13 @@ from conftest import random_system
 
 DT, CT = TimeDomain.DT, TimeDomain.CT
 HORIZON = {DT: 4, CT: 1.0}
+SPAN = dict(HORIZON)  # the signals' span, whatever window a test asks for
 STEP = 0.1
 
 
 def _scheduling(domain, dim=2, end=None, value=0.25):
-    """A constant scheduling signal on ``[0, end]`` (default: the window)."""
-    end = HORIZON[domain] if end is None else end
+    """A constant scheduling signal on ``[0, end]`` (default: the default window)."""
+    end = SPAN[domain] if end is None else end
     if domain == DT:
         return Signal.dt(np.full((int(end) + 1, dim), value))
     return Signal.ct([0.0, end], np.full((2, dim), value), PIECEWISE_LINEAR)
@@ -54,21 +62,27 @@ BAD = {
     "wrong-domain": lambda d: _scheduling(CT if d == DT else DT),
     "wrong-dimension": lambda d: _scheduling(d, dim=3),
     # DT: one sample short of n_steps; CT: a linear signal ending halfway
-    "too-short": lambda d: _scheduling(d, end=HORIZON[d] - 1 if d == DT else HORIZON[d] / 2),
+    "too-short": lambda d: _scheduling(d, end=SPAN[d] - 1 if d == DT else SPAN[d] / 2),
     "out-of-region": _out_of_region,
 }
 
 
 def _input(sys):
     if sys.domain == DT:
-        return Signal.dt(np.zeros((int(HORIZON[DT]) + 1, sys.n_u)))
-    return Signal.ct_constant(np.zeros(sys.n_u), HORIZON[CT])
+        return Signal.dt(np.zeros((SPAN[DT] + 1, sys.n_u)))
+    return Signal.ct_constant(np.zeros(sys.n_u), SPAN[CT])
 
 
 def _equivalence(sys, p, monkeypatch):
     # the trial signals are drawn inside; hand the bad one to every trial
     monkeypatch.setattr(equivalence, "random_scheduling", lambda *a, **k: p)
     behavior_equivalence_empirical(sys, sys, trials=1, horizon=HORIZON[sys.domain], step=STEP)
+
+
+def _reveal(sys, p, monkeypatch):
+    # likewise: every draw of the search is the given signal
+    monkeypatch.setattr(analysis, "random_scheduling", lambda *a, **k: p)
+    find_revealing_scheduling(sys, 1, HORIZON[sys.domain], 0)
 
 
 ENTRY_POINTS = {
@@ -101,6 +115,7 @@ ENTRY_POINTS = {
         (DT, CT),
         lambda s, p, mp: ltv_window_observability(s, p, HORIZON[s.domain], step=STEP),
     ),
+    "find_revealing_scheduling": ((DT, CT), _reveal),
 }
 
 
@@ -137,13 +152,46 @@ DT_WINDOWS = [n for n, (ds, _) in ENTRY_POINTS.items() if DT in ds and n != "fre
 
 @pytest.mark.parametrize("name", DT_WINDOWS)
 def test_fractional_dt_horizon_rejected(name, monkeypatch):
-    """A DT window is a whole number of steps: 2.5 is rejected, 4.0 runs."""
+    """A DT window is a nonnegative whole number of steps: 2.5, NaN, inf
+    and -1 are rejected, 4.0 runs."""
     sys = _system(DT)
-    monkeypatch.setitem(HORIZON, DT, 2.5)
-    with pytest.raises(InputError, match="integer"):
-        ENTRY_POINTS[name][1](sys, _scheduling(DT), monkeypatch)
+    for horizon in (2.5, math.nan, math.inf, -1):
+        monkeypatch.setitem(HORIZON, DT, horizon)
+        with pytest.raises(InputError, match="integer"):
+            ENTRY_POINTS[name][1](sys, _scheduling(DT), monkeypatch)
     monkeypatch.setitem(HORIZON, DT, 4.0)
     ENTRY_POINTS[name][1](sys, _scheduling(DT), monkeypatch)
+
+
+def _ct_window_cases():
+    for name, (domains, _) in ENTRY_POINTS.items():
+        if CT not in domains or name == "freeze_scheduling":
+            continue
+        for what in ("end time", "step"):
+            # the search for a revealing scheduling takes no step
+            if what == "step" and name == "find_revealing_scheduling":
+                continue
+            for value in (math.nan, math.inf, 0.0):
+                yield pytest.param(name, what, value, id=f"{name}-{what.replace(' ', '_')}-{value}")
+
+
+@pytest.mark.parametrize("name,what,value", list(_ct_window_cases()))
+def test_bad_ct_window_rejected(name, what, value, monkeypatch):
+    """A CT end time and step are finite and positive."""
+    if what == "step":
+        monkeypatch.setitem(globals(), "STEP", value)
+    else:
+        monkeypatch.setitem(HORIZON, CT, value)
+    with pytest.raises(InputError, match=f"CT {what} must be finite and positive"):
+        ENTRY_POINTS[name][1](_system(CT), _scheduling(CT), monkeypatch)
+
+
+@pytest.mark.parametrize("window", [2.7, 0, math.nan])
+def test_unobservable_reveal_checks_the_window(worked_example, window):
+    """No scheduling reveals an unobservable system's state, yet a bad
+    window is an input error, not an empty search."""
+    with pytest.raises(InputError, match="DT (horizon|window)"):
+        find_revealing_scheduling(worked_example, 5, window, 0)
 
 
 class TestSamplesRead:
