@@ -82,8 +82,11 @@ class RankDecision:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray, rtol: float = None) -> "RankDecision":
-        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10`` unless ``rtol``)."""
-        return _threshold(M, rtol)[0]
+        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10`` unless ``rtol``).
+
+        Only the singular values are computed; no basis is kept.
+        """
+        return _threshold(M, rtol, vectors=False)[0]
 
 
 def _sign_fix(V: np.ndarray) -> np.ndarray:
@@ -153,23 +156,33 @@ def extended_reachability_matrix(
     ).T
 
 
-def _threshold(M: np.ndarray, rtol: float = None, *, kernel: bool = False):
+def _threshold(M: np.ndarray, rtol: float = None, *, vectors: bool = True, kernel: bool = False):
     """The one rank threshold: one SVD of ``M``, ``sigma_max`` times :func:`_rank_floor`.
 
     Returns the RankDecision, the rows of ``Vh`` it keeps (an orthonormal
     row basis) and, with ``kernel``, the rest of the full SVD's ``Vh`` as
     sign-normalized columns (an orthonormal kernel basis).  Without
     ``kernel`` the SVD is the reduced one, which has no complete kernel for
-    a wide ``M``, and the kernel is None.
+    a wide ``M``, and the kernel is None.  Without ``vectors`` (and
+    ``kernel``) only the singular values are computed and both bases are
+    None; the values may differ from the full SVD's in the last bits, so
+    only a value within that rounding of the tolerance could count
+    differently.
     """
     M = np.asarray(M, dtype=float)
     floor, n = _rank_floor(rtol), M.shape[1]
     if M.size == 0:
         return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else None
-    _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
+    if vectors or kernel:
+        _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
+    else:
+        s, Vh = np.linalg.svd(M, compute_uv=False), None
     tol = float(s[0]) * floor
     rank = int(np.sum(s > tol))
-    return RankDecision(rank, s, tol), Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
+    decision = RankDecision(rank, s, tol)
+    if Vh is None:
+        return decision, None, None
+    return decision, Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
 
 
 def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):

@@ -11,16 +11,24 @@ in DT, the RK4 maps of :func:`rk4_on_mesh` in CT), with the matrices
 evaluated along the whole horizon in one batch.  Simulation, transition
 matrices and the free-response map of :func:`_window` (initial-state
 matching, equivalence trials and window observability, in DT and CT
-alike) share it, then :func:`_propagate` (the only loop in Python) and the
-``C x + D u`` readout of :func:`_outputs`.
+alike) share it, then :func:`_propagate` and the ``C x + D u`` readout of
+:func:`_outputs`.
+
+:func:`_propagate` runs the exact recursion, one step at a time, in DT.
+In CT it composes the steps in two levels (chunks of about
+``sqrt(K / 2)`` steps, see :func:`_chunk`), in about ``sqrt(K)`` batched
+calls instead of ``K``; its result is within a stated forward error bound
+of the exact recursion, of the order of ``k (n_x + 1)`` roundings at step
+``k``.
 
 The window functions also take a *batch*: a tuple of ``B`` scheduling
 signals (and of ``B`` inputs) that share one sample grid, the same DT
 horizon or one CT integration mesh (that of all the batch's signals).
 Their arrays then carry a batch axis right after the time axis (``M`` is
 ``(K, B, n_x, n_x)``), every coefficient function is evaluated once on the
-stacked points, and one step loop propagates all ``B`` windows.  Each
-batch member's matrices are bit-identical to those of its own window.
+stacked points, and one propagation carries all ``B`` windows.  Each
+batch member's matrices and free-response map are bit-identical to those
+of its own window.
 
 The CT integrator is classical 4th-order Runge-Kutta on a mesh that
 refines a uniform grid with the signals' breakpoints, so no step
@@ -28,8 +36,11 @@ straddles a discontinuity.  Piecewise-constant signals take their segment
 value (the midpoint read) at every stage; piecewise-linear signals their
 node values at the step's start and end and their midpoint value, which
 keeps the nominal order.  The right-hand side is linear in the state, so
-each RK4 step is an affine map, and :func:`rk4_on_mesh` assembles the maps
-of all steps at once: the stage times are unchanged, only rounding differs.
+each RK4 step is an affine map.  :func:`rk4_on_mesh` builds one map per
+distinct step (the same step length and stage values; a
+piecewise-constant window repeats a few along each segment), in
+cache-sized blocks, and gathers them: the stage times are unchanged, only
+rounding differs from a stage-by-stage integration.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LpvSsa, TimeDomain
+from .core import _BLOCK_DOUBLES, LpvSsa, TimeDomain
 from .errors import InputError
 from .signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, Signal, Trajectory
 
@@ -205,32 +216,102 @@ def _at(f, P: np.ndarray) -> np.ndarray:
     return f.at_points(P.reshape(math.prod(lead), P.shape[-1])).reshape(lead + f.shape)
 
 
-def _propagate(M: np.ndarray, X0, c: np.ndarray = None) -> np.ndarray:
+def _propagate(M: np.ndarray, X0, c: np.ndarray = None, chunk: int = 1) -> np.ndarray:
     """Iterates ``X_0 .. X_K`` of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero).
 
-    Each step writes straight into row ``k + 1`` of the result, so no
-    step allocates or copies and the rounding is that of ``M_k @ X_k +
-    c_k``: without ``c``, one product from row ``k``; with it, the product
-    into one reused buffer and one ``np.add`` of buffer and ``c_k`` into
-    the row (an add in place on the row is markedly slower when the row
-    has one element, ``n_x = 1``).  The product is ``np.dot`` (the BLAS
-    kernel of ``@``) for a ``(K, n, n)`` stack, and ``np.matmul`` for a
-    batch ``(K, B, n, n)`` with ``X0`` of shape ``(B, n, m)``; each batch
-    slice then rounds as ``np.dot`` would on it.
+    With ``chunk = 1`` (DT, and the default) this is the exact loop.  Each
+    step writes straight into row ``k + 1`` of the result, so no step
+    allocates or copies and the rounding is that of ``M_k @ X_k + c_k``:
+    without ``c``, one product from row ``k``; with it, the product into
+    one reused buffer and one ``np.add`` of buffer and ``c_k`` into the
+    row (an add in place on the row is markedly slower when the row has
+    one element, ``n_x = 1``).  The product is ``np.dot`` (the BLAS kernel
+    of ``@``) for a ``(K, n, n)`` stack, and ``np.matmul`` for a batch
+    ``(K, B, n, n)`` with ``X0`` of shape ``(B, n, m)``; each batch slice
+    then rounds as ``np.dot`` would on it.
+
+    With ``chunk = L > 1`` (the CT callers, see :func:`_chunk`) the steps
+    are composed in two levels, in about ``3 L + K / L`` calls instead of
+    ``K``.  The first ``G = K // L`` chunks of ``L`` steps each get their
+    map ``X -> P_g X + S_g``, the product and the forced sum over the
+    chunk, built one step of a chunk at a time for all chunks at once;
+    the chunk boundaries ``X_{gL}`` follow from these maps one chunk
+    after another; then every node inside a chunk is stepped from its
+    boundary, again one step of a chunk at a time for all chunks at once.
+    The last ``K - G L`` steps run the exact loop.  Every operation acts
+    on one batch member at a time, so a batch member rounds as its own
+    propagation does.
+
+    Both ways compute the product of the augmented maps ``[[M_k, c_k],
+    [0, 1]]``, only in another order, so each node is within the forward
+    error bound of a matrix product (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, section 3.5) of the exact
+    recurrence: ``|X_k - exact| <= gamma_{k (n+1)} Z_k`` componentwise,
+    with ``Z_0 = |X_0|``, ``Z_{k+1} = |M_k| Z_k + |c_k|`` and ``gamma_j =
+    j u / (1 - j u)``, ``u = 2**-53``.  The two-level result is therefore
+    within ``2 gamma_{k (n+1)} Z_k`` of the exact loop's.
     """
     X0 = np.asarray(X0, dtype=float)
     out = np.empty((M.shape[0] + 1,) + X0.shape)
     out[0] = X0
+    G = M.shape[0] // chunk if chunk > 1 else 0
+    if G:
+        _compose(M, out, c, chunk, G)
+    start = G * chunk
     product = np.dot if M.ndim == 3 else np.matmul
     if c is None:
-        for Mk, X, row in zip(M, out, out[1:]):
+        for Mk, X, row in zip(M[start:], out[start:], out[start + 1 :]):
             product(Mk, X, row)
     else:
         MX = np.empty(X0.shape)
-        for Mk, ck, X, row in zip(M, c, out, out[1:]):
+        for Mk, ck, X, row in zip(M[start:], c[start:], out[start:], out[start + 1 :]):
             product(Mk, X, MX)
             np.add(MX, ck, row)
     return out
+
+
+def _compose(M: np.ndarray, out: np.ndarray, c, L: int, G: int) -> None:
+    """Rows ``1 .. G L`` of ``out`` by the two levels of :func:`_propagate` (chunks of ``L``)."""
+    Ms = M[: G * L].reshape((G, L) + M.shape[1:])
+    Xs = out[: G * L].reshape((G, L) + out.shape[1:])
+    cs = None if c is None else c[: G * L].reshape((G, L) + c.shape[1:])
+    step = _matvec if out.ndim == M.ndim - 1 else np.matmul  # vector or matrix states
+    # the chunk maps X -> P X + S, one step of a chunk at a time for all chunks
+    P = Ms[:, 0].copy()
+    for j in range(1, L):
+        P = np.matmul(Ms[:, j], P)
+    if cs is not None:
+        S = cs[:, 0].copy()
+        for j in range(1, L):
+            S = np.add(step(Ms[:, j], S), cs[:, j], S)
+    # the chunk boundaries X_L, X_2L, .. X_GL, one chunk after another
+    for g in range(G):
+        row = out[(g + 1) * L]
+        if cs is None:
+            np.copyto(row, step(P[g], Xs[g, 0]))
+        else:
+            np.add(step(P[g], Xs[g, 0]), S[g], row)
+    # the nodes inside the chunks from their first node, one step at a time for all chunks
+    for j in range(L - 1):
+        if cs is None:
+            np.copyto(Xs[:, j + 1], step(Ms[:, j], Xs[:, j]))
+        else:
+            np.add(step(Ms[:, j], Xs[:, j]), cs[:, j], Xs[:, j + 1])
+
+
+def _chunk(domain: TimeDomain, steps: int, n_x: int) -> int:
+    """Chunk length ``L`` of :func:`_propagate` for a window of ``steps`` steps.
+
+    DT keeps the exact loop (``L = 1``).  In CT ``L = floor(sqrt(steps /
+    2))``, which about minimizes the ``3 L + steps / L`` calls of the two
+    levels; above ``n_x = 16`` the chunk products, ``n_x**3`` per step,
+    cost more than the calls they save, and the loop is kept.  ``L``
+    never depends on a batch's size, so a batch member rounds as its own
+    window does.
+    """
+    if domain == TimeDomain.DT or n_x > 16:
+        return 1
+    return max(1, math.isqrt(steps // 2))
 
 
 class _Samples(NamedTuple):
@@ -352,7 +433,8 @@ def _window(sys: LpvSsa, s: _Samples):
     else:
         X0, F = np.eye(n, n + 1), np.zeros(c.shape + (n + 1,))
         F[..., n] = c
-    X = _propagate(M, np.broadcast_to(X0, M.shape[1:-1] + X0.shape[1:]), F)
+    X0 = np.broadcast_to(X0, M.shape[1:-1] + X0.shape[1:])
+    X = _propagate(M, X0, F, _chunk(sys.domain, M.shape[0], n))
     CPhi = C @ np.ascontiguousarray(X[..., :n])
     f = None if c is None else _outputs(sys, s.P, C, s.U, X[..., n])
     rows = CPhi.shape[0] * sys.n_y
@@ -368,16 +450,37 @@ def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     x0 = _check_x0(sys, x0)
     s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
     M, c = _step_maps(sys, s)
-    xs = _propagate(M, x0, c)
+    xs = _propagate(M, x0, c, _chunk(sys.domain, M.shape[0], sys.n_x))
     return s.times, xs, _outputs(sys, s.P, _at(sys.C, s.P), s.U, xs)
 
 
-def _at_stages(f, stages: tuple) -> tuple:
-    """Affine function ``f`` at the three stage values of :func:`_read`."""
-    if stages[0] is stages[2]:
-        v = _at(f, stages[0])
-        return v, v, v
-    return tuple(_at(f, P) for P in stages)
+def _distinct_steps(values: np.ndarray) -> tuple:
+    """Steps (columns of ``values``) that differ in some bit, and the label of every step.
+
+    Returns ``(first, label)``: ``first`` indexes the first step of each
+    group in order of appearance, and step ``i`` equals step
+    ``first[label[i]]`` bit for bit (``-0.0`` and ``0.0`` differ).  Steps
+    are grouped by a stable sort of a hash of their bits (their sum
+    weighted by odd constants, modulo ``2**64``); a step that differs from
+    its group's first step (a hash collision) heads a group of its own.
+    """
+    steps, bits = values.shape[1], values.view(np.uint64)
+    mix = np.arange(1, 2 * values.shape[0], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    tag = mix @ bits
+    order = np.argsort(tag, kind="stable")
+    tag = tag[order]
+    start = np.ones(steps, dtype=bool)
+    np.not_equal(tag[1:], tag[:-1], out=start[1:])
+    head = np.empty(steps, dtype=np.intp)
+    head[order] = order[start].take(np.cumsum(start) - 1)
+    own = np.arange(steps)
+    dup = np.flatnonzero(head != own)
+    odd = dup[np.any(bits.take(dup, axis=1) != bits.take(head[dup], axis=1), axis=0)]
+    head[odd] = odd
+    first = np.flatnonzero(head == own)
+    label = np.empty(steps, dtype=np.intp)
+    label[first] = np.arange(first.size)
+    return first, label.take(head)
 
 
 def rk4_on_mesh(sys: LpvSsa, ps: tuple, mesh: np.ndarray, us: tuple = None) -> tuple:
@@ -394,30 +497,78 @@ def rk4_on_mesh(sys: LpvSsa, ps: tuple, mesh: np.ndarray, us: tuple = None) -> t
     ``(K, B, .)`` for a batch.  Without ``us`` the system is homogeneous
     and ``c`` is None.
 
+    A map depends only on its step's ``h`` and stage values, so the maps
+    are built once per distinct row of them (:func:`_distinct_steps`) and
+    gathered: a piecewise-constant window repeats one row along each
+    segment, up to the rounding of ``h``, while a piecewise-linear one
+    has every row distinct.  The distinct rows are built in blocks of
+    about ``_BLOCK_DOUBLES`` matrix entries, as
+    :meth:`AffineMatrixFunction.at_points` evaluates, so the stage
+    matrices and temporaries of a block stay in cache; each operation
+    acts on one row at a time, so every map is bit-identical to the one
+    the same RK4 formulas give for its step alone.
+
     Returns
     -------
     (M, c)
         ``(K, n_x, n_x)``, and ``(K, n_x)`` or None; for a batch
         ``(K, B, n_x, n_x)`` and ``(K, B, n_x)``.
     """
+    lead, n = ps[0].shape[:-1], sys.n_x
+    rows = math.prod(lead)
+    h = np.repeat(np.diff(mesh), rows // lead[0])  # one row per step and batch member
+    # each stage array once: a piecewise-constant read passes one for all three stages
+    flat = {id(a): a.reshape(rows, -1) for a in ps + (us or ())}
+    first, label = _distinct_steps(np.concatenate([h[None]] + [a.T for a in flat.values()]))
+    M = np.empty((first.size, n, n))
+    c = None if us is None else np.empty((first.size, n))
+    block = max(1, _BLOCK_DOUBLES // max(1, n * n))
+    for lo in range(0, first.size, block):
+        idx = first[lo : lo + block]
+        at = {key: a[idx] for key, a in flat.items()}  # the block's rows of each array
+        _rk4_block(sys, h[idx], [at[id(a)] for a in ps], us and [at[id(a)] for a in us],
+                   M[lo : lo + block], None if c is None else c[lo : lo + block])
+    if first.size < rows:
+        M = M.take(label, axis=0)
+        c = None if c is None else c.take(label, axis=0)
+    return M.reshape(lead + (n, n)), None if c is None else c.reshape(lead + (n,))
+
+
+def _at_stages(f, stages: list) -> tuple:
+    """Affine function ``f`` at three stage value arrays, once if they are one array."""
+    if stages[0] is stages[2]:
+        v = f.at_points(stages[0])
+        return v, v, v
+    return tuple(f.at_points(P) for P in stages)
+
+
+def _rk4_block(sys: LpvSsa, h: np.ndarray, ps: list, us, M: np.ndarray, c) -> None:
+    """The maps of :func:`rk4_on_mesh` for steps ``h`` and stage values ``ps``, ``us``.
+
+    Writes into ``M`` and, with ``us``, ``c``; every step is a row.
+    """
     A = _at_stages(sys.A, ps)
-    hv = np.diff(mesh).reshape((-1,) + (1,) * (A[0].ndim - 2))
-    h = hv[..., None]
+    hv = h[:, None]
+    hm = hv[..., None]
     eye = np.eye(sys.n_x)
+    T, Kb = np.empty_like(M), np.empty_like(M)
+    np.multiply(hm / 6.0, A[0], T)
+    np.add(eye, T, M)
     K = A[0]
-    M, c = eye + (h / 6.0) * K, None
-    if us is not None:
+    if c is not None:
         F = tuple(map(_matvec, _at_stages(sys.B, ps), us))
         g = F[0]
-        c = (hv / 6.0) * g
+        np.multiply(hv / 6.0, g, c)
     # stages 2 to 4: (stage point, node of the previous stage, weight)
     for j, nu, w in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
-        K = A[j] @ (eye + (nu * h) * K)
-        M += (w / 6.0 * h) * K
-        if us is not None:
+        np.multiply(nu * hm, K, T)
+        np.add(eye, T, T)
+        K = np.matmul(A[j], T, Kb)
+        np.multiply(w / 6.0 * hm, K, T)
+        M += T
+        if c is not None:
             g = _matvec(A[j], (nu * hv) * g) + F[j]
             c += (w / 6.0 * hv) * g
-    return M, c
 
 
 def simulate_ct(
@@ -488,7 +639,8 @@ def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) ->
         raise InputError("transition_matrices_ct needs a CT system")
     _check_signals(sys, p, t_end)
     s = _sample(p, _grid(sys.domain, t_end, step, p))
-    return s.times, _propagate(_step_maps(sys, s)[0], np.eye(sys.n_x))
+    M = _step_maps(sys, s)[0]
+    return s.times, _propagate(M, np.eye(sys.n_x), None, _chunk(sys.domain, M.shape[0], sys.n_x))
 
 
 def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:

@@ -139,3 +139,38 @@ def match_reference(sys_from, x0, sys_to, u, p, horizon, step=1e-3, rtol=1e-10):
     y_match = y_forced + (M @ x0_to).reshape(y.shape)
     scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
     return x0_to, float(np.linalg.norm(y - y_match)) / scale
+
+
+def rk4_maps_full_horizon(sys, ps, mesh, us=None):
+    """RK4 step maps built on whole-horizon arrays, every step evaluated.
+
+    The stage matrices are evaluated at every step's stage values and the
+    maps assembled with one array operation per RK4 term over all steps
+    at once: the arithmetic of ``simulation.rk4_on_mesh`` without its
+    distinct-step build, to compare it against bit for bit.
+    """
+
+    def at(f, P):
+        lead = P.shape[:-1]
+        return f.at_points(P.reshape(-1, P.shape[-1])).reshape(lead + f.shape)
+
+    def matvec(Ms, vs):
+        return np.matmul(Ms, vs[..., None])[..., 0]
+
+    A = [at(sys.A, P) for P in ps]
+    hv = np.diff(mesh).reshape((-1,) + (1,) * (A[0].ndim - 2))
+    h = hv[..., None]
+    eye = np.eye(sys.n_x)
+    K = A[0]
+    M, c = eye + (h / 6.0) * K, None
+    if us is not None:
+        F = [matvec(at(sys.B, P), U) for P, U in zip(ps, us)]
+        g = F[0]
+        c = (hv / 6.0) * g
+    for j, nu, w in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
+        K = A[j] @ (eye + (nu * h) * K)
+        M += (w / 6.0 * h) * K
+        if us is not None:
+            g = matvec(A[j], (nu * hv) * g) + F[j]
+            c += (w / 6.0 * hv) * g
+    return M, c
