@@ -5,17 +5,15 @@ the exit code), 2 on input errors.  Every rank decision runs through the
 polynomial-time observability kernel, so no command builds a capped
 matrix.  Every command is deterministic given its files and flags.
 Machine-readable output (``--json``) carries the tool version and the
-tolerances that ran.  The environment variable
-``LPVSSA_RANK_RTOL`` overrides the rank floor (``1e-10`` relative); the
-``--rank-rtol`` flag takes precedence over the environment; a floor that
-is negative or not finite is an input error.
+tolerances that ran.  The ``--rank-rtol`` flag overrides the rank floor
+(``1e-10`` relative); a floor that is negative or not finite is an input
+error.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys as _sys
 import warnings
 from pathlib import Path
@@ -49,8 +47,6 @@ from .reduction import minimize as _minimize_op
 from .signals import Signal
 from .simulation import _check_window, simulate_ct, simulate_dt
 
-RANK_RTOL_ENV = "LPVSSA_RANK_RTOL"
-
 
 def _guard(fn):
     @functools.wraps(fn)
@@ -64,23 +60,18 @@ def _guard(fn):
     return wrapper
 
 
-def _effective_rtol(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(RANK_RTOL_ENV)
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise InputError(f"cannot parse {RANK_RTOL_ENV}={env!r} as a float")
-    return None
-
-
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _read_system(path) -> LpvSsa:
@@ -163,7 +154,7 @@ _rank_rtol_option = click.option(
     default=None,
     help=(
         f"Rank floor override, relative to the largest singular value "
-        f"[default: {ITERATION_RTOL:g}] (precedence over ${RANK_RTOL_ENV})."
+        f"[default: {ITERATION_RTOL:g}]."
     ),
 )
 _json_option = click.option(
@@ -192,13 +183,12 @@ def main():
 @_guard
 def check(system_file, grid, rank_rtol, as_json):
     """Observability, span-reachability, and regularity report."""
-    rtol = _effective_rtol(rank_rtol)
     sys_ = _read_system(system_file)
-    obs, obs_dec = is_observable(sys_, rtol)
-    reach, reach_dec = is_span_reachable_from_zero(sys_, rtol)
+    obs, obs_dec = is_observable(sys_, rank_rtol)
+    reach, reach_dec = is_span_reachable_from_zero(sys_, rank_rtol)
     rc = check_rc(sys_, grid)
     if as_json:
-        payload = _base_payload("check", rtol)
+        payload = _base_payload("check", rank_rtol)
         payload["tolerances"]["observability_tolerance_used"] = obs_dec.tolerance_used
         payload["tolerances"]["reachability_tolerance_used"] = reach_dec.tolerance_used
         payload.update(
@@ -238,23 +228,23 @@ def check(system_file, grid, rank_rtol, as_json):
 @_guard
 def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
     """Observability reduction; minimal realization under regularity."""
-    rtol = _effective_rtol(rank_rtol)
     sys_ = _read_system(system_file)
-    result = _minimize_op(sys_, grid_per_axis=grid, rtol=rtol)
+    result = _minimize_op(sys_, grid_per_axis=grid, rtol=rank_rtol)
     out_path = Path(out)
     sidecar = (
         Path(transform_out)
         if transform_out
         else out_path.with_name(out_path.stem + ".transform.json")
     )
-    out_path.write_text(serialize_system(result.reduced))
-    sidecar.write_text(
+    _write_text(out_path, serialize_system(result.reduced))
+    _write_text(
+        sidecar,
         serialize_transform(
             result.transform_T, result.projection_Pi, result.o, result.minimality
-        )
+        ),
     )
     if as_json:
-        payload = _base_payload("minimize", rtol)
+        payload = _base_payload("minimize", rank_rtol)
         payload.update(
             {
                 "input_dimension": sys_.n_x,
@@ -282,10 +272,9 @@ def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
 @_guard
 def iso(file1, file2, tol, rank_rtol, as_json):
     """Isomorphism between two systems of equal dimension."""
-    rtol = _effective_rtol(rank_rtol)
-    r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol, rtol=rtol)
+    r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol, rtol=rank_rtol)
     if as_json:
-        payload = _base_payload("iso", rtol)
+        payload = _base_payload("iso", rank_rtol)
         payload["tolerances"]["iso_tol"] = tol
         payload.update(
             {
@@ -350,11 +339,11 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
     if out:
         out_path = Path(out)
         if out_path.suffix.lower() == ".json":
-            out_path.write_text(
-                json.dumps(_jsonable(trajectory_to_json(traj)), indent=2) + "\n"
+            _write_text(
+                out_path, json.dumps(_jsonable(trajectory_to_json(traj)), indent=2) + "\n"
             )
         else:
-            out_path.write_text(trajectory_to_csv(traj))
+            _write_text(out_path, trajectory_to_csv(traj))
         _echo(f"wrote {out_path}")
         return
     if as_json:
@@ -426,14 +415,13 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
 @_guard
 def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
     """Search for a scheduling signal revealing the state on a window."""
-    rtol = _effective_rtol(rank_rtol)
     sys_ = _read_system(system_file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rtol)
+        found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rank_rtol)
     diagnostics = [str(w.message) for w in caught]
     if as_json:
-        payload = _base_payload("reveal", rtol)
+        payload = _base_payload("reveal", rank_rtol)
         payload.update(
             {
                 "found": found is not None,
@@ -455,7 +443,7 @@ def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
         else:
             _echo(f"found a revealing scheduling on window {found[1]}")
     if found and out:
-        Path(out).write_text(serialize_signal(found[0]))
+        _write_text(out, serialize_signal(found[0]))
         _echo(f"wrote {out}", err=as_json)
 
 

@@ -4,10 +4,16 @@ A system is described by four matrix-valued affine functions ``A, B, C, D``
 of a scheduling point ``p`` ranging over a box region, together with a time
 domain tag (discrete or continuous).  All values are immutable after
 construction and every operation here is a pure function.
+
+:meth:`AffineMatrixFunction.at_points` is the one evaluator of an affine
+function: a stack of scheduling points of any leading shape, such as the
+samples of a signal, in one call.  Calling the function at one point is
+its one-point case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,10 +94,10 @@ class AffineMatrixFunction:
         return self.coeffs[0].shape
 
     def __call__(self, p) -> np.ndarray:
-        """Evaluate ``M_0 + sum_i p_i M_i`` at a scheduling point.
+        """Evaluate ``M_0 + sum_i p_i M_i`` at one scheduling point.
 
-        Accumulation runs in coefficient-index order, so the result is
-        bit-reproducible for a given input.
+        The one-point case of :meth:`at_points`, so ``self(p)`` is
+        bit-identical to ``at_points(p[None])[0]``.
 
         Parameters
         ----------
@@ -107,34 +113,33 @@ class AffineMatrixFunction:
             raise InputError(
                 f"scheduling point has shape {p.shape}, expected ({self.n_p},)"
             )
-        out = self.coeffs[0].copy()
-        for i in range(self.n_p):
-            out += p[i] * self.coeffs[i + 1]
-        return out
+        return self.at_points(p)
 
     def at_points(self, points) -> np.ndarray:
-        """Evaluate at many scheduling points at once.
+        """Evaluate at a stack of scheduling points, the one evaluator of ``M``.
 
         The points are taken in blocks of about ``_BLOCK_DOUBLES`` matrix
         entries, so a block of the result and its product temporary stay
         in cache: each block is filled with ``M_0`` and accumulates
-        ``p_i M_i`` in place, in the same coefficient-index order as
-        :meth:`__call__`, so ``at_points(P)[k]`` is bit-identical to
-        ``self(P[k])``.
+        ``p_i M_i`` in place, one coefficient after another in index
+        order, so every point rounds as ``M_0 + p_1 M_1 + ...`` written
+        out does, whatever the stack's shape.
 
         Parameters
         ----------
-        points : array_like, shape (K, n_p)
+        points : array_like, shape (..., n_p)
 
         Returns
         -------
-        (K, rows, cols) ndarray
+        (..., rows, cols) ndarray
         """
         P = np.asarray(points, dtype=float)
-        if P.ndim != 2 or P.shape[1] != self.n_p:
+        if P.ndim < 1 or P.shape[-1] != self.n_p:
             raise InputError(
-                f"scheduling points have shape {P.shape}, expected (K, {self.n_p})"
+                f"scheduling points have shape {P.shape}, expected (..., {self.n_p})"
             )
+        lead = P.shape[:-1]
+        P = P.reshape(math.prod(lead), self.n_p)
         out = np.empty((P.shape[0],) + self.shape)
         block = max(1, _BLOCK_DOUBLES // max(1, self.coeffs[0].size))
         tmp = np.empty((min(block, P.shape[0]),) + self.shape)
@@ -145,7 +150,7 @@ class AffineMatrixFunction:
             for i in range(self.n_p):
                 np.multiply(Pb[:, i, None, None], self.coeffs[i + 1], out=Tb)
                 Ob += Tb
-        return out
+        return out.reshape(lead + self.shape)
 
     def transpose(self) -> "AffineMatrixFunction":
         """Coefficient-wise transpose."""

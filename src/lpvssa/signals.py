@@ -4,7 +4,9 @@ Discrete-time signals are finite lists of vectors indexed by step.
 Continuous-time signals are values on a strictly increasing mesh starting
 at 0 with an interpolation rule: piecewise-constant (left-continuous, the
 last value held beyond the final node) or piecewise-linear (defined only
-up to the final node).
+up to the final node).  :meth:`Signal.values_at` is the one lookup rule,
+reading a signal at many times in one call; :meth:`Signal.value_at` is
+its one-time case.
 """
 
 from __future__ import annotations
@@ -123,44 +125,30 @@ class Signal:
         return self.times[-1] >= float(horizon) - 1e-12
 
     def value_at(self, t):
-        """Signal value at one time instant.
-
-        DT: integer step index, bounds-checked.  CT piecewise-constant: the
-        left-continuous step function (jumps at mesh nodes take the older
-        value); the last value is held beyond the final node.  CT
-        piecewise-linear: linear interpolation, endpoint values outside the
-        mesh.
-        """
-        if self.domain == TimeDomain.DT:
-            k = int(t)
-            if k < 0 or k >= self.n_samples:
-                raise InputError(f"step {k} outside the signal range 0..{self.n_samples - 1}")
-            return self.values[k]
-        t = float(t)
-        if self.interpolation == PIECEWISE_CONSTANT:
-            idx = int(np.searchsorted(self.times, t, side="left")) - 1
-            return self.values[max(idx, 0)]
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            out[j] = np.interp(t, self.times, self.values[:, j])
-        return out
+        """Signal value at one time instant, ``values_at([t])[0]``."""
+        return self.values_at([t])[0]
 
     def values_at(self, ts) -> np.ndarray:
-        """Signal values at many time instants, shape ``(K, dim)``.
+        """Signal values at many time instants, shape ``(K, dim)``: the one lookup rule.
 
-        Row ``k`` is bit-identical to ``value_at(ts[k])``: the same index
-        rule in DT and for piecewise-constant signals, and ``np.interp``
-        (once per dimension) for piecewise-linear ones.
+        DT: the step index ``int(t)`` (fractional times truncate toward
+        zero), which must lie in ``0 .. n_samples - 1``; InputError if it
+        does not or if ``t`` is not finite.  CT piecewise-constant: the
+        left-continuous step function (jumps at mesh nodes take the older
+        value), the first value before ``t = 0`` and the last one held
+        beyond the final node.  CT piecewise-linear: linear interpolation
+        (``np.interp``, once per dimension), the endpoint values outside
+        the mesh.
         """
         ts = np.asarray(ts).reshape(-1)
         if self.domain == TimeDomain.DT:
-            ks = ts.astype(np.int64)
-            bad = (ks < 0) | (ks >= self.n_samples)
-            if bad.any():
+            inside = (ts > -1) & (ts < self.n_samples)  # false for NaN too
+            if not inside.all():
                 raise InputError(
-                    f"step {ks[bad][0]} outside the signal range 0..{self.n_samples - 1}"
+                    f"step {ts[~inside][0]:g} outside the signal range "
+                    f"0..{self.n_samples - 1}"
                 )
-            return self.values[ks]
+            return self.values[ts.astype(np.int64)]
         ts = ts.astype(float)
         if self.interpolation == PIECEWISE_CONSTANT:
             idx = np.searchsorted(self.times, ts, side="left") - 1
@@ -189,6 +177,19 @@ class Trajectory:
         return self.x.times
 
 
+def _random_window_signal(draw, domain: TimeDomain, n_steps, t_end, segments) -> Signal:
+    """Signal of ``draw(count)`` rows: ``n_steps + 1`` DT samples, or
+    ``segments`` piecewise-constant pieces on a uniform mesh over ``[0, t_end]``."""
+    if domain == TimeDomain.DT:
+        if n_steps is None:
+            raise InputError("n_steps is required for a DT signal")
+        return Signal.dt(draw(n_steps + 1))
+    if t_end is None:
+        raise InputError("t_end is required for a CT signal")
+    times = np.linspace(0.0, float(t_end), segments, endpoint=False)
+    return Signal.ct(times, draw(segments))
+
+
 def random_scheduling(
     region: SchedulingRegion,
     rng: np.random.Generator,
@@ -204,14 +205,9 @@ def random_scheduling(
     piecewise-constant on a uniform mesh of ``segments`` pieces over
     ``[0, t_end]``.
     """
-    if domain == TimeDomain.DT:
-        if n_steps is None:
-            raise InputError("n_steps is required for a DT signal")
-        return Signal.dt(region.sample(rng, n_steps + 1))
-    if t_end is None:
-        raise InputError("t_end is required for a CT signal")
-    times = np.linspace(0.0, float(t_end), segments, endpoint=False)
-    return Signal.ct(times, region.sample(rng, segments))
+    return _random_window_signal(
+        lambda count: region.sample(rng, count), domain, n_steps, t_end, segments
+    )
 
 
 def random_input(
@@ -224,11 +220,6 @@ def random_input(
     segments: int = 8,
 ) -> Signal:
     """Random input signal with standard-normal values (piecewise-constant in CT)."""
-    if domain == TimeDomain.DT:
-        if n_steps is None:
-            raise InputError("n_steps is required for a DT signal")
-        return Signal.dt(rng.standard_normal((n_steps + 1, dim)))
-    if t_end is None:
-        raise InputError("t_end is required for a CT signal")
-    times = np.linspace(0.0, float(t_end), segments, endpoint=False)
-    return Signal.ct(times, rng.standard_normal((segments, dim)))
+    return _random_window_signal(
+        lambda count: rng.standard_normal((count, dim)), domain, n_steps, t_end, segments
+    )

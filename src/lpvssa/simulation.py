@@ -7,12 +7,13 @@ included), and :func:`_sample` reads each signal once at those times and,
 in CT only, once more at the step midpoints.  Every system on the window
 then takes the same plain arrays: :func:`_step_maps` returns the maps of
 ``x_{k+1} = M_k x_k + c_k`` (``M_k = A(p(k))`` and ``c_k = B(p(k)) u(k)``
-in DT, the RK4 maps of :func:`rk4_on_mesh` in CT), with the matrices
-evaluated along the whole horizon in one batch.  Simulation, transition
-matrices and the free-response map of :func:`_window` (initial-state
-matching, equivalence trials and window observability, in DT and CT
-alike) share it, then :func:`_propagate` and the ``C x + D u`` readout of
-:func:`_outputs`.
+in DT, the RK4 maps of :func:`rk4_on_mesh` in CT), with each matrix
+function evaluated along the whole horizon in one
+:meth:`~lpvssa.core.AffineMatrixFunction.at_points` call.  Simulation,
+transition matrices and the free-response map of :func:`_window`
+(initial-state matching, equivalence trials and window observability, in
+DT and CT alike) share it, then :func:`_propagate` and the ``C x + D u``
+readout of :func:`_outputs`.
 
 :func:`_propagate` runs the exact recursion, one step at a time, in DT.
 In CT it composes the steps in two levels (chunks of about
@@ -210,12 +211,6 @@ def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.matmul(Ms, vs[..., None])[..., 0]
 
 
-def _at(f, P: np.ndarray) -> np.ndarray:
-    """Affine function ``f`` at points ``P`` of shape ``(..., n_p)``, in one batch."""
-    lead = P.shape[:-1]
-    return f.at_points(P.reshape(math.prod(lead), P.shape[-1])).reshape(lead + f.shape)
-
-
 def _propagate(M: np.ndarray, X0, c: np.ndarray = None, chunk: int = 1) -> np.ndarray:
     """Iterates ``X_0 .. X_K`` of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero).
 
@@ -392,8 +387,8 @@ def _step_maps(sys: LpvSsa, s: _Samples):
     if sys.domain == TimeDomain.CT:
         return rk4_on_mesh(sys, s.p_stages, s.times, s.u_stages)
     P = s.P[:-1]
-    c = None if s.U is None else _matvec(_at(sys.B, P), s.U[:-1])
-    return _at(sys.A, P), c
+    c = None if s.U is None else _matvec(sys.B.at_points(P), s.U[:-1])
+    return sys.A.at_points(P), c
 
 
 def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.ndarray):
@@ -402,7 +397,7 @@ def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.nd
     ``P``, ``C``, ``U`` and ``xs`` share their leading axes: the samples,
     and for a batch the batch axis after them.
     """
-    return _matvec(C, xs) + _matvec(_at(sys.D, P), U)
+    return _matvec(C, xs) + _matvec(sys.D.at_points(P), U)
 
 
 def _window(sys: LpvSsa, s: _Samples):
@@ -426,7 +421,7 @@ def _window(sys: LpvSsa, s: _Samples):
     bounded size.
     """
     M, c = _step_maps(sys, s)
-    C = _at(sys.C, s.P)
+    C = sys.C.at_points(s.P)
     n = sys.n_x
     if c is None:
         X0, F = np.eye(n), None
@@ -451,7 +446,7 @@ def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
     M, c = _step_maps(sys, s)
     xs = _propagate(M, x0, c, _chunk(sys.domain, M.shape[0], sys.n_x))
-    return s.times, xs, _outputs(sys, s.P, _at(sys.C, s.P), s.U, xs)
+    return s.times, xs, _outputs(sys, s.P, sys.C.at_points(s.P), s.U, xs)
 
 
 def _distinct_steps(values: np.ndarray) -> tuple:

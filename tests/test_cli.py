@@ -98,32 +98,17 @@ class TestCheck:
 
 
 class TestRankTolOverrides:
-    def test_env_var_controls_default(self, runner, data_dir):
-        # an absurdly large tolerance wipes out every rank
+    def test_env_var_no_longer_overrides_the_floor(self, runner, data_dir):
+        # the flag is the one setting of the rank floor: an absurdly large
+        # floor in the environment, which once wiped out every rank, is ignored
         result = runner.invoke(
             main,
             ["check", _worked_file(data_dir), "--json"],
             env={"LPVSSA_RANK_RTOL": "10.0"},
         )
-        doc = json.loads(result.output)
-        assert doc["observability_rank"] == 0
-
-    def test_flag_takes_precedence_over_env(self, runner, data_dir):
-        result = runner.invoke(
-            main,
-            ["check", _worked_file(data_dir), "--json", "--rank-rtol", "1e-12"],
-            env={"LPVSSA_RANK_RTOL": "10.0"},
-        )
+        assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
         assert doc["observability_rank"] == 2
-
-    def test_unparseable_env_is_input_error(self, runner, data_dir):
-        result = runner.invoke(
-            main,
-            ["check", _worked_file(data_dir)],
-            env={"LPVSSA_RANK_RTOL": "lots"},
-        )
-        assert result.exit_code == 2
 
 
 class TestMinimize:
@@ -492,6 +477,28 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "minimize {W} --out {missing}/m.json",
+            "minimize {W} --out {tmp}/m.json --transform-out {missing}/t.json",
+            "simulate {W} --p {P} --horizon 3 --out {missing}/traj.csv",
+            "reveal {M} --window 3 --out {missing}/p.json",
+        ],
+        ids=["minimize-out", "minimize-transform-out", "simulate-out", "reveal-out"],
+    )
+    def test_unwritable_output_exits_2(self, runner, data_dir, tmp_path, command):
+        files = dict(
+            W=_worked_file(data_dir), M=_minimal_file(data_dir),
+            P=str(data_dir / "scheduling_zero.json"),
+            tmp=str(tmp_path), missing=str(tmp_path / "missing"),
+        )
+        result = runner.invoke(main, command.format(**files).split())
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot write {tmp_path / 'missing'}" in result.output
         assert "Traceback" not in result.output
 
     def test_missing_file_is_input_error(self, runner):

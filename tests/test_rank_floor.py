@@ -124,10 +124,8 @@ CLI_COMMANDS = {
 @pytest.mark.parametrize("command", list(CLI_COMMANDS))
 def test_cli_rejects_bad_floor(runner, data_dir, tmp_path, command, value):
     args = CLI_COMMANDS[command](data_dir, tmp_path)
-    flag = runner.invoke(main, args + [f"--rank-rtol={value}"])
-    env = runner.invoke(main, args, env={"LPVSSA_RANK_RTOL": value})
-    for result in (flag, env):
-        assert result.exit_code == 2, result.output
-        assert "finite and nonnegative" in result.output
-        assert "observable:" not in result.output
+    result = runner.invoke(main, args + [f"--rank-rtol={value}"])
+    assert result.exit_code == 2, result.output
+    assert "finite and nonnegative" in result.output
+    assert "observable:" not in result.output
     assert not (tmp_path / "m.json").exists()
