@@ -1,9 +1,11 @@
 """Command-line interface exposing the library over JSON documents.
 
 Exit codes: 0 when the command ran to completion (verdicts do not change
-the exit code), 2 on input errors.  Every rank decision runs through the
-polynomial-time observability kernel, so no command builds a capped
-matrix.  Every command is deterministic given its files and flags.
+the exit code), 2 on input errors.  Output paths are checked before any
+work, and output files appear only whole, once every one is written; a
+command that fails prints no result and leaves no file.  Every rank
+decision runs through the polynomial-time observability kernel, so no
+command builds a capped matrix.  Every command is deterministic given its files and flags.
 Machine-readable output (``--json``) carries the tool version and the
 tolerances that ran.  The ``--rank-rtol`` flag overrides the rank floor
 (``1e-10`` relative); a floor that is negative or not finite is an input
@@ -12,8 +14,10 @@ error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import sys as _sys
 import warnings
 from pathlib import Path
@@ -67,11 +71,42 @@ def _read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _write_text(path, text: str) -> None:
+@contextlib.contextmanager
+def _output_files(*paths):
+    """Write the output ``paths`` whole, and only after every one is written.
+
+    A temporary file is created beside each path on entry, before the
+    command computes or prints anything, so an unwritable path is an
+    InputError up front.  The body calls the yielded ``write(*texts)``
+    (one text per path) once its results are ready: every text goes to
+    its temporary file first, then each file is moved onto its path with
+    ``os.replace``.  Temporary files left over (an error, or no call) are
+    removed on exit.
+    """
+    paths = [Path(path) for path in paths]
+    temps = []
+
+    def attempt(path, action, *args):
+        try:
+            return action(*args)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+    def write(*texts):
+        for tmp, text, path in zip(temps, texts, paths):
+            attempt(path, tmp.write_text, text)
+        for tmp, path in zip(temps, paths):
+            attempt(path, os.replace, tmp, path)
+
     try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}")
+        for path in paths:
+            tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+            attempt(path, tmp.open, "x").close()  # a new file's default mode, unlike mkstemp
+            temps.append(tmp)
+        yield write
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _read_system(path) -> LpvSsa:
@@ -229,20 +264,20 @@ def check(system_file, grid, rank_rtol, as_json):
 def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
     """Observability reduction; minimal realization under regularity."""
     sys_ = _read_system(system_file)
-    result = _minimize_op(sys_, grid_per_axis=grid, rtol=rank_rtol)
     out_path = Path(out)
     sidecar = (
         Path(transform_out)
         if transform_out
         else out_path.with_name(out_path.stem + ".transform.json")
     )
-    _write_text(out_path, serialize_system(result.reduced))
-    _write_text(
-        sidecar,
-        serialize_transform(
-            result.transform_T, result.projection_Pi, result.o, result.minimality
-        ),
-    )
+    with _output_files(out_path, sidecar) as write:
+        result = _minimize_op(sys_, grid_per_axis=grid, rtol=rank_rtol)
+        write(
+            serialize_system(result.reduced),
+            serialize_transform(
+                result.transform_T, result.projection_Pi, result.o, result.minimality
+            ),
+        )
     if as_json:
         payload = _base_payload("minimize", rank_rtol)
         payload.update(
@@ -321,30 +356,29 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
         except ValueError:
             raise InputError(f"cannot parse --x0 {x0!r} as comma-separated floats")
     _check_window(sys_.domain, horizon, step)  # the default input needs a valid horizon
-    if sys_.domain == TimeDomain.DT:
-        n_steps = int(horizon)
-        u = (
-            parse_signal(_read_text(u_file))
-            if u_file
-            else Signal.dt(np.zeros((n_steps + 1, sys_.n_u)))
-        )
-        traj = simulate_dt(sys_, x0_vec, u, p, n_steps)
-    else:
-        u = (
-            parse_signal(_read_text(u_file))
-            if u_file
-            else Signal.ct_constant(np.zeros(sys_.n_u), horizon)
-        )
-        traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
-    if out:
-        out_path = Path(out)
-        if out_path.suffix.lower() == ".json":
-            _write_text(
-                out_path, json.dumps(_jsonable(trajectory_to_json(traj)), indent=2) + "\n"
+    with _output_files(*[out] if out else []) as write:
+        if sys_.domain == TimeDomain.DT:
+            n_steps = int(horizon)
+            u = (
+                parse_signal(_read_text(u_file))
+                if u_file
+                else Signal.dt(np.zeros((n_steps + 1, sys_.n_u)))
             )
+            traj = simulate_dt(sys_, x0_vec, u, p, n_steps)
         else:
-            _write_text(out_path, trajectory_to_csv(traj))
-        _echo(f"wrote {out_path}")
+            u = (
+                parse_signal(_read_text(u_file))
+                if u_file
+                else Signal.ct_constant(np.zeros(sys_.n_u), horizon)
+            )
+            traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
+        if out:
+            if Path(out).suffix.lower() == ".json":
+                write(json.dumps(_jsonable(trajectory_to_json(traj)), indent=2) + "\n")
+            else:
+                write(trajectory_to_csv(traj))
+    if out:
+        _echo(f"wrote {out}")
         return
     if as_json:
         payload = _base_payload("simulate", None, decides_rank=False)
@@ -416,9 +450,12 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
 def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
     """Search for a scheduling signal revealing the state on a window."""
     sys_ = _read_system(system_file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rank_rtol)
+    with _output_files(*[out] if out else []) as write:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rank_rtol)
+        if found and out:
+            write(serialize_signal(found[0]))
     diagnostics = [str(w.message) for w in caught]
     if as_json:
         payload = _base_payload("reveal", rank_rtol)
@@ -443,7 +480,6 @@ def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
         else:
             _echo(f"found a revealing scheduling on window {found[1]}")
     if found and out:
-        _write_text(out, serialize_signal(found[0]))
         _echo(f"wrote {out}", err=as_json)
 
 

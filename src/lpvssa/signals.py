@@ -133,10 +133,11 @@ class Signal:
 
         DT: the step index ``int(t)`` (fractional times truncate toward
         zero), which must lie in ``0 .. n_samples - 1``; InputError if it
-        does not or if ``t`` is not finite.  CT piecewise-constant: the
-        left-continuous step function (jumps at mesh nodes take the older
-        value), the first value before ``t = 0`` and the last one held
-        beyond the final node.  CT piecewise-linear: linear interpolation
+        does not or if ``t`` is not finite.  CT times must be finite
+        (InputError if not).  CT piecewise-constant: the left-continuous
+        step function (jumps at mesh nodes take the older value), the
+        first value before ``t = 0`` and the last one held beyond the
+        final node.  CT piecewise-linear: linear interpolation
         (``np.interp``, once per dimension), the endpoint values outside
         the mesh.
         """
@@ -150,6 +151,8 @@ class Signal:
                 )
             return self.values[ts.astype(np.int64)]
         ts = ts.astype(float)
+        if not np.isfinite(ts).all():
+            raise InputError(f"time {ts[~np.isfinite(ts)][0]:g} is not finite")
         if self.interpolation == PIECEWISE_CONSTANT:
             idx = np.searchsorted(self.times, ts, side="left") - 1
             return self.values[np.maximum(idx, 0)]

@@ -9,6 +9,21 @@ import itertools
 import numpy as np
 
 
+def two_level_bound(M, X0, c):
+    """``2 gamma_{k (n+1)} Z_k`` of the ``simulation._propagate`` docstring, at every node ``k``.
+
+    The componentwise distance allowed between the two-level propagation
+    and the exact loop of ``X_{k+1} = M_k X_k + c_k`` (no ``c``: zero).
+    """
+    u, n = 2.0**-53, M.shape[-1]
+    Z = [np.abs(np.asarray(X0, dtype=float))]
+    for k in range(M.shape[0]):
+        Z.append(np.abs(M[k]) @ Z[-1] + (0.0 if c is None else np.abs(c[k])))
+    j = np.arange(M.shape[0] + 1) * (n + 1) * u
+    gamma = (j / (1.0 - j)).reshape((-1,) + (1,) * np.ndim(X0))
+    return 2.0 * gamma * np.array(Z)
+
+
 def literal_observability_recursion(sys, n):
     """Textbook recursion O_{k+1} = [O_k; O_k A_0; ...; O_k A_np], duplicates kept."""
     O = np.vstack(sys.C.coeffs)

@@ -501,6 +501,48 @@ class TestExitCodes:
         assert f"cannot write {tmp_path / 'missing'}" in result.output
         assert "Traceback" not in result.output
 
+    def test_minimize_leaves_no_document_when_the_sidecar_cannot_be_written(
+        self, runner, data_dir, tmp_path
+    ):
+        out = tmp_path / "ok.json"
+        result = runner.invoke(main, [
+            "minimize", _worked_file(data_dir), "--out", str(out),
+            "--transform-out", str(tmp_path / "missing" / "t.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "cannot write" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_reveal_prints_no_result_when_its_output_cannot_be_written(
+        self, runner, data_dir, tmp_path
+    ):
+        for extra in ([], ["--json"]):
+            result = runner.invoke(main, [
+                "reveal", _minimal_file(data_dir), "--window", "3",
+                "--out", str(tmp_path / "missing" / "p.json"), *extra,
+            ])
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("error: cannot write"), result.output
+            assert "found" not in result.output
+
+    def test_outputs_replace_existing_files_whole(self, runner, data_dir, tmp_path):
+        out, sidecar, traj = (tmp_path / name for name in ("m.json", "t.json", "x.csv"))
+        for path in (out, sidecar, traj):
+            path.write_text("stale")
+        result = runner.invoke(main, [
+            "minimize", _worked_file(data_dir), "--out", str(out), "--transform-out", str(sidecar),
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "simulate", _worked_file(data_dir), "--p", str(data_dir / "scheduling_zero.json"),
+            "--horizon", "3", "--out", str(traj),
+        ])
+        assert result.exit_code == 0, result.output
+        assert parse_system(out.read_text()).n_x == 2
+        assert json.loads(sidecar.read_text())["o"] == 2
+        assert traj.read_text().startswith("t,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json", "x.csv"]
+
     def test_missing_file_is_input_error(self, runner):
         result = runner.invoke(main, ["check", "/nonexistent/sys.json"])
         assert result.exit_code == 2

@@ -33,21 +33,11 @@ from oracles import (
     ct_reference_simulation,
     ct_reference_transition,
     rk4_maps_full_horizon,
+    two_level_bound,
 )
 from test_inplace_kernels import _plain_loop
 
 MIXED = "mixed"  # batch members alternate between the two rules
-
-
-def _two_level_bound(M, X0, c):
-    """``2 gamma_{k (n+1)} Z_k`` of the ``_propagate`` docstring, at every node ``k``."""
-    u, n = 2.0**-53, M.shape[-1]
-    Z = [np.abs(np.asarray(X0, dtype=float))]
-    for k in range(M.shape[0]):
-        Z.append(np.abs(M[k]) @ Z[-1] + (0.0 if c is None else np.abs(c[k])))
-    j = np.arange(M.shape[0] + 1) * (n + 1) * u
-    gamma = (j / (1.0 - j)).reshape((-1,) + (1,) * np.ndim(X0))
-    return 2.0 * gamma * np.array(Z)
 
 
 class TestTwoLevelPropagate:
@@ -77,7 +67,7 @@ class TestTwoLevelPropagate:
             assert np.array_equal(exact, _plain_loop(M, X0, c))
         chunked = _propagate(M, X0, c, L)
         assert chunked.shape == exact.shape == (K + 1,) + X0.shape
-        assert np.all(np.abs(chunked - exact) <= _two_level_bound(M, X0, c))
+        assert np.all(np.abs(chunked - exact) <= two_level_bound(M, X0, c))
 
     def test_batch_members_round_as_their_own_propagation(self):
         rng = np.random.default_rng(400)

@@ -130,6 +130,17 @@ class TestValuesAt:
             with pytest.raises(InputError, match="outside the signal range 0..2"):
                 sig.values_at(np.array([t, 0.0]))
 
+    @pytest.mark.parametrize("rule", [PIECEWISE_CONSTANT, PIECEWISE_LINEAR])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ct_time_is_input_error_without_warnings(self, rule, t):
+        sig = _ct(rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="is not finite"):
+                sig.value_at(t)
+            with pytest.raises(InputError, match="is not finite"):
+                sig.values_at([0.0, 1.0, t])
+
 
 def _table(tree, name):
     for node in tree.body:
