@@ -365,19 +365,20 @@ class RcCertificate:
     - ``"undecided"``: the box budget ran out with neither.
       ``sigma_min_bound`` is the smallest lower bound left open and
       ``box`` (rows: lower and upper corner) the box that holds it.
+      Deciding nonsingularity on a box is NP-hard in general (Poljak &
+      Rohn 1993), so a bounded search with this honest third verdict is
+      deliberate.
 
     ``holds`` is true only for ``"certified"`` and ``"not-applicable"``.
-    Every DT certificate carries ``grid_per_axis``, the grid of the
-    sign-change search, and ``boxes``.  With one scheduling variable
-    ``det_poly_1d`` holds the coefficients of ``det A(p)`` (constant
-    first) as evidence; it decides nothing.
+    Every DT certificate carries ``boxes``, the boxes visited.  With one
+    scheduling variable ``det_poly_1d`` holds the coefficients of ``det
+    A(p)`` (constant first) as evidence; it decides nothing.
     """
 
     convex_ok: bool
     dt_invertibility: str
     witness: np.ndarray = None
     det_poly_1d: np.ndarray = None
-    grid_per_axis: int = None
     boxes: int = None
     sigma_min_bound: float = None
     box: np.ndarray = None
@@ -399,7 +400,7 @@ def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
     return RcCertificate(True, "refuted-with-witness", witness=witness, boxes=boxes)
 
 
-def _rc_boxes(sys: LpvSsa, grid_per_axis: int, diagonal) -> RcCertificate:
+def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
     """Decide DT invertibility of ``A(p)`` on the box by branch and bound.
 
     A box with centre ``c`` and half-widths ``r`` satisfies, by Weyl's
@@ -412,15 +413,20 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int, diagonal) -> RcCertificate:
     corners).  A box is certified when the lower bound exceeds
     ``SINGULARITY_RTOL`` times the upper one; every other box is bisected
     along the axis of largest ``r_i ||A_i||_2``.  Each frontier of boxes
-    costs one ``at_points`` call and one stacked SVD.
+    costs one ``at_points`` call at its centres and one stacked SVD (plus
+    the stacked determinant of its open boxes), so the work per box is
+    polynomial in ``n_x`` and ``n_p``.
 
     A witness comes from a box centre that fails the scaled test, or from
-    a sign change of ``det A`` between the uncertified centres and, once
-    the root box is open, the ``grid_per_axis`` grid, resolved by
-    :func:`_segment_witness`.  When the root box yields neither, the roots
-    of ``det A`` along the region's main diagonal are tried, which finds
-    roots of even multiplicity on it (for ``n_p = 1`` the diagonal is the
-    interval itself); ``diagonal()`` returns their interpolant.  When the
+    a sign change of ``det A`` between two open box centres of a
+    frontier, resolved by :func:`_segment_witness`.  When the root box is
+    open, the roots of ``det A`` along the region's main diagonal are
+    tried too, which also finds roots of even multiplicity on it (for
+    ``n_p = 1`` the diagonal is the interval itself); ``diagonal()``
+    returns their interpolant.  No other point is evaluated.  Deciding
+    nonsingularity on a box is NP-hard in general (Poljak & Rohn,
+    "Checking robust nonsingularity is NP-hard", Math. Control Signals
+    Systems 6, 1993), so the search is bounded instead: when the
     ``RC_MAX_BOXES`` budget runs out, or a box is too small for its bound
     to tighten, Newton steps from the worst box get a last try before the
     verdict is ``"undecided"``.
@@ -447,15 +453,11 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int, diagonal) -> RcCertificate:
                 True, "certified", boxes=boxes, sigma_min_bound=float(certified_min)
             )
         centres, radii, lower = centres[open_], radii[open_], lower[open_]
-        points, dets = centres, np.linalg.det(As[open_])
-        if boxes == 1:
-            grid = sys.region.grid(grid_per_axis)
-            points = np.vstack([points, grid])
-            dets = np.concatenate([dets, np.linalg.det(sys.A.at_points(grid))])
+        dets = np.linalg.det(As[open_])
         i, j = np.argmax(dets), np.argmin(dets)
         witness = None
         if dets[i] > 0.0 > dets[j]:
-            a, b = points[j], points[i]
+            a, b = centres[j], centres[i]
             witness = _segment_witness(sys, a, b, _det_on_segment(sys, a, b))
         if witness is None and boxes == 1:  # roots of even multiplicity
             witness = _segment_witness(sys, lo, hi, diagonal())
@@ -483,7 +485,7 @@ def _rc_boxes(sys: LpvSsa, grid_per_axis: int, diagonal) -> RcCertificate:
     )
 
 
-def check_rc(sys: LpvSsa, grid_per_axis: int = 10) -> RcCertificate:
+def check_rc(sys: LpvSsa) -> RcCertificate:
     """Regularity certificate: region shape plus DT invertibility of ``A(p)``.
 
     CT systems only need the region to be convex with nonempty interior,
@@ -491,27 +493,28 @@ def check_rc(sys: LpvSsa, grid_per_axis: int = 10) -> RcCertificate:
     deterministic (no random draw) and never a pass without a proof: for
     every ``n_p`` the Weyl-bound box search of :func:`_rc_boxes`
     certifies, refutes with a verified witness (a failing box centre, or a
-    root of ``det A`` between points of opposite sign on the
-    ``grid_per_axis`` grid or among open box centres, or on the region's
-    main diagonal), or returns ``"undecided"`` with its smallest bound.
-    With one scheduling variable the certificate also reports the
-    coefficients of ``det A(p)`` (``det_poly_1d``).
+    root of ``det A`` between open box centres of opposite sign or on the
+    region's main diagonal), or returns ``"undecided"`` with its smallest
+    bound.  Each frontier of boxes costs one ``at_points`` call and one
+    stacked SVD.  Deciding nonsingularity on a box is NP-hard in general
+    (Poljak & Rohn 1993), so the ``RC_MAX_BOXES`` budget and the
+    ``"undecided"`` verdict are deliberate.  With one scheduling variable
+    the certificate also reports the coefficients of ``det A(p)``
+    (``det_poly_1d``).
     """
     convex_ok = sys.region.has_interior()
     if sys.domain == TimeDomain.CT:
         return RcCertificate(convex_ok=convex_ok, dt_invertibility="not-applicable")
-    if grid_per_axis < 1:
-        raise InputError("grid_per_axis must be positive")
     lo, hi = sys.region.lower, sys.region.upper
     diagonal = cache(partial(_det_on_segment, sys, lo, hi))  # interpolated at most once
     if sys.n_x == 0:  # the minimum over no singular value is +inf
         cert = RcCertificate(True, "certified", boxes=0, sigma_min_bound=np.inf)
     else:
-        cert = _rc_boxes(sys, grid_per_axis, diagonal)
+        cert = _rc_boxes(sys, diagonal)
     if sys.n_p == 1:  # reported evidence; the box search decided
         det = np.polynomial.Chebyshev(diagonal().coef, domain=[lo[0], hi[0]])
         cert = replace(cert, det_poly_1d=det.convert(kind=np.polynomial.Polynomial).coef)
-    return replace(cert, convex_ok=convex_ok, grid_per_axis=grid_per_axis)
+    return replace(cert, convex_ok=convex_ok)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ work, and output files appear only whole, once every one is written; a
 command that fails prints no result and leaves no file.  Every rank
 decision runs through the polynomial-time observability kernel, so no
 command builds a capped matrix.  Every command is deterministic given its files and flags.
-Machine-readable output (``--json``) carries the tool version and the
-tolerances that ran.  The ``--rank-rtol`` flag overrides the rank floor
-(``1e-10`` relative); a floor that is negative or not finite is an input
-error.
+Machine-readable output (``--json``) carries the payload's
+``schema_version``, the tool version and the tolerances that ran.  The
+``--rank-rtol`` flag overrides the rank floor (``1e-10`` relative); a
+floor that is negative or not finite is an input error.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .io import (
 from .reduction import minimize as _minimize_op
 from .signals import Signal
 from .simulation import _check_window, simulate_ct, simulate_dt
+
+# version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
+# it changes whenever a payload key is added, removed or renamed
+PAYLOAD_SCHEMA_VERSION = "1"
 
 
 def _guard(fn):
@@ -141,13 +145,19 @@ def _emit_json(payload: dict) -> None:
 
 
 def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict:
-    """Version, command and tolerances; ``rank_rtol_used`` is the rank floor
-    that decided the verdicts (commands that decide no rank omit it)."""
+    """Schema version, tool version, command and tolerances; ``rank_rtol_used``
+    is the rank floor that decided the verdicts (commands that decide no
+    rank omit it)."""
     tolerances = {"rank_rtol": rank_rtol}
     if decides_rank:
         tolerances["rank_rtol_used"] = _rank_floor(rank_rtol)
     tolerances["singularity_rtol"] = SINGULARITY_RTOL
-    return {"version": __version__, "command": command, "tolerances": tolerances}
+    return {
+        "schema_version": PAYLOAD_SCHEMA_VERSION,
+        "version": __version__,
+        "command": command,
+        "tolerances": tolerances,
+    }
 
 
 def _rc_payload(rc) -> dict:
@@ -157,7 +167,6 @@ def _rc_payload(rc) -> dict:
         "holds": rc.holds,
         "witness": rc.witness,
         "det_poly_1d": rc.det_poly_1d,
-        "grid_per_axis": rc.grid_per_axis,
     }
 
 
@@ -195,13 +204,6 @@ _rank_rtol_option = click.option(
 _json_option = click.option(
     "--json", "as_json", is_flag=True, help="Machine-readable output."
 )
-_grid_option = click.option(
-    "--grid",
-    default=10,
-    show_default=True,
-    help="Points per axis of the grid searched for a sign change of det A(p) once the "
-    "whole region fails Weyl's bound (DT regularity).",
-)
 
 
 @click.group()
@@ -212,16 +214,15 @@ def main():
 
 @main.command()
 @click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@_grid_option
 @_rank_rtol_option
 @_json_option
 @_guard
-def check(system_file, grid, rank_rtol, as_json):
+def check(system_file, rank_rtol, as_json):
     """Observability, span-reachability, and regularity report."""
     sys_ = _read_system(system_file)
     obs, obs_dec = is_observable(sys_, rank_rtol)
     reach, reach_dec = is_span_reachable_from_zero(sys_, rank_rtol)
-    rc = check_rc(sys_, grid)
+    rc = check_rc(sys_)
     if as_json:
         payload = _base_payload("check", rank_rtol)
         payload["tolerances"]["observability_tolerance_used"] = obs_dec.tolerance_used
@@ -257,11 +258,10 @@ def check(system_file, grid, rank_rtol, as_json):
     default=None,
     help="Transform sidecar path [default: OUT with a .transform.json suffix].",
 )
-@_grid_option
 @_rank_rtol_option
 @_json_option
 @_guard
-def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
+def minimize(system_file, out, transform_out, rank_rtol, as_json):
     """Observability reduction; minimal realization under regularity."""
     sys_ = _read_system(system_file)
     out_path = Path(out)
@@ -271,7 +271,7 @@ def minimize(system_file, out, transform_out, grid, rank_rtol, as_json):
         else out_path.with_name(out_path.stem + ".transform.json")
     )
     with _output_files(out_path, sidecar) as write:
-        result = _minimize_op(sys_, grid_per_axis=grid, rtol=rank_rtol)
+        result = _minimize_op(sys_, rtol=rank_rtol)
         write(
             serialize_system(result.reduced),
             serialize_transform(

@@ -168,10 +168,11 @@ class SchedulingRegion:
     """Axis-aligned box in R^{n_p} of admissible scheduling values.
 
     The theory only needs a convex set with nonempty interior; boxes are
-    the supported subset because they admit exact vertex and grid
-    enumeration.  ``lower[i] < upper[i]`` is reported by :meth:`~LpvSsa.validate`
-    rather than enforced here, so degenerate boxes can be constructed and
-    then diagnosed.
+    the supported subset because they bisect into boxes, each with a
+    centre and half-widths that bound ``A(p)`` on it (see
+    ``analysis.check_rc``).  ``lower[i] < upper[i]`` is reported by
+    :meth:`~LpvSsa.validate` rather than enforced here, so degenerate
+    boxes can be constructed and then diagnosed.
     """
 
     lower: np.ndarray
@@ -209,17 +210,6 @@ class SchedulingRegion:
         if size is None:
             return rng.uniform(self.lower, self.upper)
         return rng.uniform(self.lower, self.upper, size=(size, self.n_p))
-
-    def grid(self, points_per_axis: int) -> np.ndarray:
-        """Tensor grid with ``points_per_axis`` points per axis, shape (m, n_p)."""
-        if points_per_axis < 1:
-            raise InputError("points_per_axis must be positive")
-        axes = [
-            np.linspace(self.lower[i], self.upper[i], points_per_axis)
-            for i in range(self.n_p)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)

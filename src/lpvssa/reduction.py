@@ -90,12 +90,7 @@ def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResu
     return ReductionResult(reduced=reduced, transform_T=T, projection_Pi=Pi, o=o)
 
 
-def minimize(
-    sys: LpvSsa,
-    *,
-    grid_per_axis: int = 10,
-    rtol: float = None,
-) -> ReductionResult:
+def minimize(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
     """Observability reduction with the minimality claim made explicit.
 
     Minimality of the observable reduction is only guaranteed under the
@@ -104,11 +99,11 @@ def minimize(
     (``"certified"``, or ``"not-applicable"`` in CT), and ``"observable
     reduction only"`` when regularity is refuted or undecided.
     (Without regularity an observable system can still admit a smaller
-    realization of the same behavior.)  ``grid_per_axis`` is the sign grid
-    of :func:`check_rc`; ``rtol`` overrides the rank floor of the reduction.
+    realization of the same behavior.)  ``rtol`` overrides the rank floor
+    of the reduction.
     """
     result = observability_reduction(sys, rtol=rtol)
-    rc = check_rc(sys, grid_per_axis)
+    rc = check_rc(sys)
     flag = "minimal (behavioral)" if rc.holds else "observable reduction only"
     return replace(result, minimality=flag, rc=rc)
 

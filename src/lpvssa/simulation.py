@@ -210,9 +210,9 @@ def integration_mesh(t_end: float, step: float, *signals: Signal) -> np.ndarray:
     return mesh
 
 
-def _matvec(Ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Products ``Ms[..., :, :] @ vs[..., :]`` of a matrix and a vector stack."""
-    return np.matmul(Ms, vs[..., None])[..., 0]
+def _matvec(Ms: np.ndarray, vs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Products ``Ms[..., :, :] @ vs[..., :]`` of a matrix and a vector stack (into ``out``)."""
+    return np.matmul(Ms, vs[..., None], None if out is None else out[..., None])[..., 0]
 
 
 def _propagate(M: np.ndarray, X0, c: np.ndarray = None, chunk: int = 1) -> np.ndarray:
@@ -226,9 +226,10 @@ def _propagate(M: np.ndarray, X0, c: np.ndarray = None, chunk: int = 1) -> np.nd
     buffer and one ``np.add`` of buffer and ``c_k`` into the row (an add
     in place on the row is markedly slower when the row has one element,
     ``n_x = 1``).  The product is ``np.dot`` (the BLAS kernel of ``@``)
-    for a ``(K, n, n)`` stack, and ``np.matmul`` for a batch ``(K, B, n,
-    n)`` with ``X0`` of shape ``(B, n, m)``; each batch slice then rounds
-    as ``np.dot`` would on it.
+    for a ``(K, n, n)`` stack, and for a batch ``(K, B, n, n)`` it is
+    ``np.matmul`` with matrix states ``X0`` of shape ``(B, n, m)``, or
+    :func:`_matvec` with vector states of shape ``(B, n)``; each batch
+    slice then rounds as ``np.dot`` would on it.
 
     With ``chunk = L > 1`` (see :func:`_chunk`) the steps are composed in
     two levels, in about ``3 L + K / L`` calls instead of ``K``.  The
@@ -273,7 +274,7 @@ def _propagate(M: np.ndarray, X0, c: np.ndarray = None, chunk: int = 1) -> np.nd
             if hit.any():
                 out[:, hit] = _propagate(M[:, hit], X0[hit], None if c is None else c[:, hit])
     start = G * chunk
-    product = np.dot if M.ndim == 3 else np.matmul
+    product = np.dot if M.ndim == 3 else _matvec if X0.ndim == 2 else np.matmul
     if c is None:
         for Mk, X, row in zip(M[start:], out[start:], out[start + 1 :]):
             product(Mk, X, row)
@@ -472,13 +473,25 @@ def _window(sys: LpvSsa, s: _Samples):
 
 
 def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
-    """Sample times, states and outputs of the validated window from ``x0``."""
+    """Sample times, states and outputs of the validated window from ``x0``.
+
+    A trajectory that overflows is an InputError naming the first sample
+    (DT step or CT mesh node) whose state, or else output, is not finite;
+    that check replaces numpy's overflow warnings, which are silenced.
+    """
     _check_signals(sys, p, horizon, u)
     x0 = _check_x0(sys, x0)
     s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
     M, c = _step_maps(sys, s)
-    xs = _propagate(M, x0, c, _chunk(M.shape[0], sys.n_x))
-    return s.times, xs, _outputs(sys, s.P, sys.C.at_points(s.P), s.U, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = _propagate(M, x0, c, _chunk(M.shape[0], sys.n_x))
+        ys = _outputs(sys, s.P, sys.C.at_points(s.P), s.U, xs)
+    for name, values in (("state", xs), ("output", ys)):
+        if not np.isfinite(values).all():  # the row search only on failure: it is slower
+            k = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise InputError(f"the trajectory overflows: the {name} at step {k} "
+                             f"(t = {float(s.times[k])!r}) is not finite")
+    return s.times, xs, ys
 
 
 def _distinct_steps(values: np.ndarray) -> tuple:

@@ -9,6 +9,12 @@ import itertools
 import numpy as np
 
 
+def region_grid(region, points_per_axis):
+    """Tensor grid of a box region, ``points_per_axis`` points per axis, shape ``(m, n_p)``."""
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in zip(region.lower, region.upper)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def two_level_bound(M, X0, c):
     """``2 gamma_{k (n+1)} Z_k`` of the ``simulation._propagate`` docstring, at every node ``k``.
 

@@ -276,9 +276,8 @@ class TestCheckRc:
     def test_multivariate_certified(self):
         rng = np.random.default_rng(11)
         sys = random_system(rng, n_x=3, n_p=2, rc_shift=2.0)
-        cert = check_rc(sys, grid_per_axis=5)
+        cert = check_rc(sys)
         assert cert.dt_invertibility == "certified"
-        assert cert.grid_per_axis == 5
         assert cert.boxes == 1 and cert.sigma_min_bound > 0
         assert cert.holds
 
@@ -293,13 +292,13 @@ class TestCheckRc:
             [A0, A1, A2], [Z, Z, Z], [C, C, C],
             [[[0.0]], [[0.0]], [[0.0]]], ([-1.0, -1.0], [1.0, 1.0]), "dt",
         )
-        cert = check_rc(sys, grid_per_axis=5)
+        cert = check_rc(sys)
         assert cert.dt_invertibility == "refuted-with-witness"
         assert abs(cert.witness[0]) < 1e-9
 
     def test_deterministic(self, worked_example):
-        c1 = check_rc(worked_example, 7)
-        c2 = check_rc(worked_example, 7)
+        c1 = check_rc(worked_example)
+        c2 = check_rc(worked_example)
         assert c1.dt_invertibility == c2.dt_invertibility
         assert np.array_equal(c1.det_poly_1d, c2.det_poly_1d)
 

@@ -22,6 +22,7 @@ from lpvssa.cli import _rc_text, main
 from lpvssa.io import serialize_system
 
 from conftest import random_system
+from oracles import region_grid
 
 
 def pointwise_singular(sys, p):
@@ -30,24 +31,27 @@ def pointwise_singular(sys, p):
     return s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]
 
 
-def reference_points(sys, grid_per_axis, seed=12345):
-    """Tensor grid plus ``10 * grid**n_p`` uniform draws."""
+def reference_points(sys, points_per_axis, seed=12345):
+    """Tensor grid plus ``10 * points_per_axis**n_p`` uniform draws."""
     rng = np.random.default_rng(seed)
     return np.vstack(
-        [sys.region.grid(grid_per_axis), sys.region.sample(rng, 10 * grid_per_axis**sys.n_p)]
+        [
+            region_grid(sys.region, points_per_axis),
+            sys.region.sample(rng, 10 * points_per_axis**sys.n_p),
+        ]
     )
 
 
-def assert_consistent(sys, grid_per_axis):
-    """The verdict never contradicts the per-point reference."""
-    cert = check_rc(sys, grid_per_axis)
+def assert_consistent(sys, points_per_axis):
+    """The verdict never contradicts the per-point reference on ``points_per_axis``."""
+    cert = check_rc(sys)
     if cert.dt_invertibility == "refuted-with-witness":
         assert sys.region.contains(cert.witness)
         assert pointwise_singular(sys, cert.witness)
         assert _singular_mask(sys.A.at_points(cert.witness[None]))[0]
         assert not cert.holds
     elif cert.dt_invertibility == "certified":
-        pts = reference_points(sys, grid_per_axis)
+        pts = reference_points(sys, points_per_axis)
         assert not any(pointwise_singular(sys, p) for p in pts)
         s_min = np.linalg.svd(sys.A.at_points(pts), compute_uv=False)[:, -1]
         assert 0.0 < cert.sigma_min_bound <= s_min.min()
@@ -160,24 +164,26 @@ class TestBoxDecision:
             assert cert.boxes == 1
 
     def test_singular_hyperplane_on_grid(self):
-        # grid 5 on [-1, 1] has p_1 = 0.5 as a node
+        # the 5-point reference grid on [-1, 1] has p_1 = 0.5 as a node; the
+        # search finds it where the region's main diagonal crosses it
         for n_p in (2, 3):
             cert = assert_consistent(diagonal_line(n_p, 0.5), 5)
             assert cert.dt_invertibility == "refuted-with-witness"
             assert abs(cert.witness[0] - 0.5) <= 1e-12
 
     def test_singular_hyperplane_off_grid(self):
-        # no grid point or box centre lies on p_1 = 0.123456789; the sign
-        # change of det across it is resolved on a segment
+        # no reference grid point or box centre lies on p_1 = 0.123456789;
+        # the sign change of det across it is resolved on a segment
         for n_p in (2, 3):
-            for grid in (2, 5, 10):
-                cert = assert_consistent(diagonal_line(n_p, 0.123456789), grid)
+            for points_per_axis in (2, 5, 10):
+                cert = assert_consistent(diagonal_line(n_p, 0.123456789), points_per_axis)
                 assert cert.dt_invertibility == "refuted-with-witness"
                 assert abs(cert.witness[0] - 0.123456789) <= 1e-12
 
-    def test_grid_sign_change_refutes_within_one_box(self, monkeypatch):
+    def test_diagonal_sign_change_refutes_within_one_box(self, monkeypatch):
         # no budget beyond the root box and no Newton step: only the sign
-        # change of det on the grid can find the line p_1 = 0.123456789
+        # change of det along the region's main diagonal can find the line
+        # p_1 = 0.123456789
         monkeypatch.setattr(analysis, "RC_MAX_BOXES", 1)
         monkeypatch.setattr(analysis, "RC_NEWTON_STEPS", 0)
         for n_p in (2, 3):
@@ -220,7 +226,7 @@ class TestSweeps:
         for _ in range(200):
             n_p, n_x = int(rng.integers(2, 4)), int(rng.integers(2, 9))
             sys = random_system(rng, n_p=n_p, n_x=n_x, rc_shift=0)
-            dets = np.linalg.det(sys.A.at_points(sys.region.grid(15)))
+            dets = np.linalg.det(sys.A.at_points(region_grid(sys.region, 15)))
             if not dets.max() > 0 > dets.min():
                 continue
             changed += 1
@@ -256,7 +262,7 @@ class TestSweeps:
         for sys in systems:
             check_rc(sys)
         with pytest.raises(TypeError):
-            check_rc(systems[0], 10, seed=1)
+            check_rc(systems[0], seed=1)
 
 
 class TestNewton:
@@ -269,7 +275,7 @@ class TestNewton:
 
     def test_regular_system_gives_none(self):
         sys = random_system(np.random.default_rng(7), n_p=2, n_x=3, rc_shift=2.0)
-        assert analysis._newton_witness(sys, sys.region.grid(3)) is None
+        assert analysis._newton_witness(sys, region_grid(sys.region, 3)) is None
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -414,18 +420,14 @@ class TestOnePath:
             if one.witness is not None:
                 assert one.witness[0] == two.witness[0]
             for cert in (one, two):
-                assert cert.grid_per_axis == 10 and cert.boxes >= 1
+                assert cert.boxes >= 1
                 if cert.dt_invertibility != "refuted-with-witness":
                     assert cert.sigma_min_bound is not None
-
-    def test_grid_below_one_rejected_for_one_variable(self, worked_example):
-        with pytest.raises(InputError):
-            check_rc(worked_example, 0)
 
     def test_worked_example_carries_box_evidence(self, worked_example):
         cert = check_rc(worked_example)
         assert cert.dt_invertibility == "certified"
-        assert cert.boxes >= 1 and cert.grid_per_axis == 10
+        assert cert.boxes >= 1
         assert 0.0 < cert.sigma_min_bound
         assert _rc_text(cert).startswith("regularity: certified (sigma_min(A(p)) >= ")
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -86,15 +87,33 @@ class TestCheck:
             runner.invoke(main, ["check", _worked_file(data_dir), "--json"]).output
         )
         assert set(doc) == {
-            "version", "command", "tolerances", "n_x",
+            "schema_version", "version", "command", "tolerances", "n_x",
             "observable", "observability_rank", "observability_singular_values",
             "span_reachable_from_zero", "reachability_rank",
             "reachability_singular_values", "rc",
         }
         assert set(doc["rc"]) == {
             "convex_ok", "dt_invertibility", "holds", "witness",
-            "det_poly_1d", "grid_per_axis",
+            "det_poly_1d",
         }
+
+    def test_every_payload_carries_the_schema_version(self, runner, data_dir, tmp_path):
+        from lpvssa.cli import PAYLOAD_SCHEMA_VERSION
+
+        W, M = _worked_file(data_dir), _minimal_file(data_dir)
+        P = str(data_dir / "scheduling_zero.json")
+        commands = [
+            ["check", W],
+            ["minimize", W, "--out", str(tmp_path / "m.json")],
+            ["iso", M, M],
+            ["simulate", W, "--p", P, "--horizon", "3"],
+            ["equiv", W, M, "--trials", "2"],
+            ["reveal", M, "--window", "3"],
+        ]
+        for args in commands:
+            result = runner.invoke(main, [*args, "--json"])
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["schema_version"] == PAYLOAD_SCHEMA_VERSION
 
 
 class TestRankTolOverrides:
@@ -542,6 +561,46 @@ class TestExitCodes:
         assert json.loads(sidecar.read_text())["o"] == 2
         assert traj.read_text().startswith("t,")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.json", "x.csv"]
+
+    def test_overflowing_simulation_names_the_first_non_finite_step(
+        self, runner, data_dir, tmp_path
+    ):
+        # every A(p) of worked_minimal on [0, 1] has an eigenvalue of at least
+        # 2 + sqrt(5), so 2000 steps from (1, 0) overflow
+        from lpvssa import Signal
+        from lpvssa.io import serialize_signal
+
+        values = np.random.default_rng(0).uniform(0.0, 1.0, (2001, 1))
+        p = tmp_path / "p.json"
+        p.write_text(serialize_signal(Signal.dt(values)))
+        sys_ = parse_system((data_dir / "worked_minimal.json").read_text())
+        x, first = np.array([1.0, 0.0]), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, q in enumerate(values[:-1], start=1):
+                x = sys_.A(q) @ x
+                if not np.all(np.isfinite(x)):
+                    first = k
+                    break
+        assert first is not None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "simulate", _minimal_file(data_dir), "--p", str(p),
+                "--horizon", "2000", "--x0", "1,0",
+            ])
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error: the trajectory overflows: the state at step {first} "
+            f"(t = {float(first)!r}) is not finite\n"
+        )
+
+    def test_grid_option_is_gone(self, runner, data_dir, tmp_path):
+        for args in (["check", _worked_file(data_dir)],
+                     ["minimize", _worked_file(data_dir), "--out", str(tmp_path / "m.json")]):
+            result = runner.invoke(main, [*args, "--grid", "5"])
+            assert result.exit_code == 2
+            assert "No such option '--grid'" in result.output
 
     def test_missing_file_is_input_error(self, runner):
         result = runner.invoke(main, ["check", "/nonexistent/sys.json"])

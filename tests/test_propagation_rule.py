@@ -203,3 +203,26 @@ class TestOverflowRunsTheExactLoop:
         assert np.array_equal(X[:, 1], _propagate(M[:, 1], X0[1], None, 1))
         for b in (0, 2):
             assert np.array_equal(X[:, b], _propagate(M[:, b], X0[b], None, L))
+
+
+class TestBatchedVectorStates:
+    """A batch of vector states ``(B, n)`` under maps ``(K, B, n, n)``."""
+
+    @pytest.mark.parametrize("steps", [20, 301], ids=["exact-loop", "two-level"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_each_member_is_its_own_propagation(self, steps, forced):
+        rng = np.random.default_rng(steps)
+        n, B = 3, 4
+        M = 0.5 * rng.standard_normal((steps, B, n, n))
+        X0 = rng.standard_normal((B, n))
+        c = rng.standard_normal((steps, B, n)) if forced else None
+        L = _chunk(steps, n)
+        if steps < _CROSSOVER:
+            assert L == 1
+        else:
+            assert L > 1 and steps % L  # a tail after the chunks runs the exact loop
+        X = _propagate(M, X0, c, L)
+        assert X.shape == (steps + 1, B, n)
+        for b in range(B):
+            own = _propagate(M[:, b], X0[b], None if c is None else c[:, b], L)
+            assert np.array_equal(X[:, b], own)
