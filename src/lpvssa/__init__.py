@@ -14,7 +14,6 @@ from .analysis import (
     RcCertificate,
     check_rc,
     extended_observability_matrix,
-    extended_reachability_matrix,
     find_revealing_scheduling,
     freeze_scheduling,
     is_observable,
@@ -37,7 +36,7 @@ from .equivalence import (
     find_isomorphism,
     match_initial_state,
 )
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 from .reduction import (
     ReductionResult,
     minimize,
@@ -66,7 +65,6 @@ __all__ = [
     "RcCertificate",
     "LtvSystem",
     "extended_observability_matrix",
-    "extended_reachability_matrix",
     "unobservable_subspace",
     "is_observable",
     "is_span_reachable_from_zero",
@@ -85,5 +83,4 @@ __all__ = [
     "match_initial_state",
     "behavior_equivalence_empirical",
     "InputError",
-    "ResourceCapError",
 ]

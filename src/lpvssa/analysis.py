@@ -11,9 +11,11 @@ SVD that decides a rank, and :func:`_rank_floor` resolves the floor for
 it, the least-squares solves and the CLI.  Window observability
 (:func:`ltv_window_observability`) thresholds the stacked ``C Phi`` map of
 ``simulation._window`` at the same floor, in DT and CT alike.  The
-explicit extended matrices (:func:`extended_observability_matrix`,
-:func:`extended_reachability_matrix`) have ``(n_p + 1)^n`` blocks; they
-are kept as builders for tests and export and decide nothing.
+explicit extended observability matrix
+(:func:`extended_observability_matrix`) has ``(n_p + 1)^n`` blocks; it is
+kept as a builder for tests and export and decides nothing.  Reachability
+has no builder of its own: the extended reachability matrix of ``sys`` is
+``extended_observability_matrix(transpose_dual(sys), n).T``.
 Invertibility of ``A(p)`` is judged by the scaled SVD test at
 ``SINGULARITY_RTOL``, and :func:`check_rc` decides it on the whole region
 by branch and bound on boxes, with no random draw.  Orthonormal bases returned
@@ -30,7 +32,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import LpvSsa, TimeDomain, transpose_dual
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 from .signals import Signal, random_scheduling
 from .simulation import _check_signals, _check_window, _grid, _sample, _window
 
@@ -39,7 +41,6 @@ __all__ = [
     "RcCertificate",
     "LtvSystem",
     "extended_observability_matrix",
-    "extended_reachability_matrix",
     "unobservable_subspace",
     "is_observable",
     "is_span_reachable_from_zero",
@@ -114,7 +115,7 @@ def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
     for _ in range(n):
         total += level.shape[0] * (sys.n_p + 1)
         if total * width > max_entries:
-            raise ResourceCapError(
+            raise InputError(
                 f"extended matrix would hold {total * width} entries "
                 f"(cap {max_entries}); use the subspace-iteration path "
                 "(unobservable_subspace / is_observable)"
@@ -139,21 +140,13 @@ def extended_observability_matrix(
 
     Raises
     ------
-    ResourceCapError
-        When the matrix would exceed ``max_entries`` entries.
+    InputError
+        When ``n`` is negative, or the matrix would exceed ``max_entries``
+        entries.
     """
     if n < 0:
         raise InputError("n must be nonnegative")
     return np.vstack(_obs_levels(sys, n, max_entries))
-
-
-def extended_reachability_matrix(
-    sys: LpvSsa, n: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
-) -> np.ndarray:
-    """Extended n-step reachability matrix ``R_n = O_n(dual)^T``."""
-    return extended_observability_matrix(
-        transpose_dual(sys), n, max_entries=max_entries
-    ).T
 
 
 def _threshold(M: np.ndarray, rtol: float = None, *, vectors: bool = True, kernel: bool = False):

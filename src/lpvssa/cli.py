@@ -117,16 +117,8 @@ def _read_system(path) -> LpvSsa:
     return parse_system(_read_text(path))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+# JSON text of a payload: numpy arrays and scalars become lists and numbers
+_dumps = functools.partial(json.dumps, indent=2, default=lambda obj: obj.tolist())
 
 
 def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
@@ -141,7 +133,7 @@ def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    _echo(json.dumps(_jsonable(payload), indent=2))
+    _echo(_dumps(payload))
 
 
 def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict:
@@ -374,7 +366,7 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
             traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
         if out:
             if Path(out).suffix.lower() == ".json":
-                write(json.dumps(_jsonable(trajectory_to_json(traj)), indent=2) + "\n")
+                write(_dumps(trajectory_to_json(traj)) + "\n")
             else:
                 write(trajectory_to_csv(traj))
     if out:

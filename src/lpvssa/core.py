@@ -156,12 +156,6 @@ class AffineMatrixFunction:
         """Coefficient-wise transpose."""
         return AffineMatrixFunction([m.T for m in self.coeffs])
 
-    def allclose(self, other: "AffineMatrixFunction", rtol=1e-12, atol=1e-12) -> bool:
-        return self.n_p == other.n_p and self.shape == other.shape and all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.coeffs, other.coeffs)
-        )
-
 
 @dataclass(frozen=True)
 class SchedulingRegion:
@@ -197,18 +191,12 @@ class SchedulingRegion:
     def has_interior(self) -> bool:
         return bool(np.all(self.lower < self.upper))
 
-    def contains(self, p, atol=0.0) -> bool:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return bool(
-            p.shape == (self.n_p,)
-            and np.all(p >= self.lower - atol)
-            and np.all(p <= self.upper + atol)
-        )
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` uniform draws from the box, shape ``(size, n_p)``.
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Uniform draw(s) from the box; shape (n_p,) or (size, n_p)."""
-        if size is None:
-            return rng.uniform(self.lower, self.upper)
+        Whether a sample lies in the region is decided by one rule, that of
+        ``simulation._check_signals``.
+        """
         return rng.uniform(self.lower, self.upper, size=(size, self.n_p))
 
 
@@ -319,10 +307,6 @@ class LpvSsa:
                 f"lower={self.region.lower[i]} >= upper={self.region.upper[i]}"
             )
         return v
-
-    def matrices_at(self, p):
-        """Evaluate all four matrix functions at one scheduling point."""
-        return self.A(p), self.B(p), self.C(p), self.D(p)
 
     def signature(self) -> tuple:
         """(n_u, n_y, n_p, domain) — what two systems must share to be compared."""

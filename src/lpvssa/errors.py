@@ -1,9 +1,5 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class InputError(ValueError):
     """Raised when an argument violates a documented precondition."""
-
-
-class ResourceCapError(RuntimeError):
-    """Raised when an explicitly built matrix would exceed the entry cap."""

@@ -30,14 +30,6 @@ __all__ = [
 PIECEWISE_CONSTANT = "piecewise-constant"
 PIECEWISE_LINEAR = "piecewise-linear"
 
-_INTERP_ALIASES = {
-    PIECEWISE_CONSTANT: PIECEWISE_CONSTANT,
-    "constant": PIECEWISE_CONSTANT,
-    "zoh": PIECEWISE_CONSTANT,
-    PIECEWISE_LINEAR: PIECEWISE_LINEAR,
-    "linear": PIECEWISE_LINEAR,
-}
-
 
 @dataclass(frozen=True)
 class Signal:
@@ -73,12 +65,11 @@ class Signal:
                 raise InputError("CT mesh must start at t = 0")
             if np.any(np.diff(times) <= 0):
                 raise InputError("CT mesh must be strictly increasing")
-            if interpolation not in _INTERP_ALIASES:
+            if interpolation not in (PIECEWISE_CONSTANT, PIECEWISE_LINEAR):
                 raise InputError(
-                    f"unknown interpolation rule {interpolation!r}; "
-                    f"expected one of {sorted(set(_INTERP_ALIASES))}"
+                    f"unknown interpolation rule {interpolation!r}; expected "
+                    f"{PIECEWISE_CONSTANT!r} or {PIECEWISE_LINEAR!r}"
                 )
-            interpolation = _INTERP_ALIASES[interpolation]
             times = times.copy()
             times.setflags(write=False)
         values = values.copy()

@@ -452,6 +452,10 @@ def _window(sys: LpvSsa, s: _Samples):
     member ``b`` computed as the window of its own signals on the batch's
     sample grid.  Memory grows with ``B``, so callers pass batches of
     bounded size.
+
+    A window that overflows is an InputError naming the first sample at
+    which ``O``, or else ``f``, is not finite (:func:`_check_finite`), in
+    place of numpy's overflow warnings, which are silenced.
     """
     M, c = _step_maps(sys, s)
     C = sys.C.at_points(s.P)
@@ -462,9 +466,11 @@ def _window(sys: LpvSsa, s: _Samples):
         X0, F = np.eye(n, n + 1), np.zeros(c.shape + (n + 1,))
         F[..., n] = c
     X0 = np.broadcast_to(X0, M.shape[1:-1] + X0.shape[1:])
-    X = _propagate(M, X0, F, _chunk(M.shape[0], n))
-    CPhi = C @ np.ascontiguousarray(X[..., :n])
-    f = None if c is None else _outputs(sys, s.P, C, s.U, X[..., n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _propagate(M, X0, F, _chunk(M.shape[0], n))
+        CPhi = C @ np.ascontiguousarray(X[..., :n])
+        f = None if c is None else _outputs(sys, s.P, C, s.U, X[..., n])
+    _check_finite("window", "sample", s.times, ("free response", CPhi), ("forced output", f))
     rows = CPhi.shape[0] * sys.n_y
     if s.P.ndim == 3:  # a batch
         O = np.moveaxis(CPhi, 1, 0).reshape(s.P.shape[1], rows, n)
@@ -476,8 +482,9 @@ def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     """Sample times, states and outputs of the validated window from ``x0``.
 
     A trajectory that overflows is an InputError naming the first sample
-    (DT step or CT mesh node) whose state, or else output, is not finite;
-    that check replaces numpy's overflow warnings, which are silenced.
+    (DT step or CT mesh node) whose state, or else output, is not finite
+    (:func:`_check_finite`); that check replaces numpy's overflow
+    warnings, which are silenced.
     """
     _check_signals(sys, p, horizon, u)
     x0 = _check_x0(sys, x0)
@@ -486,12 +493,22 @@ def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         xs = _propagate(M, x0, c, _chunk(M.shape[0], sys.n_x))
         ys = _outputs(sys, s.P, sys.C.at_points(s.P), s.U, xs)
-    for name, values in (("state", xs), ("output", ys)):
-        if not np.isfinite(values).all():  # the row search only on failure: it is slower
-            k = int(np.argmin(np.isfinite(values).all(axis=1)))
-            raise InputError(f"the trajectory overflows: the {name} at step {k} "
-                             f"(t = {float(s.times[k])!r}) is not finite")
+    _check_finite("trajectory", "step", s.times, ("state", xs), ("output", ys))
     return s.times, xs, ys
+
+
+def _check_finite(what: str, unit: str, times: np.ndarray, *named) -> None:
+    """InputError naming the first sample at which a ``(name, values)`` pair is not finite.
+
+    ``values`` has the samples on its first axis (None is skipped).  The
+    test is one pass over each whole array; the slower search for the
+    first bad sample runs only when it fails.
+    """
+    for name, values in named:
+        if values is not None and not np.isfinite(values).all():
+            k = int(np.argmin(np.isfinite(values).reshape(len(times), -1).all(axis=1)))
+            raise InputError(f"the {what} overflows: the {name} at {unit} {k} "
+                             f"(t = {float(times[k])!r}) is not finite")
 
 
 def _distinct_steps(values: np.ndarray) -> tuple:
@@ -500,27 +517,16 @@ def _distinct_steps(values: np.ndarray) -> tuple:
     Returns ``(first, label)``: ``first`` indexes the first step of each
     group in order of appearance, and step ``i`` equals step
     ``first[label[i]]`` bit for bit (``-0.0`` and ``0.0`` differ).  Steps
-    are grouped by a stable sort of a hash of their bits (their sum
-    weighted by odd constants, modulo ``2**64``); a step that differs from
-    its group's first step (a hash collision) heads a group of its own.
+    are grouped by ``np.unique`` on the bytes of each step, whose indices
+    are those of each group's first step.
     """
-    steps, bits = values.shape[1], values.view(np.uint64)
-    mix = np.arange(1, 2 * values.shape[0], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    tag = mix @ bits
-    order = np.argsort(tag, kind="stable")
-    tag = tag[order]
-    start = np.ones(steps, dtype=bool)
-    np.not_equal(tag[1:], tag[:-1], out=start[1:])
-    head = np.empty(steps, dtype=np.intp)
-    head[order] = order[start].take(np.cumsum(start) - 1)
-    own = np.arange(steps)
-    dup = np.flatnonzero(head != own)
-    odd = dup[np.any(bits.take(dup, axis=1) != bits.take(head[dup], axis=1), axis=0)]
-    head[odd] = odd
-    first = np.flatnonzero(head == own)
-    label = np.empty(steps, dtype=np.intp)
-    label[first] = np.arange(first.size)
-    return first, label.take(head)
+    step_bytes = np.dtype((np.void, values.shape[0] * values.itemsize))
+    rows = np.ascontiguousarray(values.T).view(step_bytes).ravel()
+    _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(index)  # the groups in order of appearance
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    return index[order], label[inverse.ravel()]
 
 
 def rk4_on_mesh(sys: LpvSsa, ps: tuple, mesh: np.ndarray, us: tuple = None) -> tuple:

@@ -15,6 +15,40 @@ def region_grid(region, points_per_axis):
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
+def in_box(region, p):
+    """Whether ``p`` is one point of the closed box ``region``, with no tolerance."""
+    p = np.asarray(p)
+    return p.shape == (region.n_p,) and bool(np.all((region.lower <= p) & (p <= region.upper)))
+
+
+def textbook_reachability(sys, n):
+    """Extended reachability matrix ``R_n`` by its own column recursion.
+
+    Level 0 is ``[B_0 .. B_np]``, level ``d + 1`` is ``[A_0 L_d .. A_np L_d]``
+    for level ``L_d``, and ``R_n`` sets levels 0 to ``n`` side by side.
+    """
+    level = np.hstack(sys.B.coeffs)
+    levels = [level]
+    for _ in range(n):
+        level = np.hstack([Ai @ level for Ai in sys.A.coeffs])
+        levels.append(level)
+    return np.hstack(levels)
+
+
+def dyadic(sys):
+    """``sys`` with every coefficient rounded to a multiple of ``2**-10``.
+
+    For coefficients of modest size, every sum of products of up to four
+    of them is a multiple of ``2**-40`` well inside the 53-bit significand,
+    so it is exact in floating point whatever the summation order, and two
+    constructions of one such matrix agree bit for bit.
+    """
+    return type(sys).from_matrices(
+        *([np.round(m * 2.0**10) / 2.0**10 for m in f.coeffs] for f in (sys.A, sys.B, sys.C, sys.D)),
+        sys.region, sys.domain,
+    )
+
+
 def two_level_bound(M, X0, c):
     """``2 gamma_{k (n+1)} Z_k`` of the ``simulation._propagate`` docstring, at every node ``k``.
 

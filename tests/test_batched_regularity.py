@@ -22,7 +22,7 @@ from lpvssa.cli import _rc_text, main
 from lpvssa.io import serialize_system
 
 from conftest import random_system
-from oracles import region_grid
+from oracles import in_box, region_grid
 
 
 def pointwise_singular(sys, p):
@@ -46,7 +46,7 @@ def assert_consistent(sys, points_per_axis):
     """The verdict never contradicts the per-point reference on ``points_per_axis``."""
     cert = check_rc(sys)
     if cert.dt_invertibility == "refuted-with-witness":
-        assert sys.region.contains(cert.witness)
+        assert in_box(sys.region, cert.witness)
         assert pointwise_singular(sys, cert.witness)
         assert _singular_mask(sys.A.at_points(cert.witness[None]))[0]
         assert not cert.holds
@@ -232,7 +232,7 @@ class TestSweeps:
             changed += 1
             cert = check_rc(sys)
             assert cert.dt_invertibility == "refuted-with-witness"
-            assert sys.region.contains(cert.witness)
+            assert in_box(sys.region, cert.witness)
             assert pointwise_singular(sys, cert.witness)
         assert changed >= 190
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys as _sys
 import warnings
 
 import numpy as np
@@ -653,6 +656,29 @@ class TestInProcess:
             del buf
         gc.collect()
         assert all(r() is None for r in refs)
+
+
+class TestHugeCoefficientEquiv:
+    @pytest.mark.parametrize("block, value", [("C", 1e300), ("A", 1e308)])
+    def test_equiv_exits_2_without_lapack_output(self, data_dir, tmp_path, worked_example,
+                                                 block, value):
+        # the window's free response overflows; LAPACK prints its complaints
+        # on the process's own stdout, so the command runs in a child interpreter
+        doc = json.loads(serialize_system(worked_example))
+        doc[block][0]["data"][0] = value
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+        result = subprocess.run(
+            [_sys.executable, "-m", "lpvssa.cli", "equiv", str(bad), _minimal_file(data_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert "DLASCL" not in result.stdout
+        assert result.stderr.startswith(
+            "error: the window overflows: the free response at sample "
+        ), result.stderr
 
 
 class TestHugeIntegerExitCode:

@@ -218,6 +218,18 @@ class TestMatchInitialState:
         assert np.allclose(y_prime, 2.0, atol=1e-9)
         assert np.min(np.abs(y_prime - y_two)) > 0.5
 
+    def test_overflowing_window_is_input_error(self, worked_example, worked_minimal):
+        # C_0[0, 0] = 1e300: C(p(t)) Phi(t, 0) is not finite within 20 steps
+        C = [c.copy() for c in worked_example.C.coeffs]
+        C[0][0, 0] = 1e300
+        huge = LpvSsa.from_matrices(worked_example.A.coeffs, worked_example.B.coeffs, C,
+                                    worked_example.D.coeffs, worked_example.region, "dt")
+        rng = np.random.default_rng(8)
+        u = random_input(1, rng, huge.domain, n_steps=20)
+        p = random_scheduling(huge.region, rng, huge.domain, n_steps=20)
+        with pytest.raises(InputError, match="the window overflows: the free response"):
+            match_initial_state(huge, [1.0, 0.0, 0.0], worked_minimal, u, p, 20)
+
     def test_rank_deficient_window_still_matches(
         self, constant_1state, constant_2state
     ):

@@ -121,7 +121,7 @@ class TestSignalDocuments:
         assert serialize_signal(back) == text
 
     def test_ct_round_trip(self):
-        sig = Signal.ct([0.0, 0.5, 1.0], [[1.0], [2.0], [3.0]], "linear")
+        sig = Signal.ct([0.0, 0.5, 1.0], [[1.0], [2.0], [3.0]], "piecewise-linear")
         back = parse_signal(serialize_signal(sig))
         assert back.interpolation == "piecewise-linear"
         assert np.array_equal(back.times, sig.times)
