@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError
-from .signals import Signal, random_scheduling
+from .signals import Signal, _rng, random_scheduling
 from .simulation import _check_signals, _check_window, _grid, _sample, _window
 
 __all__ = [
@@ -120,7 +120,7 @@ def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
                 f"(cap {max_entries}); use the subspace-iteration path "
                 "(unobservable_subspace / is_observable)"
             )
-        level = np.vstack([level @ Ai for Ai in sys.A.coeffs])
+        level = np.vstack(level @ sys.A.coeffs)
         levels.append(level)
     return levels
 
@@ -207,7 +207,7 @@ def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
     for _ in range(max(n - 1, 0)):
         if not 0 < Q.shape[0] < n:
             break
-        decision, grown, _ = _threshold(np.vstack([Q] + [Q @ Ai for Ai in A_coeffs]), rtol)
+        decision, grown, _ = _threshold(np.vstack([Q, *(Q @ A_coeffs)]), rtol)
         unchanged = grown.shape[0] == Q.shape[0]
         Q = grown
         if unchanged:
@@ -282,7 +282,6 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
     :func:`_singular_mask`.
     """
     lo, hi = sys.region.lower, sys.region.upper
-    slopes = np.stack(sys.A.coeffs[1:])
     P = np.array(starts, dtype=float)
     for step in range(RC_NEWTON_STEPS + 1):
         As = sys.A.at_points(P)
@@ -292,7 +291,7 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
         if step == RC_NEWTON_STEPS:
             return None
         U, s, Vh = np.linalg.svd(As)
-        g = np.einsum("ka,iab,kb->ki", U[:, :, -1], slopes, Vh[:, -1, :])
+        g = np.einsum("ka,iab,kb->ki", U[:, :, -1], sys.A.coeffs[1:], Vh[:, -1, :])
         gg = np.sum(g * g, axis=1)
         scale = np.divide(s[:, -1], gg, out=np.zeros_like(gg), where=gg > 0)
         P = np.clip(P - scale[:, None] * g, lo, hi)
@@ -362,13 +361,15 @@ class RcCertificate:
       Rohn 1993), so a bounded search with this honest third verdict is
       deliberate.
 
-    ``holds`` is true only for ``"certified"`` and ``"not-applicable"``.
+    The region needs no verdict of its own: every
+    :class:`~lpvssa.core.SchedulingRegion` is convex with nonempty
+    interior by construction.  ``holds`` is true exactly for
+    ``"certified"`` and ``"not-applicable"``.
     Every DT certificate carries ``boxes``, the boxes visited.  With one
     scheduling variable ``det_poly_1d`` holds the coefficients of ``det
     A(p)`` (constant first) as evidence; it decides nothing.
     """
 
-    convex_ok: bool
     dt_invertibility: str
     witness: np.ndarray = None
     det_poly_1d: np.ndarray = None
@@ -378,10 +379,7 @@ class RcCertificate:
 
     @property
     def holds(self) -> bool:
-        return self.convex_ok and self.dt_invertibility in (
-            "not-applicable",
-            "certified",
-        )
+        return self.dt_invertibility in ("not-applicable", "certified")
 
 
 def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
@@ -390,7 +388,7 @@ def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
-    return RcCertificate(True, "refuted-with-witness", witness=witness, boxes=boxes)
+    return RcCertificate("refuted-with-witness", witness=witness, boxes=boxes)
 
 
 def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
@@ -425,7 +423,7 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
     verdict is ``"undecided"``.
     """
     lo, hi = sys.region.lower, sys.region.upper
-    norms = np.linalg.norm(np.stack(sys.A.coeffs[1:]), 2, axis=(1, 2))
+    norms = np.linalg.norm(sys.A.coeffs[1:], 2, axis=(1, 2))
     reach = np.linalg.norm(sys.A.coeffs[0], 2) + np.maximum(np.abs(lo), np.abs(hi)) @ norms
     margin = 8 * (sys.n_x + sys.n_p + 1) * np.finfo(float).eps * reach
     centres, radii = (0.5 * (lo + hi))[None], (0.5 * (hi - lo))[None]
@@ -442,9 +440,7 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
         open_ = lower <= SINGULARITY_RTOL * (s[:, 0] + spread)
         certified_min = min(certified_min, lower[~open_].min(initial=np.inf))
         if not open_.any():
-            return RcCertificate(
-                True, "certified", boxes=boxes, sigma_min_bound=float(certified_min)
-            )
+            return RcCertificate("certified", boxes=boxes, sigma_min_bound=float(certified_min))
         centres, radii, lower = centres[open_], radii[open_], lower[open_]
         dets = np.linalg.det(As[open_])
         i, j = np.argmax(dets), np.argmin(dets)
@@ -470,7 +466,6 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
     if witness is not None:
         return _refuted(witness, boxes)
     return RcCertificate(
-        True,
         "undecided",
         boxes=boxes,
         sigma_min_bound=float(lower[worst]),
@@ -479,10 +474,11 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
 
 
 def check_rc(sys: LpvSsa) -> RcCertificate:
-    """Regularity certificate: region shape plus DT invertibility of ``A(p)``.
+    """Regularity certificate: DT invertibility of ``A(p)`` on the region.
 
     CT systems only need the region to be convex with nonempty interior,
-    which holds for every validated box.  In DT the verdict is
+    which every :class:`~lpvssa.core.SchedulingRegion` is by construction,
+    so their verdict is ``"not-applicable"``.  In DT the verdict is
     deterministic (no random draw) and never a pass without a proof: for
     every ``n_p`` the Weyl-bound box search of :func:`_rc_boxes`
     certifies, refutes with a verified witness (a failing box centre, or a
@@ -495,19 +491,18 @@ def check_rc(sys: LpvSsa) -> RcCertificate:
     the certificate also reports the coefficients of ``det A(p)``
     (``det_poly_1d``).
     """
-    convex_ok = sys.region.has_interior()
     if sys.domain == TimeDomain.CT:
-        return RcCertificate(convex_ok=convex_ok, dt_invertibility="not-applicable")
+        return RcCertificate("not-applicable")
     lo, hi = sys.region.lower, sys.region.upper
     diagonal = cache(partial(_det_on_segment, sys, lo, hi))  # interpolated at most once
     if sys.n_x == 0:  # the minimum over no singular value is +inf
-        cert = RcCertificate(True, "certified", boxes=0, sigma_min_bound=np.inf)
+        cert = RcCertificate("certified", boxes=0, sigma_min_bound=np.inf)
     else:
         cert = _rc_boxes(sys, diagonal)
     if sys.n_p == 1:  # reported evidence; the box search decided
         det = np.polynomial.Chebyshev(diagonal().coef, domain=[lo[0], hi[0]])
         cert = replace(cert, det_poly_1d=det.convert(kind=np.polynomial.Polynomial).coef)
-    return replace(cert, convex_ok=convex_ok)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -611,7 +606,8 @@ def find_revealing_scheduling(
     :func:`ltv_window_observability` (InputError), so a bad window is
     rejected on every system.  Unobservable systems then return None
     immediately with a warning, since no such signal can exist.
-    Deterministic for a given seed.
+    Deterministic for a given seed; a seed that ``np.random.default_rng``
+    rejects is an InputError.
     """
     if trials < 1:
         raise InputError("trials must be positive")
@@ -623,7 +619,7 @@ def find_revealing_scheduling(
             stacklevel=2,
         )
         return None
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(trials):
         if sys.domain == TimeDomain.DT:
             p = random_scheduling(sys.region, rng, sys.domain, n_steps=int(window))

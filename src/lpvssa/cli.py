@@ -53,7 +53,7 @@ from .simulation import _check_window, simulate_ct, simulate_dt
 
 # version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
 # it changes whenever a payload key is added, removed or renamed
-PAYLOAD_SCHEMA_VERSION = "1"
+PAYLOAD_SCHEMA_VERSION = "2"
 
 
 def _guard(fn):
@@ -154,7 +154,6 @@ def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict
 
 def _rc_payload(rc) -> dict:
     return {
-        "convex_ok": rc.convex_ok,
         "dt_invertibility": rc.dt_invertibility,
         "holds": rc.holds,
         "witness": rc.witness,

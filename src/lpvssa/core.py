@@ -52,6 +52,12 @@ class TimeDomain(Enum):
 class AffineMatrixFunction:
     """Matrix-valued affine function ``M(p) = M_0 + sum_i p_i M_i``.
 
+    The coefficients are stored as one read-only ``(n_p + 1, rows, cols)``
+    array, ``coeffs``, checked for finiteness once, at construction.
+    Iterating, indexing, slicing and ``len`` give the coefficient matrices
+    in index order, and stacked products such as ``T @ f.coeffs @ S``
+    transform every coefficient at once.
+
     Parameters
     ----------
     coeffs : sequence of (rows, cols) array_like
@@ -66,7 +72,7 @@ class AffineMatrixFunction:
         is not finite.
     """
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __init__(self, coeffs):
         mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
@@ -78,11 +84,12 @@ class AffineMatrixFunction:
                 raise InputError(
                     f"coefficient {i} has shape {m.shape}, expected {shape}"
                 )
-            if not np.all(np.isfinite(m)):
-                raise InputError(f"coefficient {i} contains non-finite entries")
-        object.__setattr__(
-            self, "coeffs", tuple(_frozen_array(m) for m in mats)
-        )
+        stack = np.stack(mats)
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        if bad.size:
+            raise InputError(f"coefficient {bad[0]} contains non-finite entries")
+        stack.setflags(write=False)
+        object.__setattr__(self, "coeffs", stack)
 
     @property
     def n_p(self) -> int:
@@ -91,7 +98,7 @@ class AffineMatrixFunction:
 
     @property
     def shape(self) -> tuple:
-        return self.coeffs[0].shape
+        return self.coeffs.shape[1:]
 
     def __call__(self, p) -> np.ndarray:
         """Evaluate ``M_0 + sum_i p_i M_i`` at one scheduling point.
@@ -154,7 +161,7 @@ class AffineMatrixFunction:
 
     def transpose(self) -> "AffineMatrixFunction":
         """Coefficient-wise transpose."""
-        return AffineMatrixFunction([m.T for m in self.coeffs])
+        return AffineMatrixFunction(self.coeffs.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -164,9 +171,10 @@ class SchedulingRegion:
     The theory only needs a convex set with nonempty interior; boxes are
     the supported subset because they bisect into boxes, each with a
     centre and half-widths that bound ``A(p)`` on it (see
-    ``analysis.check_rc``).  ``lower[i] < upper[i]`` is reported by
-    :meth:`~LpvSsa.validate` rather than enforced here, so degenerate
-    boxes can be constructed and then diagnosed.
+    ``analysis.check_rc``).  The interior is enforced here: a box with
+    ``lower[i] >= upper[i]`` in any coordinate is an InputError naming
+    every such coordinate, so every region is convex with nonempty
+    interior.
     """
 
     lower: np.ndarray
@@ -181,15 +189,18 @@ class SchedulingRegion:
             raise InputError("scheduling region needs at least one coordinate")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise InputError("region bounds must be finite")
+        empty = np.flatnonzero(lo >= hi)
+        if empty.size:
+            raise InputError("; ".join(
+                f"region has empty interior in coordinate {i}: lower={lo[i]} >= upper={hi[i]}"
+                for i in empty
+            ))
         object.__setattr__(self, "lower", _frozen_array(lo))
         object.__setattr__(self, "upper", _frozen_array(hi))
 
     @property
     def n_p(self) -> int:
         return self.lower.size
-
-    def has_interior(self) -> bool:
-        return bool(np.all(self.lower < self.upper))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` uniform draws from the box, shape ``(size, n_p)``.
@@ -209,9 +220,14 @@ class LpvSsa:
         xi x(t) = A(p(t)) x(t) + B(p(t)) u(t)
         y(t)    = C(p(t)) x(t) + D(p(t)) u(t)
 
-    The dataclass itself stores whatever it is given; :meth:`validate`
-    reports invariant violations, and :meth:`from_matrices` is the
-    validating constructor used by the file formats.
+    Every system is valid by construction: the structural invariants
+    (square ``A``, shapes of ``B``, ``C`` and ``D`` that agree with it, at
+    least one input and one output, and ``n_p`` coefficients that match
+    the region) are checked once, when the system is built, and a
+    violation is an InputError that lists every violated invariant
+    (``invalid system: ...``).  The region's interior is enforced by
+    :class:`SchedulingRegion` itself.  :meth:`from_matrices` converts
+    plain coefficient lists.
     """
 
     A: AffineMatrixFunction
@@ -221,61 +237,7 @@ class LpvSsa:
     region: SchedulingRegion
     domain: TimeDomain
 
-    @classmethod
-    def from_matrices(cls, A, B, C, D, region, domain) -> "LpvSsa":
-        """Build a system from coefficient lists and reject any invariant violation.
-
-        Parameters
-        ----------
-        A, B, C, D : sequence of array_like or AffineMatrixFunction
-            Coefficient lists (constant term first).
-        region : SchedulingRegion or (lower, upper) pair
-        domain : TimeDomain or {"dt", "ct"}
-
-        Raises
-        ------
-        InputError
-            Listing every violated invariant.
-        """
-
-        def _amf(x):
-            return x if isinstance(x, AffineMatrixFunction) else AffineMatrixFunction(x)
-
-        if not isinstance(region, SchedulingRegion):
-            region = SchedulingRegion(*region)
-        if not isinstance(domain, TimeDomain):
-            domain = TimeDomain(str(domain).lower())
-        sys = cls(_amf(A), _amf(B), _amf(C), _amf(D), region, domain)
-        problems = sys.validate()
-        if problems:
-            raise InputError("invalid system: " + "; ".join(problems))
-        return sys
-
-    @property
-    def n_x(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def n_p(self) -> int:
-        return self.region.n_p
-
-    def validate(self) -> list:
-        """Check every structural invariant.
-
-        Returns
-        -------
-        list of str
-            Empty iff the system is well formed; otherwise one
-            human-readable entry per violated invariant.
-        """
+    def __post_init__(self):
         v = []
         n_x = self.A.shape[0]
         if self.A.shape[1] != n_x:
@@ -300,13 +262,51 @@ class LpvSsa:
                     f"{name} has {f.n_p} scheduling coefficients but the "
                     f"region has n_p = {n_p}"
                 )
-        bad = np.where(self.region.lower >= self.region.upper)[0]
-        for i in bad:
-            v.append(
-                f"region has empty interior in coordinate {i}: "
-                f"lower={self.region.lower[i]} >= upper={self.region.upper[i]}"
-            )
-        return v
+        if v:
+            raise InputError("invalid system: " + "; ".join(v))
+
+    @classmethod
+    def from_matrices(cls, A, B, C, D, region, domain) -> "LpvSsa":
+        """Build a system from coefficient lists, converting each argument.
+
+        Parameters
+        ----------
+        A, B, C, D : sequence of array_like or AffineMatrixFunction
+            Coefficient lists (constant term first).
+        region : SchedulingRegion or (lower, upper) pair
+        domain : TimeDomain or {"dt", "ct"}
+
+        Raises
+        ------
+        InputError
+            From the conversions, or from construction, listing every
+            violated invariant.
+        """
+
+        def _amf(x):
+            return x if isinstance(x, AffineMatrixFunction) else AffineMatrixFunction(x)
+
+        if not isinstance(region, SchedulingRegion):
+            region = SchedulingRegion(*region)
+        if not isinstance(domain, TimeDomain):
+            domain = TimeDomain(str(domain).lower())
+        return cls(_amf(A), _amf(B), _amf(C), _amf(D), region, domain)
+
+    @property
+    def n_x(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_u(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def n_y(self) -> int:
+        return self.C.shape[0]
+
+    @property
+    def n_p(self) -> int:
+        return self.region.n_p
 
     def signature(self) -> tuple:
         """(n_u, n_y, n_p, domain) — what two systems must share to be compared."""

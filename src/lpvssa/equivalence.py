@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .core import LpvSsa, TimeDomain
 from .errors import InputError
-from .signals import Signal, random_input, random_scheduling
+from .signals import Signal, _rng, random_input, random_scheduling
 from .simulation import (
     _check_signals,
     _check_signature,
@@ -70,6 +70,12 @@ class IsoResult:
     verdict: str
     obstruction: str = None
     condition_number: float = None
+
+
+def _check_tol(tol) -> None:
+    """A residual tolerance must be finite and positive (InputError)."""
+    if not 0.0 < tol < np.inf:  # False for NaN too
+        raise InputError(f"tolerance must be finite and positive, got {tol!r}")
 
 
 def _relerr(X: np.ndarray, Y: np.ndarray) -> float:
@@ -134,7 +140,8 @@ def find_isomorphism(
     observability kernel at its one floor (``1e-10``, or ``rtol``), so
     neither ``(n_p + 1)^n``-block matrix is formed.  The residual then
     evaluates all four equation families (covering the B/D equations the
-    solve does not enforce).
+    solve does not enforce).  ``tol`` must be finite and positive
+    (InputError), so every verdict can be reached.
 
     Returns
     -------
@@ -144,6 +151,7 @@ def find_isomorphism(
         unobservable realizations are not unique.
     """
     _check_signature(sys1, sys2)
+    _check_tol(tol)
     rcond = _rank_floor(rtol)
     n1, n2 = sys1.n_x, sys2.n_x
     if n1 != n2:
@@ -306,7 +314,9 @@ def behavior_equivalence_empirical(
     refuted with a witness, or undecided) are reported because behavior
     equality only coincides with i/o-family equality under regularity.
     The window (``horizon``, and ``step`` in CT) is checked by
-    :func:`simulation._check_window` before any signal is drawn.
+    :func:`simulation._check_window` before any signal is drawn.  ``tol``
+    (after its default is chosen) must be finite and positive, and a
+    ``seed`` that ``np.random.default_rng`` rejects is an InputError.
 
     All signals are drawn first, trial by trial in the order scheduling,
     input, ``sys1`` state, ``sys2`` state, so a seed gives the same signals
@@ -326,10 +336,11 @@ def behavior_equivalence_empirical(
         horizon = 20 if dt else 2.0
     if tol is None:
         tol = 1e-6 if dt else 1e-4
+    _check_tol(tol)
     if trials < 1:
         raise InputError("trials must be positive")
     _check_window(sys1.domain, horizon, step)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     span = dict(t_end=float(horizon), segments=TRIAL_CT_SEGMENTS)
     span = dict(n_steps=int(horizon)) if dt else span
     ps, us, x1s, x2s = [], [], [], []

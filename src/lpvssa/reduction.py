@@ -15,7 +15,6 @@ import numpy as np
 
 from .analysis import RcCertificate, _threshold, check_rc, unobservable_subspace
 from .core import LpvSsa, transpose_dual
-from .errors import InputError
 
 __all__ = ["ReductionResult", "observability_reduction", "minimize", "reachability_reduction"]
 
@@ -65,10 +64,6 @@ def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResu
     -------
     ReductionResult
     """
-    problems = sys.validate()
-    if problems:
-        raise InputError("invalid system: " + "; ".join(problems))
-    n = sys.n_x
     K = unobservable_subspace(sys, rtol)
     # orthogonal complement of the kernel; K has orthonormal columns, so the
     # fixed floor, not rtol, splits it off
@@ -78,12 +73,11 @@ def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResu
     T = basis.T
     Pi = T[:o]
 
-    A = [T @ Ai @ basis for Ai in sys.A.coeffs]
     reduced = LpvSsa.from_matrices(
-        A=[Ai[:o, :o] for Ai in A],
-        B=[(T @ Bi)[:o] for Bi in sys.B.coeffs],
-        C=[(Ci @ basis)[:, :o] for Ci in sys.C.coeffs],
-        D=list(sys.D.coeffs),
+        A=(T @ sys.A.coeffs @ basis)[:, :o, :o],
+        B=(T @ sys.B.coeffs)[:, :o],
+        C=(sys.C.coeffs @ basis)[:, :, :o],
+        D=sys.D,
         region=sys.region,
         domain=sys.domain,
     )

@@ -171,6 +171,14 @@ class Trajectory:
         return self.x.times
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it rejects is an InputError naming it."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid seed {seed!r}: {exc}") from exc
+
+
 def _random_window_signal(draw, domain: TimeDomain, n_steps, t_end, segments) -> Signal:
     """Signal of ``draw(count)`` rows: ``n_steps + 1`` DT samples, or
     ``segments`` piecewise-constant pieces on a uniform mesh over ``[0, t_end]``."""

@@ -703,9 +703,9 @@ def error_system(sys1: LpvSsa, sys2: LpvSsa) -> LpvSsa:
     for every shared ``(u, p)``.
     """
     _check_signature(sys1, sys2)
-    Z = np.zeros((sys1.n_x, sys2.n_x))
-    A = [np.block([[A1, Z], [Z.T, A2]]) for A1, A2 in zip(sys1.A.coeffs, sys2.A.coeffs)]
-    B = [np.vstack(Bs) for Bs in zip(sys1.B.coeffs, sys2.B.coeffs)]
-    C = [np.hstack([C1, -C2]) for C1, C2 in zip(sys1.C.coeffs, sys2.C.coeffs)]
-    D = [D1 - D2 for D1, D2 in zip(sys1.D.coeffs, sys2.D.coeffs)]
+    Z = np.zeros((sys1.n_p + 1, sys1.n_x, sys2.n_x))
+    A = np.block([[sys1.A.coeffs, Z], [Z.transpose(0, 2, 1), sys2.A.coeffs]])
+    B = np.block([[sys1.B.coeffs], [sys2.B.coeffs]])
+    C = np.block([sys1.C.coeffs, -sys2.C.coeffs])
+    D = sys1.D.coeffs - sys2.D.coeffs
     return LpvSsa.from_matrices(A, B, C, D, sys1.region, sys1.domain)

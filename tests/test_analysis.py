@@ -224,7 +224,6 @@ class TestRankTests:
 class TestCheckRc:
     def test_worked_example_determinant_polynomial(self, worked_example):
         cert = check_rc(worked_example)
-        assert cert.convex_ok
         assert cert.dt_invertibility == "certified"
         assert cert.det_poly_1d.shape == (3,)
         assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)
@@ -465,6 +464,10 @@ class TestFindRevealingScheduling:
             [[[0.0]], [[0.0]]], ([-1.0], [1.0]), "dt",
         )
         assert find_revealing_scheduling(sys, trials=1, window=2, seed=0) is not None
+
+    def test_rejected_seed_is_input_error(self, worked_minimal):
+        with pytest.raises(InputError, match="invalid seed -1"):
+            find_revealing_scheduling(worked_minimal, trials=2, window=3, seed=-1)
 
     def test_deterministic_given_seed(self, worked_minimal):
         f1 = find_revealing_scheduling(worked_minimal, trials=20, window=3, seed=42)

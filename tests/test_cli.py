@@ -96,8 +96,7 @@ class TestCheck:
             "reachability_singular_values", "rc",
         }
         assert set(doc["rc"]) == {
-            "convex_ok", "dt_invertibility", "holds", "witness",
-            "det_poly_1d",
+            "dt_invertibility", "holds", "witness", "det_poly_1d",
         }
 
     def test_every_payload_carries_the_schema_version(self, runner, data_dir, tmp_path):
@@ -456,8 +455,15 @@ class TestReveal:
         assert "integer" in result.output
 
 
-# commands with a bad window or initial state, and a fragment of their message
+# commands with a bad window, initial state, tolerance or seed, and a fragment of their message
 BAD_WINDOW_COMMANDS = [
+    ("iso {M} {M} --tol -1", "tolerance must be finite and positive"),
+    ("iso {M} {M} --tol nan", "tolerance must be finite and positive"),
+    ("iso {M} {M} --tol 0", "tolerance must be finite and positive"),
+    ("equiv {W} {M} --tol nan", "tolerance must be finite and positive"),
+    ("equiv {W} {M} --tol -1", "tolerance must be finite and positive"),
+    ("equiv {W} {M} --seed -1", "invalid seed -1"),
+    ("reveal {M} --window 3 --seed -1", "invalid seed -1"),
     ("equiv {W} {M} --horizon nan", "DT horizon"),
     ("equiv {W} {M} --horizon inf", "DT horizon"),
     ("reveal {M} --window nan", "DT horizon"),

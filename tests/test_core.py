@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lpvssa
 from lpvssa import (
@@ -7,6 +10,7 @@ from lpvssa import (
     InputError,
     LpvSsa,
     SchedulingRegion,
+    TimeDomain,
     transpose_dual,
 )
 
@@ -85,6 +89,17 @@ class TestAffineMatrixFunction:
         with pytest.raises(InputError):
             AffineMatrixFunction([])
 
+    def test_coefficients_are_one_read_only_stack(self, worked_example):
+        coeffs = worked_example.A.coeffs
+        assert coeffs.shape == (2, 3, 3)
+        assert len(coeffs) == 2 and [m.shape for m in coeffs] == [(3, 3), (3, 3)]
+        assert np.array_equal(coeffs[1], [[1, -1, -1], [-1, 2, 0], [-1, 0, 2]])
+        with pytest.raises(ValueError):
+            coeffs[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            coeffs[1][:] = 0.0
+        assert worked_example.A(np.zeros(1))[0, 0] == 1.0
+
 
 class TestSchedulingRegion:
     def test_mismatched_bounds_rejected(self):
@@ -97,44 +112,46 @@ class TestSchedulingRegion:
         assert all(in_box(region, p) for p in region.sample(rng, 20))
 
     def test_degenerate_region_constructible(self):
-        region = SchedulingRegion([0.0], [0.0])
-        assert not region.has_interior()
+        with pytest.raises(InputError, match="empty interior in coordinate 0: lower=0.0 >= upper=0.0"):
+            SchedulingRegion([0.0], [0.0])
+        with pytest.raises(InputError) as exc:
+            SchedulingRegion([0.0, -1.0, 2.0], [0.0, 1.0, 1.0])
+        assert "coordinate 0" in str(exc.value) and "coordinate 2" in str(exc.value)
+        assert "coordinate 1" not in str(exc.value)
 
 
 class TestValidate:
     def test_worked_example_is_clean(self, worked_example):
-        assert worked_example.validate() == []
+        assert replace(worked_example).n_x == 3  # construction runs every check
 
     def test_shape_mismatch_reported_once(self, worked_example):
-        bad = LpvSsa(
-            A=worked_example.A,
-            B=AffineMatrixFunction([np.zeros((2, 1)), np.zeros((2, 1))]),
-            C=worked_example.C,
-            D=worked_example.D,
-            region=worked_example.region,
-            domain=worked_example.domain,
-        )
-        violations = bad.validate()
+        with pytest.raises(InputError) as exc:
+            LpvSsa(
+                A=worked_example.A,
+                B=AffineMatrixFunction([np.zeros((2, 1)), np.zeros((2, 1))]),
+                C=worked_example.C,
+                D=worked_example.D,
+                region=worked_example.region,
+                domain=worked_example.domain,
+            )
+        message = str(exc.value)
+        assert message.startswith("invalid system: ")
+        violations = message.removeprefix("invalid system: ").split("; ")
         assert len(violations) == 1
         assert "rows" in violations[0]
 
     def test_empty_interior_reported_once(self, worked_example):
-        bad = LpvSsa(
-            A=worked_example.A,
-            B=worked_example.B,
-            C=worked_example.C,
-            D=worked_example.D,
-            region=SchedulingRegion([0.5], [0.5]),
-            domain=worked_example.domain,
-        )
-        violations = bad.validate()
+        with pytest.raises(InputError) as exc:
+            SchedulingRegion([0.5], [0.5])
+        violations = str(exc.value).split("; ")
         assert len(violations) == 1
         assert "interior" in violations[0]
 
     def test_constructor_path_always_validates_clean(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            assert random_system(rng).validate() == []
+            sys = random_system(rng)
+            assert replace(sys).signature() == sys.signature()
 
     def test_from_matrices_rejects_bad_systems(self):
         with pytest.raises(InputError, match="rows"):
@@ -158,13 +175,25 @@ class TestTransposeDual:
                 np.array_equal(a, b) for a, b in zip(orig.coeffs, back.coeffs)
             )
 
-    def test_involution_on_random_systems(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            sys = random_system(rng)
-            twice = transpose_dual(transpose_dual(sys))
-            assert np.array_equal(np.stack(sys.A.coeffs), np.stack(twice.A.coeffs))
-            assert np.array_equal(np.stack(sys.B.coeffs), np.stack(twice.B.coeffs))
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(0, 5),
+        n_u=st.integers(1, 3),
+        n_y=st.integers(1, 3),
+        n_p=st.integers(1, 3),
+        domain=st.sampled_from(TimeDomain),
+    )
+    def test_involution_on_random_systems(self, seed, n_x, n_u, n_y, n_p, domain):
+        sys = random_system(
+            np.random.default_rng(seed), n_x=n_x, n_u=n_u, n_y=n_y, n_p=n_p, domain=domain
+        )
+        dual = transpose_dual(sys)
+        twice = transpose_dual(dual)
+        for name in ("A", "B", "C", "D"):
+            assert np.array_equal(getattr(sys, name).coeffs, getattr(twice, name).coeffs)
+            assert not getattr(dual, name).coeffs.flags.writeable
+        assert dual.signature() == (n_y, n_u, n_p, domain)
 
     def test_dual_swaps_b_and_c(self, worked_example):
         dual = transpose_dual(worked_example)
@@ -182,4 +211,5 @@ class TestTransposeDual:
         assert dual.C.coeffs[0][0, 0] == 1.0
 
     def test_dual_preserves_validity(self):
-        assert transpose_dual(make_constant_2state()).validate() == []
+        dual = transpose_dual(make_constant_2state())  # construction runs every check
+        assert (dual.n_x, dual.n_u, dual.n_y, dual.n_p) == (2, 1, 1, 1)

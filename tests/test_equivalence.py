@@ -162,6 +162,12 @@ class TestFindIsomorphism:
         assert find_isomorphism(mk(1.0), mk(1.0)).verdict == "isomorphic"
         assert find_isomorphism(mk(1.0), mk(2.0)).verdict == "not-isomorphic"
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, worked_minimal, tol):
+        # -1 used to report "feedthrough (D) coefficients differ" at residual 0
+        with pytest.raises(InputError, match="tolerance must be finite and positive"):
+            find_isomorphism(worked_minimal, worked_minimal, tol=tol)
+
 
 class TestMatchInitialState:
     def test_same_system_recovers_state_dt(self, worked_minimal):
@@ -302,6 +308,15 @@ class TestBehaviorEquivalence:
             report = behavior_equivalence_empirical(sys, other, trials=5, seed=0)
             assert report.passed
             assert find_isomorphism(sys, other).verdict == "isomorphic"
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, worked_minimal, tol):
+        with pytest.raises(InputError, match="tolerance must be finite and positive"):
+            behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=2, tol=tol)
+
+    def test_rejected_seed_is_input_error(self, worked_minimal):
+        with pytest.raises(InputError, match="invalid seed -1"):
+            behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=2, seed=-1)
 
     def test_residual_table_shape(self, worked_minimal):
         report = behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=7, seed=4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpvssa import (
     InputError,
@@ -94,20 +95,27 @@ class TestObservabilityReduction:
             O = extended_observability_matrix(sys, max(n_x - 1, 0))
             assert res.o == np.linalg.matrix_rank(O)
 
-    def test_io_preservation_dt(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            planted = int(rng.integers(0, 3))
-            n_x = int(rng.integers(max(planted + 1, 1), 6))
-            sys = random_system(rng, n_x=n_x, unobservable_dim=planted or None)
-            res = observability_reduction(sys)
-            N = 20
-            u = random_input(sys.n_u, rng, sys.domain, n_steps=N)
-            p = random_scheduling(sys.region, rng, sys.domain, n_steps=N)
-            x0 = rng.standard_normal(sys.n_x)
-            y_full = io_response(sys, x0, u, p, N).values
-            y_red = io_response(res.reduced, res.projection_Pi @ x0, u, p, N).values
-            assert np.max(np.abs(y_full - y_red)) < 1e-9
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 5),
+        planted_share=st.floats(0.0, 1.0),
+        n_u=st.integers(1, 2),
+        n_y=st.integers(1, 2),
+    )
+    def test_io_preservation_dt(self, seed, n_x, planted_share, n_u, n_y):
+        rng = np.random.default_rng(seed)
+        planted = round(planted_share * n_x)  # 0 .. n_x unobservable dimensions
+        sys = random_system(rng, n_x=n_x, n_u=n_u, n_y=n_y, unobservable_dim=planted or None)
+        res = observability_reduction(sys)
+        assert res.o <= n_x - planted
+        N = 20
+        u = random_input(sys.n_u, rng, sys.domain, n_steps=N)
+        p = random_scheduling(sys.region, rng, sys.domain, n_steps=N)
+        x0 = rng.standard_normal(sys.n_x)
+        y_full = io_response(sys, x0, u, p, N).values
+        y_red = io_response(res.reduced, res.projection_Pi @ x0, u, p, N).values
+        assert np.max(np.abs(y_full - y_red)) < 1e-9
 
     def test_io_preservation_ct(self):
         rng = np.random.default_rng(3)
@@ -185,16 +193,16 @@ class TestObservabilityReduction:
     def test_invalid_system_rejected(self, worked_example):
         from lpvssa import SchedulingRegion
 
-        bad = LpvSsa(
-            A=worked_example.A,
-            B=worked_example.B,
-            C=worked_example.C,
-            D=worked_example.D,
-            region=SchedulingRegion([1.0], [1.0]),
-            domain=worked_example.domain,
-        )
-        with pytest.raises(InputError):
-            observability_reduction(bad)
+        # an invalid system cannot be built, so no reduction can receive one
+        with pytest.raises(InputError, match="empty interior"):
+            LpvSsa(
+                A=worked_example.A,
+                B=worked_example.B,
+                C=worked_example.C,
+                D=worked_example.D,
+                region=SchedulingRegion([1.0], [1.0]),
+                domain=worked_example.domain,
+            )
 
 
 class TestMinimize:
