@@ -6,12 +6,17 @@ stacks behind ``equivalence.find_isomorphism``) runs through one
 polynomial-time kernel, the compressed subspace iteration of
 :func:`_observability_iteration`, at one rank floor: a singular value
 counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
-(``1e-10``; ``rtol`` overrides it).  :func:`_threshold` is the only
-SVD that decides a rank, and :func:`_rank_floor` resolves the floor for
-it, the least-squares solves and the CLI.  Window observability
-(:func:`ltv_window_observability`) thresholds the stacked ``C Phi`` map of
-``simulation._window`` at the same floor, in DT and CT alike.  The
-explicit extended observability matrix
+(``1e-10``).  :func:`_threshold` is the only SVD that decides a rank,
+and the least-squares solves of :mod:`~lpvssa.equivalence` use the same
+floor.  The floor is a constant of the numerics, not a setting: a
+computed invariant subspace, or a chain of transition-matrix products, is
+only accurate to roughly ``eps * sigma_max / sigma_min`` of the matrix it
+came from, and a lower floor counts that rounding debris as new
+directions: at ``1e-15``, ``find_isomorphism`` called 24 of 100 randomly
+conjugated observable pairs not isomorphic, and none at ``1e-10``.  Window
+observability (:func:`ltv_window_observability`) thresholds the stacked
+``C Phi`` map of ``simulation._window`` at the same floor, in DT and CT
+alike.  The explicit extended observability matrix
 (:func:`extended_observability_matrix`) has ``(n_p + 1)^n`` blocks; it is
 kept as a builder for tests and export and decides nothing.  Reachability
 has no builder of its own: the extended reachability matrix of ``sys`` is
@@ -60,19 +65,6 @@ ITERATION_RTOL = 1e-10
 REVEAL_CT_SEGMENTS = 8  # pieces of the piecewise-constant CT revealing candidates
 
 
-def _rank_floor(rtol: float = None) -> float:
-    """The relative rank floor that runs: ``ITERATION_RTOL`` unless ``rtol`` is given.
-
-    It must be finite and nonnegative; 1 or more is legal and counts no
-    singular value.
-    """
-    if rtol is None:
-        return ITERATION_RTOL
-    if not 0.0 <= rtol < np.inf:  # False for NaN too
-        raise InputError(f"rank floor must be finite and nonnegative, got {rtol!r}")
-    return float(rtol)
-
-
 @dataclass(frozen=True)
 class RankDecision:
     """Numerical rank verdict: rank = #{singular values > tolerance_used}."""
@@ -82,12 +74,12 @@ class RankDecision:
     tolerance_used: float
 
     @classmethod
-    def from_matrix(cls, M: np.ndarray, rtol: float = None) -> "RankDecision":
-        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10`` unless ``rtol``).
+    def from_matrix(cls, M: np.ndarray) -> "RankDecision":
+        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10``).
 
         Only the singular values are computed; no basis is kept.
         """
-        return _threshold(M, rtol, vectors=False)[0]
+        return _threshold(M, vectors=False)[0]
 
 
 def _sign_fix(V: np.ndarray) -> np.ndarray:
@@ -149,8 +141,8 @@ def extended_observability_matrix(
     return np.vstack(_obs_levels(sys, n, max_entries))
 
 
-def _threshold(M: np.ndarray, rtol: float = None, *, vectors: bool = True, kernel: bool = False):
-    """The one rank threshold: one SVD of ``M``, ``sigma_max`` times :func:`_rank_floor`.
+def _threshold(M: np.ndarray, *, vectors: bool = True, kernel: bool = False):
+    """The one rank threshold: one SVD of ``M``, ``sigma_max`` times ``ITERATION_RTOL``.
 
     Returns the RankDecision, the rows of ``Vh`` it keeps (an orthonormal
     row basis) and, with ``kernel``, the rest of the full SVD's ``Vh`` as
@@ -163,14 +155,14 @@ def _threshold(M: np.ndarray, rtol: float = None, *, vectors: bool = True, kerne
     differently.
     """
     M = np.asarray(M, dtype=float)
-    floor, n = _rank_floor(rtol), M.shape[1]
+    n = M.shape[1]
     if M.size == 0:
         return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else None
     if vectors or kernel:
         _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
     else:
         s, Vh = np.linalg.svd(M, compute_uv=False), None
-    tol = float(s[0]) * floor
+    tol = float(s[0]) * ITERATION_RTOL
     rank = int(np.sum(s > tol))
     decision = RankDecision(rank, s, tol)
     if Vh is None:
@@ -178,7 +170,7 @@ def _threshold(M: np.ndarray, rtol: float = None, *, vectors: bool = True, kerne
     return decision, Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
 
 
-def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
+def _observability_iteration(C_coeffs, A_coeffs):
     """The observability kernel shared by every observability decision.
 
     Compressed subspace iteration that never forms the extended matrix:
@@ -191,10 +183,9 @@ def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
     kernel of the final ``Q`` is the largest subspace inside ``ker C_i``
     invariant under every ``A_i``, that is ``Ker O_{n_x - 1}``.
 
-    Every level uses the floor ``ITERATION_RTOL`` (or ``rtol``): a
-    computed invariant subspace is only accurate to roughly
-    ``eps * sigma_max / sigma_min`` of the matrix it came from, and later
-    levels must not count that rounding debris as new directions.
+    Every level uses the floor ``ITERATION_RTOL``, so later levels do not
+    count the rounding debris of earlier ones as new directions (see the
+    module docstring).
 
     Returns
     -------
@@ -203,11 +194,11 @@ def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
         stack, so ``decision.rank == Q.shape[0]``.
     """
     n = A_coeffs[0].shape[0]
-    decision, Q, _ = _threshold(np.vstack(C_coeffs), rtol)
+    decision, Q, _ = _threshold(np.vstack(C_coeffs))
     for _ in range(max(n - 1, 0)):
         if not 0 < Q.shape[0] < n:
             break
-        decision, grown, _ = _threshold(np.vstack([Q, *(Q @ A_coeffs)]), rtol)
+        decision, grown, _ = _threshold(np.vstack([Q, *(Q @ A_coeffs)]))
         unchanged = grown.shape[0] == Q.shape[0]
         Q = grown
         if unchanged:
@@ -215,46 +206,44 @@ def _observability_iteration(C_coeffs, A_coeffs, rtol: float = None):
     return Q, decision
 
 
-def unobservable_subspace(sys: LpvSsa, rtol: float = None) -> np.ndarray:
+def unobservable_subspace(sys: LpvSsa) -> np.ndarray:
     """Orthonormal basis (columns) of the unobservable subspace.
 
     The orthogonal complement of the row basis that the observability
     kernel (:func:`_observability_iteration`) ends with; it spans
-    ``Ker O_{n_x - 1}``.  The rank floor defaults to ``1e-10`` relative
-    (``ITERATION_RTOL``); pass ``rtol`` to override.  ``Q`` has orthonormal
-    rows, so its complement is taken at the fixed floor whatever ``rtol``.
+    ``Ker O_{n_x - 1}``.
     """
-    Q, _ = _observability_iteration(sys.C.coeffs, sys.A.coeffs, rtol)
+    Q, _ = _observability_iteration(sys.C.coeffs, sys.A.coeffs)
     return _threshold(Q, kernel=True)[2]
 
 
-def is_observable(sys: LpvSsa, rtol: float = None):
+def is_observable(sys: LpvSsa):
     """Rank test for observability: ``rank O_{n_x - 1} = n_x``.
 
     Verdict and evidence come from one matrix: the returned RankDecision
     is the SVD of the last stack the observability kernel thresholded
     (``[Q; Q A_0; ..; Q A_np]``, or the stacked ``C_i`` when the
     iteration ends at level 0), its ``tolerance_used`` is that matrix's
-    largest singular value times the floor that ran (``1e-10``, or
-    ``rtol``), and ``rank == n_x - dim Ker O_{n_x - 1}``.  The explicit
-    ``O_{n_x - 1}`` with its ``(n_p + 1)^{n_x}`` blocks is never formed.
+    largest singular value times the floor ``1e-10``, and ``rank == n_x -
+    dim Ker O_{n_x - 1}``.  The explicit ``O_{n_x - 1}`` with its
+    ``(n_p + 1)^{n_x}`` blocks is never formed.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    Q, decision = _observability_iteration(sys.C.coeffs, sys.A.coeffs, rtol)
+    Q, decision = _observability_iteration(sys.C.coeffs, sys.A.coeffs)
     return Q.shape[0] == sys.n_x, decision
 
 
-def is_span_reachable_from_zero(sys: LpvSsa, rtol: float = None):
+def is_span_reachable_from_zero(sys: LpvSsa):
     """Rank test for span-reachability from zero: observability of the dual.
 
     Returns
     -------
     (bool, RankDecision)
     """
-    return is_observable(transpose_dual(sys), rtol)
+    return is_observable(transpose_dual(sys))
 
 
 def _scaled_singular(s: np.ndarray) -> np.ndarray:
@@ -548,14 +537,7 @@ def _check_observed_window(domain: TimeDomain, t_end, step: float = None) -> Non
         raise InputError(f"a DT window needs at least one step, got {t_end!r}")
 
 
-def ltv_window_observability(
-    sys: LpvSsa,
-    p: Signal,
-    t_end,
-    rtol: float = None,
-    *,
-    step: float = None,
-):
+def ltv_window_observability(sys: LpvSsa, p: Signal, t_end, *, step: float = None):
     """Observability of the frozen-scheduling LTV system on ``[0, t_end]``.
 
     Tests the window matrix of :func:`simulation._window` for full column
@@ -566,7 +548,7 @@ def ltv_window_observability(
     exact rank deficiencies into debris of order ``eps * ||Phi||``, so the
     rank decision runs at the ``1e-10`` relative floor of the subspace
     iteration, in both domains on the scale of the singular values of
-    ``C Phi`` themselves; pass ``rtol`` to override.
+    ``C Phi`` themselves.
 
     A window that :func:`_check_observed_window` rejects (no DT step, a DT
     window that is not an integer, a CT end time or step that is not
@@ -581,18 +563,11 @@ def ltv_window_observability(
     _check_signals(sys, p, t_end)
     times = _grid(sys.domain, t_end, t_end / 200.0 if step is None else step, p)
     stack = _window(sys, _sample(p, times))[0]
-    decision = RankDecision.from_matrix(stack, rtol)
+    decision = RankDecision.from_matrix(stack)
     return decision.rank == sys.n_x, decision
 
 
-def find_revealing_scheduling(
-    sys: LpvSsa,
-    trials: int,
-    window,
-    seed: int,
-    *,
-    rtol: float = None,
-):
+def find_revealing_scheduling(sys: LpvSsa, trials: int, window, seed: int):
     """Randomized search for a scheduling signal that reveals the state.
 
     For an observable system satisfying the regularity conditions, some
@@ -612,7 +587,7 @@ def find_revealing_scheduling(
     if trials < 1:
         raise InputError("trials must be positive")
     _check_observed_window(sys.domain, window)
-    observable, _ = is_observable(sys, rtol)
+    observable, _ = is_observable(sys)
     if not observable:
         warnings.warn(
             "system is not observable; no revealing scheduling exists",
@@ -627,7 +602,7 @@ def find_revealing_scheduling(
             p = random_scheduling(
                 sys.region, rng, sys.domain, t_end=float(window), segments=REVEAL_CT_SEGMENTS
             )
-        ok, _ = ltv_window_observability(sys, p, window, rtol)
+        ok, _ = ltv_window_observability(sys, p, window)
         if ok:
             return p, window
     return None

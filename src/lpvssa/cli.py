@@ -6,10 +6,10 @@ work, and output files appear only whole, once every one is written; a
 command that fails prints no result and leaves no file.  Every rank
 decision runs through the polynomial-time observability kernel, so no
 command builds a capped matrix.  Every command is deterministic given its files and flags.
-Machine-readable output (``--json``) carries the payload's
-``schema_version``, the tool version and the tolerances that ran.  The
-``--rank-rtol`` flag overrides the rank floor (``1e-10`` relative); a
-floor that is negative or not finite is an input error.
+Machine-readable output (``--json``) is strict JSON (a number that is not
+finite is ``null``) and carries the payload's ``schema_version``, the tool
+version and the tolerances that ran: the rank floor and the singularity
+floor, both constants (``1e-10`` relative, see :mod:`~lpvssa.analysis`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import __version__
 from .analysis import (
     ITERATION_RTOL,
     SINGULARITY_RTOL,
-    _rank_floor,
     check_rc,
     find_revealing_scheduling,
     is_observable,
@@ -53,7 +52,7 @@ from .simulation import _check_window, simulate_ct, simulate_dt
 
 # version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
 # it changes whenever a payload key is added, removed or renamed
-PAYLOAD_SCHEMA_VERSION = "2"
+PAYLOAD_SCHEMA_VERSION = "3"
 
 
 def _guard(fn):
@@ -117,8 +116,22 @@ def _read_system(path) -> LpvSsa:
     return parse_system(_read_text(path))
 
 
-# JSON text of a payload: numpy arrays and scalars become lists and numbers
-_dumps = functools.partial(json.dumps, indent=2, default=lambda obj: obj.tolist())
+def _finite(obj):
+    """``obj`` with numpy arrays as lists and every number that is not finite as None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, np.ndarray)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def _dumps(payload) -> str:
+    """Strict JSON text of a payload (numpy scalars become numbers)."""
+    return json.dumps(
+        _finite(payload), indent=2, allow_nan=False, default=lambda obj: obj.tolist()
+    )
 
 
 def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
@@ -136,19 +149,13 @@ def _emit_json(payload: dict) -> None:
     _echo(_dumps(payload))
 
 
-def _base_payload(command: str, rank_rtol, *, decides_rank: bool = True) -> dict:
-    """Schema version, tool version, command and tolerances; ``rank_rtol_used``
-    is the rank floor that decided the verdicts (commands that decide no
-    rank omit it)."""
-    tolerances = {"rank_rtol": rank_rtol}
-    if decides_rank:
-        tolerances["rank_rtol_used"] = _rank_floor(rank_rtol)
-    tolerances["singularity_rtol"] = SINGULARITY_RTOL
+def _base_payload(command: str) -> dict:
+    """Schema version, tool version, command and the two relative floors."""
     return {
         "schema_version": PAYLOAD_SCHEMA_VERSION,
         "version": __version__,
         "command": command,
-        "tolerances": tolerances,
+        "tolerances": {"rank_rtol_used": ITERATION_RTOL, "singularity_rtol": SINGULARITY_RTOL},
     }
 
 
@@ -158,6 +165,9 @@ def _rc_payload(rc) -> dict:
         "holds": rc.holds,
         "witness": rc.witness,
         "det_poly_1d": rc.det_poly_1d,
+        "boxes": rc.boxes,
+        "sigma_min_bound": rc.sigma_min_bound,
+        "box": rc.box,
     }
 
 
@@ -183,15 +193,6 @@ def _point(p) -> str:
     return "[" + ", ".join(repr(float(v)) for v in p) + "]"
 
 
-_rank_rtol_option = click.option(
-    "--rank-rtol",
-    type=float,
-    default=None,
-    help=(
-        f"Rank floor override, relative to the largest singular value "
-        f"[default: {ITERATION_RTOL:g}]."
-    ),
-)
 _json_option = click.option(
     "--json", "as_json", is_flag=True, help="Machine-readable output."
 )
@@ -205,17 +206,16 @@ def main():
 
 @main.command()
 @click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@_rank_rtol_option
 @_json_option
 @_guard
-def check(system_file, rank_rtol, as_json):
+def check(system_file, as_json):
     """Observability, span-reachability, and regularity report."""
     sys_ = _read_system(system_file)
-    obs, obs_dec = is_observable(sys_, rank_rtol)
-    reach, reach_dec = is_span_reachable_from_zero(sys_, rank_rtol)
+    obs, obs_dec = is_observable(sys_)
+    reach, reach_dec = is_span_reachable_from_zero(sys_)
     rc = check_rc(sys_)
     if as_json:
-        payload = _base_payload("check", rank_rtol)
+        payload = _base_payload("check")
         payload["tolerances"]["observability_tolerance_used"] = obs_dec.tolerance_used
         payload["tolerances"]["reachability_tolerance_used"] = reach_dec.tolerance_used
         payload.update(
@@ -249,10 +249,9 @@ def check(system_file, rank_rtol, as_json):
     default=None,
     help="Transform sidecar path [default: OUT with a .transform.json suffix].",
 )
-@_rank_rtol_option
 @_json_option
 @_guard
-def minimize(system_file, out, transform_out, rank_rtol, as_json):
+def minimize(system_file, out, transform_out, as_json):
     """Observability reduction; minimal realization under regularity."""
     sys_ = _read_system(system_file)
     out_path = Path(out)
@@ -262,7 +261,7 @@ def minimize(system_file, out, transform_out, rank_rtol, as_json):
         else out_path.with_name(out_path.stem + ".transform.json")
     )
     with _output_files(out_path, sidecar) as write:
-        result = _minimize_op(sys_, rtol=rank_rtol)
+        result = _minimize_op(sys_)
         write(
             serialize_system(result.reduced),
             serialize_transform(
@@ -270,7 +269,7 @@ def minimize(system_file, out, transform_out, rank_rtol, as_json):
             ),
         )
     if as_json:
-        payload = _base_payload("minimize", rank_rtol)
+        payload = _base_payload("minimize")
         payload.update(
             {
                 "input_dimension": sys_.n_x,
@@ -293,14 +292,13 @@ def minimize(system_file, out, transform_out, rank_rtol, as_json):
 @click.argument("file1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", default=1e-8, show_default=True, help="Residual tolerance.")
-@_rank_rtol_option
 @_json_option
 @_guard
-def iso(file1, file2, tol, rank_rtol, as_json):
+def iso(file1, file2, tol, as_json):
     """Isomorphism between two systems of equal dimension."""
-    r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol, rtol=rank_rtol)
+    r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol)
     if as_json:
-        payload = _base_payload("iso", rank_rtol)
+        payload = _base_payload("iso")
         payload["tolerances"]["iso_tol"] = tol
         payload.update(
             {
@@ -372,7 +370,7 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
         _echo(f"wrote {out}")
         return
     if as_json:
-        payload = _base_payload("simulate", None, decides_rank=False)
+        payload = _base_payload("simulate")
         payload["trajectory"] = trajectory_to_json(traj)
         _emit_json(payload)
         return
@@ -401,7 +399,7 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
         step=step,
     )
     if as_json:
-        payload = _base_payload("equiv", None, decides_rank=False)
+        payload = _base_payload("equiv")
         payload["tolerances"]["equiv_tol"] = report.tolerance
         payload.update(
             {
@@ -435,21 +433,20 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the found scheduling signal document here.")
-@_rank_rtol_option
 @_json_option
 @_guard
-def reveal(system_file, trials, window, seed, out, rank_rtol, as_json):
+def reveal(system_file, trials, window, seed, out, as_json):
     """Search for a scheduling signal revealing the state on a window."""
     sys_ = _read_system(system_file)
     with _output_files(*[out] if out else []) as write:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            found = find_revealing_scheduling(sys_, trials, window, seed, rtol=rank_rtol)
+            found = find_revealing_scheduling(sys_, trials, window, seed)
         if found and out:
             write(serialize_signal(found[0]))
     diagnostics = [str(w.message) for w in caught]
     if as_json:
-        payload = _base_payload("reveal", rank_rtol)
+        payload = _base_payload("reveal")
         payload.update(
             {
                 "found": found is not None,

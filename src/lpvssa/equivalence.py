@@ -4,7 +4,10 @@ A constant invertible ``T`` is an isomorphism from ``sys1`` to ``sys2``
 when ``A'_i T = T A_i``, ``B'_i = T B_i``, ``C'_i T = C_i`` and
 ``D'_i = D_i`` for every coefficient index (primes denoting ``sys2``).
 Minimal regular realizations of one behavior are related by exactly one
-such transform, which is what :func:`find_isomorphism` estimates.
+such transform, which is what :func:`find_isomorphism` estimates.  Its
+stacks and both least-squares solves (the transform, and the matched
+initial state of :func:`match_initial_state`) run at the one rank floor
+``ITERATION_RTOL`` of :mod:`~lpvssa.analysis`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    ITERATION_RTOL,
     RcCertificate,
     _observability_iteration,
-    _rank_floor,
     check_rc,
     is_observable,
 )
@@ -109,7 +112,7 @@ def check_isomorphism(sys1: LpvSsa, sys2: LpvSsa, T: np.ndarray) -> float:
     return worst
 
 
-def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa, rtol: float = None):
+def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa):
     """Jointly compressed observability stacks ``[O(sys2) | O(sys1)]``.
 
     The paired rows are the observability rows of ``error_system(sys2,
@@ -121,24 +124,18 @@ def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa, rtol: float = None):
     halves, in particular ``O(sys2) T = O(sys1)``.
     """
     err = error_system(sys2, sys1)
-    J, _ = _observability_iteration(err.C.coeffs, err.A.coeffs, rtol)
+    J, _ = _observability_iteration(err.C.coeffs, err.A.coeffs)
     return J[:, : sys2.n_x], -J[:, sys2.n_x :]
 
 
-def find_isomorphism(
-    sys1: LpvSsa,
-    sys2: LpvSsa,
-    *,
-    tol: float = 1e-8,
-    rtol: float = None,
-) -> IsoResult:
+def find_isomorphism(sys1: LpvSsa, sys2: LpvSsa, *, tol: float = 1e-8) -> IsoResult:
     """Estimate the isomorphism from ``sys1`` to ``sys2`` and judge it.
 
     The transform solves the least-squares problem ``O(sys2) T = O(sys1)``,
     which the defining equations force for any true isomorphism, on the
     jointly compressed stacks of :func:`_paired_obs_stacks`: the one
-    observability kernel at its one floor (``1e-10``, or ``rtol``), so
-    neither ``(n_p + 1)^n``-block matrix is formed.  The residual then
+    observability kernel at its one floor (``1e-10``), so neither
+    ``(n_p + 1)^n``-block matrix is formed.  The residual then
     evaluates all four equation families (covering the B/D equations the
     solve does not enforce).  ``tol`` must be finite and positive
     (InputError), so every verdict can be reached.
@@ -152,7 +149,6 @@ def find_isomorphism(
     """
     _check_signature(sys1, sys2)
     _check_tol(tol)
-    rcond = _rank_floor(rtol)
     n1, n2 = sys1.n_x, sys2.n_x
     if n1 != n2:
         return IsoResult(
@@ -179,16 +175,16 @@ def find_isomorphism(
             verdict="isomorphic",
             condition_number=1.0,
         )
-    O2, O1 = _paired_obs_stacks(sys2, sys1, rtol)
-    T = np.linalg.lstsq(O2, O1, rcond=rcond)[0]
+    O2, O1 = _paired_obs_stacks(sys2, sys1)
+    T = np.linalg.lstsq(O2, O1, rcond=ITERATION_RTOL)[0]
     residual = check_isomorphism(sys1, sys2, T)
     cond = float(np.linalg.cond(T))
     if residual < tol and cond < CONDITION_CAP:
         return IsoResult(
             T=T, residual=residual, verdict="isomorphic", condition_number=cond
         )
-    obs1, _ = is_observable(sys1, rtol)
-    obs2, _ = is_observable(sys2, rtol)
+    obs1, _ = is_observable(sys1)
+    obs2, _ = is_observable(sys2)
     if residual >= tol and obs1 and obs2:
         return IsoResult(
             T=T,
@@ -214,11 +210,11 @@ def find_isomorphism(
     )
 
 
-def _match(w_from, x0, w_to, rtol: float = None):
+def _match(w_from, x0, w_to):
     """Least-squares state of window ``w_to`` reproducing ``w_from``'s output from ``x0``."""
     (O_from, f_from), (O_to, f_to) = w_from, w_to
     y = f_from + (O_from @ x0).reshape(f_from.shape)
-    x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=_rank_floor(rtol))[0]
+    x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=ITERATION_RTOL)[0]
     y_match = f_to + (O_to @ x0_to).reshape(y.shape)
     scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
     return x0_to, float(np.linalg.norm(y - y_match)) / scale
@@ -233,7 +229,6 @@ def match_initial_state(
     horizon,
     *,
     step: float = 1e-3,
-    rtol: float = None,
 ):
     """Best initial state of ``sys_to`` reproducing ``sys_from``'s output.
 
@@ -241,9 +236,9 @@ def match_initial_state(
     of the signals: its free-response map ``O`` and forced output ``f`` on
     the DT steps, or in CT on the mesh that refines both signals.
     ``sys_from`` outputs ``y = f_from + O_from x0``, and ``O_to x = y -
-    f_to`` is solved by least squares, rank-revealing at
-    the ``1e-10`` floor (``ITERATION_RTOL``) or ``rtol``, as short windows
-    can make ``O_to`` rank-deficient.
+    f_to`` is solved by least squares, rank-revealing at the ``1e-10``
+    floor (``ITERATION_RTOL``), as short windows can make ``O_to``
+    rank-deficient.
 
     Returns
     -------
@@ -257,7 +252,7 @@ def match_initial_state(
     _check_signals(sys_from, p, horizon, u)
     x0 = _check_x0(sys_from, x0)
     s = _sample(p, _grid(sys_from.domain, horizon, step, p, u), u)
-    return _match(_window(sys_from, s), x0, _window(sys_to, s), rtol)
+    return _match(_window(sys_from, s), x0, _window(sys_to, s))
 
 
 def _unit_ball(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -309,9 +304,9 @@ def behavior_equivalence_empirical(
     with the other system's best initial state — in both directions.  The
     verdict compares the worst residual against ``tol`` (default ``1e-6``
     in DT, ``1e-4`` in CT; default horizon 20 steps / 2.0 time units).
-    The regularity certificates of both systems (:func:`check_rc` at its
-    default grid, the one ``check`` and ``minimize`` report: certified,
-    refuted with a witness, or undecided) are reported because behavior
+    The regularity certificates of both systems (:func:`check_rc`, the one
+    ``check`` reports: certified, refuted with a witness, or undecided)
+    are reported because behavior
     equality only coincides with i/o-family equality under regularity.
     The window (``horizon``, and ``step`` in CT) is checked by
     :func:`simulation._check_window` before any signal is drawn.  ``tol``

@@ -4,7 +4,9 @@ The reduction changes basis with an orthogonal transform whose last rows
 span the unobservable subspace, then keeps the leading blocks.  Every
 solution of the original system projects to a solution of the reduced
 one, so the manifest behavior is preserved; when the regularity
-certificate holds the reduced system is moreover a minimal realization.
+certificate of the reduced system holds it is moreover a minimal
+realization.  Every rank runs at the one floor ``ITERATION_RTOL`` of
+:mod:`~lpvssa.analysis`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class ReductionResult:
     rc: RcCertificate = None
 
 
-def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
+def observability_reduction(sys: LpvSsa) -> ReductionResult:
     """Split off the unobservable part and keep the observable blocks.
 
     The unobservable subspace is spanned by the trailing basis vectors,
@@ -54,20 +56,12 @@ def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResu
     other coordinates (``T_0 A_i T_0^{-1}``, ...) gives a different but
     equally valid one, isomorphic to this.
 
-    Parameters
-    ----------
-    sys : LpvSsa
-    rtol : float, optional
-        Rank tolerance override.
-
     Returns
     -------
     ReductionResult
     """
-    K = unobservable_subspace(sys, rtol)
-    # orthogonal complement of the kernel; K has orthonormal columns, so the
-    # fixed floor, not rtol, splits it off
-    W = _threshold(K.T, kernel=True)[2]
+    K = unobservable_subspace(sys)
+    W = _threshold(K.T, kernel=True)[2]  # orthogonal complement of the kernel
     o = W.shape[1]
     basis = np.hstack([W, K])  # orthogonal: complement first, kernel last
     T = basis.T
@@ -84,25 +78,32 @@ def observability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResu
     return ReductionResult(reduced=reduced, transform_T=T, projection_Pi=Pi, o=o)
 
 
-def minimize(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
+def minimize(sys: LpvSsa) -> ReductionResult:
     """Observability reduction with the minimality claim made explicit.
 
-    Minimality of the observable reduction is only guaranteed under the
-    regularity certificate, so the certificate is evaluated alongside and
-    the result is flagged ``"minimal (behavioral)"`` only when it holds
-    (``"certified"``, or ``"not-applicable"`` in CT), and ``"observable
-    reduction only"`` when regularity is refuted or undecided.
-    (Without regularity an observable system can still admit a smaller
-    realization of the same behavior.)  ``rtol`` overrides the rank floor
-    of the reduction.
+    The observable reduction is minimal when it satisfies the regularity
+    conditions, so its certificate (:func:`check_rc` of
+    ``result.reduced``) is evaluated alongside and the result is flagged
+    ``"minimal (behavioral)"`` only when it holds (``"certified"``, or
+    ``"not-applicable"`` in CT), and ``"observable reduction only"`` when
+    regularity is refuted or undecided.  (Without regularity an observable
+    system can still admit a smaller realization of the same behavior.)
+
+    The reduction's certificate, not the input's, carries the claim.  In
+    reduced coordinates ``T A(p) T^{-1}`` is block lower-triangular with
+    ``A_o(p)``, the reduced ``A(p)``, as its top-left block, so ``det A(p)
+    = det A_o(p) det A_u(p)`` and ``sigma_min(A_o(p)) >= sigma_min(A(p))``
+    (``T`` is orthogonal).  A regular input therefore has a regular
+    reduction, but not conversely: a singular unobservable block makes the
+    input singular while the reduction stays regular.
     """
-    result = observability_reduction(sys, rtol=rtol)
-    rc = check_rc(sys)
+    result = observability_reduction(sys)
+    rc = check_rc(result.reduced)
     flag = "minimal (behavioral)" if rc.holds else "observable reduction only"
     return replace(result, minimality=flag, rc=rc)
 
 
-def reachability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResult:
+def reachability_reduction(sys: LpvSsa) -> ReductionResult:
     """Restrict to the span-reachable-from-zero part via the dual system.
 
     Dualize, reduce, dualize back: the reduced system is span-reachable
@@ -111,7 +112,7 @@ def reachability_reduction(sys: LpvSsa, *, rtol: float = None) -> ReductionResul
     (``T A_i T^{-1}`` block upper-triangular, last rows of ``T B_i``
     zero).
     """
-    dual = observability_reduction(transpose_dual(sys), rtol=rtol)
+    dual = observability_reduction(transpose_dual(sys))
     return ReductionResult(
         reduced=transpose_dual(dual.reduced),
         transform_T=dual.transform_T,

@@ -49,6 +49,23 @@ def make_constant_1state() -> LpvSsa:
     )
 
 
+def make_singular_unobservable_block() -> LpvSsa:
+    """DT ``A(p) = diag(0.5 + 0.1 p, 0)``, ``B = [1; 1]``, ``C = [1 0]`` on ``[-1, 1]``.
+
+    ``A(p)`` is singular everywhere, but only through the unobservable
+    second state: the 1-state observable reduction ``0.5 + 0.1 p`` is
+    invertible on the whole region.
+    """
+    Z1, Z2 = np.zeros((1, 1)), np.zeros((2, 2))
+    A0 = np.diag([0.5, 0.0])
+    A1 = np.diag([0.1, 0.0])
+    B0 = np.ones((2, 1))
+    C0 = np.array([[1.0, 0.0]])
+    return LpvSsa.from_matrices(
+        [A0, A1], [B0, 0 * B0], [C0, 0 * C0], [Z1, Z1], ([-1.0], [1.0]), "dt"
+    )
+
+
 def make_weakly_coupled_ct() -> LpvSsa:
     """A CT system observable only through a 1e-6 coupling.
 
@@ -166,6 +183,11 @@ def constant_2state():
 @pytest.fixture
 def constant_1state():
     return make_constant_1state()
+
+
+@pytest.fixture
+def singular_unobservable_block():
+    return make_singular_unobservable_block()
 
 
 @pytest.fixture

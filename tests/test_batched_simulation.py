@@ -91,9 +91,9 @@ class TestCtMatchesPerStageRk4:
         seen = []
         original = analysis.RankDecision.from_matrix
 
-        def spy(M, rtol=None):
+        def spy(M):
             seen.append(np.array(M))
-            return original(M, rtol)
+            return original(M)
 
         monkeypatch.setattr(analysis.RankDecision, "from_matrix", spy)
         ltv_window_observability(sys, p, self.T_END, step=self.STEP)

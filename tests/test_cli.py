@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys as _sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import lpvssa
+from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
 
@@ -33,6 +35,15 @@ def _worked_file(data_dir):
 
 def _minimal_file(data_dir):
     return str(data_dir / "worked_minimal.json")
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _strict_json(text):
+    """Parse ``text`` as strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestCheck:
@@ -85,6 +96,29 @@ class TestCheck:
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
+    def test_text_reads_as_bench_workloads_reads_it(self, runner, data_dir):
+        # bench/workloads.py parses check's text: lines 1-2 by this pattern,
+        # line 3 as the regularity line, and a witness after "p* = "
+        line_pattern = re.compile(
+            r"^(observable|span-reachable from zero): (yes|no) \(rank (\d+)/(\d+)\)$"
+        )
+        systems = [p for p in sorted(data_dir.glob("*.json")) if "A" in json.loads(p.read_text())]
+        assert len(systems) == 4
+        for path in systems:
+            sys_ = parse_system(path.read_text())
+            lines = runner.invoke(main, ["check", str(path)]).output.splitlines()
+            assert len(lines) == 3, lines
+            for line, name in zip(lines[:2], ("observable", "span-reachable from zero")):
+                m = line_pattern.match(line)
+                assert m is not None and m.group(1) == name, line
+                rank, total = int(m.group(3)), int(m.group(4))
+                assert total == sys_.n_x and (m.group(2) == "yes") == (rank == total)
+            assert lines[2].startswith("regularity: ")
+            if "refuted" in lines[2]:
+                witness = [float(v) for v in re.findall(r"[-+.\deE]+", lines[2].split("p* = ")[1])]
+                s = np.linalg.svd(sys_.A(np.array(witness)), compute_uv=False)
+                assert s[-1] <= 1e-10 * s[0]
+
     def test_json_schema_is_stable(self, runner, data_dir):
         doc = json.loads(
             runner.invoke(main, ["check", _worked_file(data_dir), "--json"]).output
@@ -97,6 +131,7 @@ class TestCheck:
         }
         assert set(doc["rc"]) == {
             "dt_invertibility", "holds", "witness", "det_poly_1d",
+            "boxes", "sigma_min_bound", "box",
         }
 
     def test_every_payload_carries_the_schema_version(self, runner, data_dir, tmp_path):
@@ -104,18 +139,61 @@ class TestCheck:
 
         W, M = _worked_file(data_dir), _minimal_file(data_dir)
         P = str(data_dir / "scheduling_zero.json")
+        # each payload's tolerances beyond the two floors every one carries
         commands = [
-            ["check", W],
-            ["minimize", W, "--out", str(tmp_path / "m.json")],
-            ["iso", M, M],
-            ["simulate", W, "--p", P, "--horizon", "3"],
-            ["equiv", W, M, "--trials", "2"],
-            ["reveal", M, "--window", "3"],
+            (["check", W], {"observability_tolerance_used", "reachability_tolerance_used"}),
+            (["minimize", W, "--out", str(tmp_path / "m.json")], set()),
+            (["iso", M, M], {"iso_tol"}),
+            (["iso", W, M], {"iso_tol"}),  # dimension mismatch: the residual is infinite
+            (["simulate", W, "--p", P, "--horizon", "3"], set()),
+            (["equiv", W, M, "--trials", "2"], {"equiv_tol"}),
+            (["reveal", M, "--window", "3"], set()),
         ]
-        for args in commands:
+        for args, extra in commands:
             result = runner.invoke(main, [*args, "--json"])
             assert result.exit_code == 0, result.output
-            assert json.loads(result.output)["schema_version"] == PAYLOAD_SCHEMA_VERSION
+            doc = _strict_json(result.output)
+            assert doc["schema_version"] == PAYLOAD_SCHEMA_VERSION
+            tolerances = doc["tolerances"]
+            assert set(tolerances) == {"rank_rtol_used", "singularity_rtol"} | extra
+            assert tolerances["rank_rtol_used"] == ITERATION_RTOL
+            assert tolerances["singularity_rtol"] == SINGULARITY_RTOL
+
+    def test_json_carries_the_regularity_evidence(self, runner, data_dir):
+        doc = _strict_json(runner.invoke(main, ["check", _worked_file(data_dir), "--json"]).output)
+        text = runner.invoke(main, ["check", _worked_file(data_dir)]).output.splitlines()[2]
+        rc = doc["rc"]
+        assert rc["box"] is None and rc["boxes"] >= 1 and rc["sigma_min_bound"] > 0
+        assert text == (
+            f"regularity: certified (sigma_min(A(p)) >= {rc['sigma_min_bound']:.6g} "
+            f"on the region by Weyl's bound; boxes visited: {rc['boxes']})"
+        )
+
+    def test_json_without_state_reports_null_for_infinities(
+        self, runner, tmp_path, worked_example
+    ):
+        from lpvssa import LpvSsa
+
+        # n_x = 0: the smallest singular value over no value is +inf; two
+        # zero-output systems: the estimated transform is zero, so cond is +inf
+        empty = LpvSsa.from_matrices(
+            [np.zeros((0, 0))] * 2, [np.zeros((0, 1))] * 2, [np.zeros((1, 0))] * 2,
+            list(worked_example.D.coeffs), worked_example.region, worked_example.domain,
+        )
+        zero = LpvSsa.from_matrices(
+            list(worked_example.A.coeffs), list(worked_example.B.coeffs),
+            [np.zeros_like(c) for c in worked_example.C.coeffs],
+            list(worked_example.D.coeffs), worked_example.region, worked_example.domain,
+        )
+        E = _write_system(tmp_path, empty, "e.json")
+        doc = _strict_json(runner.invoke(main, ["check", E, "--json"]).output)
+        assert doc["rc"]["dt_invertibility"] == "certified"
+        assert doc["rc"]["boxes"] == 0 and doc["rc"]["sigma_min_bound"] is None
+        Z = _write_system(tmp_path, zero, "z.json")
+        result = runner.invoke(main, ["iso", Z, Z, "--json"])
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.output)["condition_number"] is None
+        assert "Infinity" not in result.output
 
 
 class TestRankTolOverrides:
@@ -130,6 +208,20 @@ class TestRankTolOverrides:
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
         assert doc["observability_rank"] == 2
+
+    @pytest.mark.parametrize("command", ["check", "minimize", "iso", "reveal"])
+    def test_rank_rtol_option_is_gone(self, runner, data_dir, tmp_path, command):
+        W, M = _worked_file(data_dir), _minimal_file(data_dir)
+        args = {
+            "check": ["check", W],
+            "minimize": ["minimize", W, "--out", str(tmp_path / "m.json")],
+            "iso": ["iso", M, M],
+            "reveal": ["reveal", M, "--window", "3"],
+        }[command]
+        result = runner.invoke(main, [*args, "--rank-rtol", "1e-3"])
+        assert result.exit_code == 2
+        assert "No such option '--rank-rtol'" in result.output
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestMinimize:
@@ -184,6 +276,21 @@ class TestMinimize:
         assert doc["reduced_dimension"] == 2
         assert doc["minimality"] == "minimal (behavioral)"
         assert doc["rc"]["holds"] is True
+
+    def test_certifies_the_reduction_not_the_input(
+        self, runner, tmp_path, singular_unobservable_block
+    ):
+        path = _write_system(tmp_path, singular_unobservable_block, "s.json")
+        check = runner.invoke(main, ["check", path])
+        assert "regularity: refuted" in check.output.splitlines()[2]
+        out = str(tmp_path / "m.json")
+        result = runner.invoke(main, ["minimize", path, "--out", out, "--json"])
+        assert result.exit_code == 0, result.output
+        doc = _strict_json(result.output)
+        assert doc["reduced_dimension"] == 1
+        assert doc["minimality"] == "minimal (behavioral)"
+        assert doc["rc"]["dt_invertibility"] == "certified" and doc["rc"]["holds"] is True
+        assert doc["rc"]["witness"] is None
 
 
 class TestIso:

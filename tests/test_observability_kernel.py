@@ -22,7 +22,7 @@ from lpvssa import (
     unobservable_subspace,
 )
 from lpvssa import analysis
-from lpvssa.analysis import ITERATION_RTOL
+from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import serialize_system
 
@@ -75,11 +75,6 @@ class TestNearUnobservable:
         assert unobservable_subspace(sys).shape == (2, 1)
         assert unobservable_subspace(transpose_dual(sys)).shape == (2, 1)
 
-    def test_rtol_override_is_the_floor_that_runs(self):
-        ok, dec = is_observable(near_unobservable(), 1e-14)
-        assert ok is True and dec.rank == 2
-        assert dec.tolerance_used == dec.singular_values[0] * 1e-14
-
     def test_cli_text_reports_consistent_ranks(self, tmp_path):
         path = _write(tmp_path, near_unobservable(), "near.json")
         result = CliRunner().invoke(main, ["check", path])
@@ -96,23 +91,17 @@ class TestNearUnobservable:
             doc["reachability_rank"] == doc["n_x"]
         )
         tol = doc["tolerances"]
-        assert tol["rank_rtol"] is None
+        assert set(tol) == {
+            "rank_rtol_used", "singularity_rtol",
+            "observability_tolerance_used", "reachability_tolerance_used",
+        }
         assert tol["rank_rtol_used"] == ITERATION_RTOL
+        assert tol["singularity_rtol"] == SINGULARITY_RTOL
         for kind in ("observability", "reachability"):
             sv = np.array(doc[f"{kind}_singular_values"])
             used = tol[f"{kind}_tolerance_used"]
             assert used == sv[0] * ITERATION_RTOL
             assert int(np.sum(sv > used)) == doc[f"{kind}_rank"]
-
-    def test_cli_json_reports_the_override(self, tmp_path):
-        path = _write(tmp_path, near_unobservable(), "near.json")
-        doc = json.loads(
-            CliRunner()
-            .invoke(main, ["check", path, "--json", "--rank-rtol", "1e-14"])
-            .output
-        )
-        assert doc["tolerances"]["rank_rtol_used"] == 1e-14
-        assert doc["observable"] is True and doc["observability_rank"] == 2
 
 
 class TestLargeState:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lpvssa import (
     InputError,
     LpvSsa,
+    check_rc,
     extended_observability_matrix,
     find_isomorphism,
     io_response,
@@ -14,6 +15,7 @@ from lpvssa import (
     observability_reduction,
     reachability_reduction,
     transpose_dual,
+    unobservable_subspace,
 )
 from lpvssa.signals import random_input, random_scheduling
 
@@ -94,6 +96,31 @@ class TestObservabilityReduction:
             res = observability_reduction(sys)
             O = extended_observability_matrix(sys, max(n_x - 1, 0))
             assert res.o == np.linalg.matrix_rank(O)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 6),
+        planted_share=st.floats(0.0, 1.0),
+        zero_output=st.booleans(),
+    )
+    def test_transform_square_and_dimension_is_the_rank(
+        self, seed, n_x, planted_share, zero_output
+    ):
+        # one floor: the kept dimension is the kernel's complement and the
+        # rank is_observable reports, and the transform stays orthogonal
+        rng = np.random.default_rng(seed)
+        planted = round(planted_share * n_x)
+        sys = random_system(rng, n_x=n_x, unobservable_dim=planted or None)
+        if zero_output:
+            sys = _zero_system_like(sys)
+        red = observability_reduction(sys)
+        assert red.transform_T.shape == (n_x, n_x)
+        assert np.allclose(red.transform_T @ red.transform_T.T, np.eye(n_x), atol=1e-12)
+        assert red.o == n_x - unobservable_subspace(sys).shape[1] == is_observable(sys)[1].rank
+        assert red.reduced.n_x == red.o
+        if zero_output:
+            assert red.o == 0
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(
@@ -217,6 +244,38 @@ class TestMinimize:
         assert res.o == 2  # observable, so the dimension cannot drop
         assert res.minimality == "observable reduction only"
         assert res.rc.dt_invertibility == "refuted-with-witness"
+
+    def test_certifies_the_reduction_not_the_input(self, singular_unobservable_block):
+        sys = singular_unobservable_block
+        assert check_rc(sys).dt_invertibility == "refuted-with-witness"
+        res = minimize(sys)
+        assert res.o == 1
+        assert res.minimality == "minimal (behavioral)"
+        assert res.rc.dt_invertibility == "certified"
+        assert res.rc.sigma_min_bound == check_rc(res.reduced).sigma_min_bound > 0
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 5),
+        n_p=st.integers(1, 2),
+        planted_share=st.floats(0.0, 1.0),
+        rc_shift=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_claim_follows_the_reduction_certificate(self, seed, n_x, n_p, planted_share, rc_shift):
+        # A_o(p) is the top-left block of the block lower-triangular
+        # T A(p) T^-1, so a regular input has a regular reduction
+        rng = np.random.default_rng(seed)
+        planted = round(planted_share * n_x)
+        sys = random_system(
+            rng, n_x=n_x, n_p=n_p, unobservable_dim=planted or None, rc_shift=rc_shift
+        )
+        res = minimize(sys)
+        reduced_holds = check_rc(res.reduced).holds
+        assert res.rc.holds == reduced_holds
+        assert (res.minimality == "minimal (behavioral)") == reduced_holds
+        if check_rc(sys).holds:
+            assert reduced_holds
 
     def test_idempotent_dimension(self):
         rng = np.random.default_rng(7)
