@@ -56,7 +56,7 @@ def make_singular_unobservable_block() -> LpvSsa:
     second state: the 1-state observable reduction ``0.5 + 0.1 p`` is
     invertible on the whole region.
     """
-    Z1, Z2 = np.zeros((1, 1)), np.zeros((2, 2))
+    Z1 = np.zeros((1, 1))
     A0 = np.diag([0.5, 0.0])
     A1 = np.diag([0.1, 0.0])
     B0 = np.ones((2, 1))
