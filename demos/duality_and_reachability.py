@@ -6,7 +6,7 @@ span-reachability questions into observability questions: the extended
 reachability matrix of a system is the transposed extended observability
 matrix of its dual, so its rank at depth ``n_x - 1`` is the rank that the
 span-reachability test reports, and restricting to the reachable span is
-the dual of the observability reduction.
+the observability reduction of the dual, transposed back.
 """
 
 from pathlib import Path
@@ -18,7 +18,7 @@ from lpvssa import (
     RankDecision,
     extended_observability_matrix,
     is_span_reachable_from_zero,
-    reachability_reduction,
+    observability_reduction,
     transpose_dual,
 )
 from lpvssa.io import parse_system
@@ -42,7 +42,7 @@ print(f"\nworked example span-reachable from zero: {reach} "
 stripped = parse_system((DATA / "constant_2state.json").read_text())
 reach0, dec0 = is_span_reachable_from_zero(stripped)
 print(f"zero-input-map system reachable: {reach0} (rank {dec0.rank})")
-res = reachability_reduction(stripped)
+res = observability_reduction(transpose_dual(stripped))
 print(f"its reachability reduction keeps {res.o} states "
       f"(feedthrough-only system remains)")
 
@@ -52,7 +52,8 @@ B = [np.array([[1.0], [0.0]]), np.zeros((2, 1))]
 C = [np.array([[1.0, 1.0]]), np.zeros((1, 2))]
 D = [np.zeros((1, 1)), np.zeros((1, 1))]
 half = LpvSsa.from_matrices(A, B, C, D, ([-1.0], [1.0]), "dt")
-res2 = reachability_reduction(half)
+res2 = observability_reduction(transpose_dual(half))
+restricted = transpose_dual(res2.reduced)
 print(f"\nplanted half-reachable system: kept {res2.o} of {half.n_x} states")
-print("restricted A_0 =", np.round(res2.reduced.A.coeffs[0], 6).tolist())
-print("restricted B_0 =", np.round(res2.reduced.B.coeffs[0], 6).ravel().tolist())
+print("restricted A_0 =", np.round(restricted.A.coeffs[0], 6).tolist())
+print("restricted B_0 =", np.round(restricted.B.coeffs[0], 6).ravel().tolist())

@@ -41,7 +41,6 @@ from .reduction import (
     ReductionResult,
     minimize,
     observability_reduction,
-    reachability_reduction,
 )
 from .signals import Signal, Trajectory, random_input, random_scheduling
 from .simulation import error_system, io_response, simulate_ct, simulate_dt
@@ -75,7 +74,6 @@ __all__ = [
     "ReductionResult",
     "observability_reduction",
     "minimize",
-    "reachability_reduction",
     "IsoResult",
     "EquivalenceReport",
     "find_isomorphism",

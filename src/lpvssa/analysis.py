@@ -58,7 +58,7 @@ __all__ = [
 DEFAULT_MAX_ENTRIES = 10**7  # entry cap of the explicit builders only
 SINGULARITY_RTOL = 1e-10
 RC_MAX_BOXES = 4096  # box budget of the DT regularity search
-RC_NEWTON_STEPS = 8  # Newton steps on sigma_min before a search gives up
+RC_NEWTON_STEPS = 8  # Newton steps on sigma_min that polish a segment root
 # rank floor for iterated subspaces and transition-matrix stacks, whose
 # rounding debris sits well above machine precision (see the docstrings)
 ITERATION_RTOL = 1e-10
@@ -75,11 +75,8 @@ class RankDecision:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "RankDecision":
-        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10``).
-
-        Only the singular values are computed; no basis is kept.
-        """
-        return _threshold(M, vectors=False)[0]
+        """The decision of :func:`_threshold` on ``M`` (floor ``1e-10``)."""
+        return _threshold(M)[0]
 
 
 def _sign_fix(V: np.ndarray) -> np.ndarray:
@@ -92,7 +89,7 @@ def _sign_fix(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
+def _obs_levels(sys: LpvSsa, n: int):
     """Levels of the extended observability stack: depth-d blocks, d = 0..n.
 
     Level 0 stacks ``C_0 .. C_np``; level ``d+1`` right-multiplies level
@@ -106,10 +103,10 @@ def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
     width = max(sys.n_x, 1)
     for _ in range(n):
         total += level.shape[0] * (sys.n_p + 1)
-        if total * width > max_entries:
+        if total * width > DEFAULT_MAX_ENTRIES:
             raise InputError(
                 f"extended matrix would hold {total * width} entries "
-                f"(cap {max_entries}); use the subspace-iteration path "
+                f"(cap {DEFAULT_MAX_ENTRIES}); use the subspace-iteration path "
                 "(unobservable_subspace / is_observable)"
             )
         level = np.vstack(level @ sys.A.coeffs)
@@ -117,9 +114,7 @@ def _obs_levels(sys: LpvSsa, n: int, max_entries: int):
     return levels
 
 
-def extended_observability_matrix(
-    sys: LpvSsa, n: int, *, max_entries: int = DEFAULT_MAX_ENTRIES
-) -> np.ndarray:
+def extended_observability_matrix(sys: LpvSsa, n: int) -> np.ndarray:
     """Extended n-step observability matrix ``O_n``.
 
     ``O_0`` stacks the output coefficients; each further step appends the
@@ -133,41 +128,32 @@ def extended_observability_matrix(
     Raises
     ------
     InputError
-        When ``n`` is negative, or the matrix would exceed ``max_entries``
-        entries.
+        When ``n`` is negative, or the matrix would exceed
+        ``DEFAULT_MAX_ENTRIES`` entries.
     """
     if n < 0:
         raise InputError("n must be nonnegative")
-    return np.vstack(_obs_levels(sys, n, max_entries))
+    return np.vstack(_obs_levels(sys, n))
 
 
-def _threshold(M: np.ndarray, *, vectors: bool = True, kernel: bool = False):
+def _threshold(M: np.ndarray, *, kernel: bool = False):
     """The one rank threshold: one SVD of ``M``, ``sigma_max`` times ``ITERATION_RTOL``.
 
+    Every rank decision runs this one SVD routine, with singular vectors.
     Returns the RankDecision, the rows of ``Vh`` it keeps (an orthonormal
     row basis) and, with ``kernel``, the rest of the full SVD's ``Vh`` as
     sign-normalized columns (an orthonormal kernel basis).  Without
     ``kernel`` the SVD is the reduced one, which has no complete kernel for
-    a wide ``M``, and the kernel is None.  Without ``vectors`` (and
-    ``kernel``) only the singular values are computed and both bases are
-    None; the values may differ from the full SVD's in the last bits, so
-    only a value within that rounding of the tolerance could count
-    differently.
+    a wide ``M``, and the kernel is None.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     if M.size == 0:
         return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else None
-    if vectors or kernel:
-        _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
-    else:
-        s, Vh = np.linalg.svd(M, compute_uv=False), None
+    _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
     tol = float(s[0]) * ITERATION_RTOL
     rank = int(np.sum(s > tol))
-    decision = RankDecision(rank, s, tol)
-    if Vh is None:
-        return decision, None, None
-    return decision, Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
+    return RankDecision(rank, s, tol), Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
 
 
 def _observability_iteration(C_coeffs, A_coeffs):
@@ -303,13 +289,11 @@ def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray):
 def _segment_roots(det: np.polynomial.Chebyshev) -> np.ndarray:
     """Real roots of the interpolant in ``[0, 1]`` (within ``1e-9``), clipped.
 
-    An identically-zero determinant vanishes everywhere; its candidate is
-    the midpoint.
+    Every segment passed here runs through a point that passed the scaled
+    test (two open box centres, or the root box's centre on the
+    diagonal), so ``det`` is not identically zero on it; a constant
+    series has no roots.
     """
-    if not np.any(det.coef):
-        return np.array([0.5])
-    if det.degree() < 1:
-        return np.zeros(0)
     r = det.roots()
     real = np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))
     inside = (r.real >= -1e-9) & (r.real <= 1.0 + 1e-9)
@@ -408,8 +392,7 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
     "Checking robust nonsingularity is NP-hard", Math. Control Signals
     Systems 6, 1993), so the search is bounded instead: when the
     ``RC_MAX_BOXES`` budget runs out, or a box is too small for its bound
-    to tighten, Newton steps from the worst box get a last try before the
-    verdict is ``"undecided"``.
+    to tighten, the verdict is ``"undecided"``, with the worst box open.
     """
     lo, hi = sys.region.lower, sys.region.upper
     norms = np.linalg.norm(sys.A.coeffs[1:], 2, axis=(1, 2))
@@ -451,9 +434,6 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
         step[rows, axis] = radii[rows, axis]
         centres, radii = np.vstack([centres - step, centres + step]), np.vstack([radii, radii])
     worst = int(np.argmin(lower))
-    witness = _newton_witness(sys, centres[worst : worst + 1])
-    if witness is not None:
-        return _refuted(witness, boxes)
     return RcCertificate(
         "undecided",
         boxes=boxes,
@@ -504,10 +484,6 @@ class LtvSystem:
     Bs: np.ndarray
     Cs: np.ndarray
     Ds: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.shape[0]
 
 
 def freeze_scheduling(sys: LpvSsa, p: Signal) -> LtvSystem:

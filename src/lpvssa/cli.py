@@ -68,10 +68,13 @@ def _guard(fn):
 
 
 def _read_text(path) -> str:
+    """A document's text; JSON text is UTF-8 (RFC 8259), whatever the locale."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 @contextlib.contextmanager

@@ -259,10 +259,7 @@ def _unit_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     v = rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros(n)
-    return v * (rng.uniform() ** (1.0 / n) / norm)
+    return v * (rng.uniform() ** (1.0 / n) / np.linalg.norm(v))
 
 
 @dataclass(frozen=True)

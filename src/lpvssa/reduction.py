@@ -1,4 +1,4 @@
-"""Observability reduction, minimization, and the dual reachability reduction.
+"""Observability reduction and minimization.
 
 The reduction changes basis with an orthogonal transform whose last rows
 span the unobservable subspace, then keeps the leading blocks.  Every
@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import RcCertificate, _threshold, check_rc, unobservable_subspace
-from .core import LpvSsa, transpose_dual
+from .core import LpvSsa
 
-__all__ = ["ReductionResult", "observability_reduction", "minimize", "reachability_reduction"]
+__all__ = ["ReductionResult", "observability_reduction", "minimize"]
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,10 @@ class ReductionResult:
 
     ``projection_Pi`` is the first ``o`` rows of ``transform_T``: it maps
     original states to reduced states, and stacking it with the discarded
-    rows recovers ``transform_T``.  For the observability reduction,
-    ``T A_i T^{-1}`` is block lower-triangular with the reduced ``A_i`` as
-    the top-left block, the first ``o`` rows of ``T B_i`` form the reduced
-    ``B_i``, and ``C_i T^{-1}`` has its last columns zero; the reachability
-    reduction satisfies the transposed statements.
+    rows recovers ``transform_T``.  ``T A_i T^{-1}`` is block
+    lower-triangular with the reduced ``A_i`` as the top-left block, the
+    first ``o`` rows of ``T B_i`` form the reduced ``B_i``, and ``C_i
+    T^{-1}`` has its last columns zero.
     """
 
     reduced: LpvSsa
@@ -101,21 +100,3 @@ def minimize(sys: LpvSsa) -> ReductionResult:
     rc = check_rc(result.reduced)
     flag = "minimal (behavioral)" if rc.holds else "observable reduction only"
     return replace(result, minimality=flag, rc=rc)
-
-
-def reachability_reduction(sys: LpvSsa) -> ReductionResult:
-    """Restrict to the span-reachable-from-zero part via the dual system.
-
-    Dualize, reduce, dualize back: the reduced system is span-reachable
-    from zero, and the returned transform is the dual reduction's, so the
-    block structure is the transpose of the observability case
-    (``T A_i T^{-1}`` block upper-triangular, last rows of ``T B_i``
-    zero).
-    """
-    dual = observability_reduction(transpose_dual(sys))
-    return ReductionResult(
-        reduced=transpose_dual(dual.reduced),
-        transform_T=dual.transform_T,
-        projection_Pi=dual.projection_Pi,
-        o=dual.o,
-    )

@@ -90,11 +90,6 @@ class Signal:
         return cls(TimeDomain.CT, values, times=times, interpolation=interpolation)
 
     @classmethod
-    def dt_constant(cls, value, n_steps: int) -> "Signal":
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls.dt(np.tile(value, (n_steps + 1, 1)))
-
-    @classmethod
     def ct_constant(cls, value, t_end: float) -> "Signal":
         value = np.atleast_1d(np.asarray(value, dtype=float))
         return cls.ct([0.0, float(t_end)], np.tile(value, (2, 1)))

@@ -18,6 +18,7 @@ from lpvssa import (
     transpose_dual,
     unobservable_subspace,
 )
+from lpvssa import analysis
 
 from conftest import make_weakly_coupled_ct, random_system
 from oracles import (
@@ -103,9 +104,10 @@ class TestExtendedMatrices:
     def test_zero_b_reachability_matrix_is_zero(self, constant_2state):
         assert np.all(extended_observability_matrix(transpose_dual(constant_2state), 2) == 0.0)
 
-    def test_resource_cap_raises_with_advice(self, worked_example):
+    def test_resource_cap_raises_with_advice(self, worked_example, monkeypatch):
+        monkeypatch.setattr(analysis, "DEFAULT_MAX_ENTRIES", 100)
         with pytest.raises(InputError, match="subspace-iteration"):
-            extended_observability_matrix(worked_example, 8, max_entries=100)
+            extended_observability_matrix(worked_example, 8)
 
     def test_negative_depth_rejected(self, worked_example):
         with pytest.raises(InputError):
@@ -468,6 +470,16 @@ class TestFindRevealingScheduling:
     def test_rejected_seed_is_input_error(self, worked_minimal):
         with pytest.raises(InputError, match="invalid seed -1"):
             find_revealing_scheduling(worked_minimal, trials=2, window=3, seed=-1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trial_count_must_be_positive(self, worked_minimal, trials):
+        with pytest.raises(InputError, match="trials must be positive"):
+            find_revealing_scheduling(worked_minimal, trials=trials, window=3, seed=0)
+
+    def test_exhausted_search_returns_none(self, constant_2state):
+        # observable (rank 2/2), yet every window row is a multiple of [1, p(0)]
+        assert is_observable(constant_2state)[0]
+        assert find_revealing_scheduling(constant_2state, 5, 3, 0) is None
 
     def test_deterministic_given_seed(self, worked_minimal):
         f1 = find_revealing_scheduling(worked_minimal, trials=20, window=3, seed=42)

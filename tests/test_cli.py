@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys as _sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ class TestIso:
         assert doc["residual"] < 1e-12
         assert np.allclose(np.array(doc["T"]), np.eye(2), atol=1e-12)
 
+    def test_text_prints_the_transform(self, runner, data_dir):
+        f = _minimal_file(data_dir)
+        lines = runner.invoke(main, ["iso", f, f]).output.splitlines()
+        assert lines[0] == "verdict: isomorphic"
+        assert re.fullmatch(r"residual: \d\.\d{3}e[+-]\d\d", lines[1])
+        assert float(lines[1].removeprefix("residual: ")) < 1e-12
+        assert lines[2] == "T ="
+        T = np.array([row.strip(" []").split() for row in lines[3:]], dtype=float)
+        doc = json.loads(runner.invoke(main, ["iso", f, f, "--json"]).output)
+        assert T.shape == (2, 2)
+        assert np.allclose(T, doc["T"], rtol=0, atol=1e-12)
+
     def test_dimension_mismatch_reported(self, runner, data_dir):
         result = runner.invoke(
             main, ["iso", _worked_file(data_dir), _minimal_file(data_dir)]
@@ -538,6 +551,18 @@ class TestReveal:
         assert "no revealing scheduling found" in result.output
         assert "not observable" in result.output
 
+    def test_exhausted_search_reports_none(self, runner, data_dir):
+        # observable, yet every window row is a multiple of [1, p(0)]
+        f = str(data_dir / "constant_2state.json")
+        result = runner.invoke(main, ["reveal", f, "--window", "3"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "no revealing scheduling found\n"
+        result = runner.invoke(main, ["reveal", f, "--window", "3", "--json"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["found"] is False and doc["scheduling"] is None
+        assert doc["diagnostics"] == []
+
     def test_json_fields(self, runner, data_dir):
         result = runner.invoke(
             main, ["reveal", _minimal_file(data_dir), "--window", "3", "--json"]
@@ -562,7 +587,8 @@ class TestReveal:
         assert "integer" in result.output
 
 
-# commands with a bad window, initial state, tolerance or seed, and a fragment of their message
+# commands with a bad window, initial state, tolerance, seed or trial count, and a
+# fragment of their message
 BAD_WINDOW_COMMANDS = [
     ("iso {M} {M} --tol -1", "tolerance must be finite and positive"),
     ("iso {M} {M} --tol nan", "tolerance must be finite and positive"),
@@ -584,6 +610,22 @@ BAD_WINDOW_COMMANDS = [
     ("simulate {CT} --p {PCT} --horizon 1 --step inf", "CT step"),
     ("equiv {CT} {CT} --horizon nan", "CT end time"),
     ("simulate {W} --p {P} --horizon 2 --x0 nan,0,0", "initial state must be finite"),
+    ("simulate {W} --p {P} --horizon 2 --x0 a,b", "cannot parse --x0 'a,b' as comma-separated"),
+    ("reveal {M} --window 3 --trials 0", "trials must be positive"),
+    ("equiv {W} {M} --trials 0", "trials must be positive"),
+]
+
+# every command that reads a document, with the non-UTF-8 document {B} in each place
+NON_UTF8_COMMANDS = [
+    "check {B}",
+    "minimize {B} --out {tmp}/m.json",
+    "simulate {W} --p {B} --horizon 3",
+    "simulate {W} --p {P} --u {B} --horizon 3",
+    "iso {B} {M}",
+    "iso {M} {B}",
+    "equiv {B} {M}",
+    "equiv {M} {B}",
+    "reveal {B} --window 3",
 ]
 
 
@@ -721,6 +763,30 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, runner):
         result = runner.invoke(main, ["check", "/nonexistent/sys.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", NON_UTF8_COMMANDS)
+    def test_non_utf8_document_exits_2(self, runner, data_dir, tmp_path, command):
+        bad = tmp_path / "bad_utf8.json"
+        bad.write_bytes(b'{"domain": "\xff"}')  # 0xff at byte 12 starts no UTF-8 sequence
+        files = dict(
+            B=str(bad), W=_worked_file(data_dir), M=_minimal_file(data_dir),
+            P=str(data_dir / "scheduling_zero.json"), tmp=str(tmp_path),
+        )
+        result = runner.invoke(main, command.format(**files).split())
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {bad} is not UTF-8 text (byte 12: invalid start byte)\n"
+
+    def test_unreadable_file_is_input_error(self, runner, data_dir, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = runner.invoke(main, ["check", _worked_file(data_dir)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        path = _worked_file(data_dir)
+        assert result.output == f"error: cannot read {path}: [Errno 13] Permission denied\n"
 
     def test_malformed_document_is_input_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

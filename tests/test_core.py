@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "unobservable_subspace", "is_observable", "is_span_reachable_from_zero", "check_rc",
     "freeze_scheduling", "ltv_window_observability", "find_revealing_scheduling",
     # reduction and equivalence
-    "ReductionResult", "observability_reduction", "minimize", "reachability_reduction",
+    "ReductionResult", "observability_reduction", "minimize",
     "IsoResult", "EquivalenceReport", "find_isomorphism", "check_isomorphism",
     "match_initial_state", "behavior_equivalence_empirical",
     # errors
@@ -163,6 +163,49 @@ class TestValidate:
                 ([0.0], [1.0]),
                 "dt",
             )
+
+
+def _system_with(**blocks):
+    """A 2-state, 1-input, 1-output DT system on ``[0, 1]``, with ``blocks`` replaced."""
+    coeffs = dict(
+        A=[np.eye(2)] * 2, B=[np.ones((2, 1))] * 2,
+        C=[np.ones((1, 2))] * 2, D=[np.zeros((1, 1))] * 2,
+    )
+    coeffs.update(blocks)
+    return LpvSsa.from_matrices(**coeffs, region=([0.0], [1.0]), domain="dt")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SchedulingRegion([], []), "needs at least one coordinate"),
+        (lambda: SchedulingRegion([0.0, -np.inf], [1.0, 1.0]), "region bounds must be finite"),
+        (lambda: SchedulingRegion([0.0], [np.nan]), "region bounds must be finite"),
+        (lambda: _system_with(A=[np.ones((2, 3))] * 2), "A must be square, got (2, 3)"),
+        (lambda: _system_with(C=[np.ones((1, 3))] * 2), "C has 3 columns but A is 2x2"),
+        (lambda: _system_with(D=[np.zeros((2, 1))] * 2), "D has shape (2, 1), expected (1, 1)"),
+        (
+            lambda: _system_with(B=[np.zeros((2, 0))] * 2, D=[np.zeros((1, 0))] * 2),
+            "system needs at least one input (n_u >= 1)",
+        ),
+        (
+            lambda: _system_with(C=[np.zeros((0, 2))] * 2, D=[np.zeros((0, 1))] * 2),
+            "system needs at least one output (n_y >= 1)",
+        ),
+        (
+            lambda: _system_with(A=[np.eye(2)] * 3),
+            "A has 2 scheduling coefficients but the region has n_p = 1",
+        ),
+    ],
+    ids=[
+        "region-no-coordinate", "region-infinite", "region-nan", "A-not-square", "C-width",
+        "D-shape", "no-input", "no-output", "n_p-mismatch",
+    ],
+)
+def test_construction_input_errors(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert message in str(exc.value)
 
 
 class TestTransposeDual:

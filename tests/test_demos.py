@@ -1,7 +1,10 @@
 """The narrative scripts under ``demos/`` run to completion.
 
 Each script is run in its own interpreter with ``src`` on ``PYTHONPATH``,
-as the README runs them, and must exit 0.
+as the README runs them, and must exit 0.  A RuntimeWarning (an overflow
+or an invalid value) is an error in the script, as it is in the tests:
+the ``filterwarnings`` rule of ``pyproject.toml`` does not reach a
+subprocess, so ``PYTHONWARNINGS`` carries it there.
 """
 
 import os
@@ -25,6 +28,7 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     result = subprocess.run(
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )

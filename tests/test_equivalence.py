@@ -249,6 +249,23 @@ class TestMatchInitialState:
 
 
 class TestBehaviorEquivalence:
+    @pytest.mark.parametrize("domain", ["dt", "ct"])
+    def test_state_free_feedthrough_pair_passes(self, domain):
+        def feedthrough():
+            return LpvSsa.from_matrices(
+                [np.zeros((0, 0))] * 2, [np.zeros((0, 1))] * 2, [np.zeros((1, 0))] * 2,
+                [[[2.0]], [[0.5]]], ([-1.0], [1.0]), domain,
+            )
+
+        report = behavior_equivalence_empirical(feedthrough(), feedthrough(), trials=5, seed=0)
+        assert report.passed
+        assert report.max_residual == 0.0
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_must_be_positive(self, worked_minimal, trials):
+        with pytest.raises(InputError, match="trials must be positive"):
+            behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=trials)
+
     def test_system_vs_itself_passes(self, worked_minimal):
         report = behavior_equivalence_empirical(worked_minimal, worked_minimal, trials=10, seed=0)
         assert report.passed

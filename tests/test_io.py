@@ -153,6 +153,52 @@ class TestSignalDocuments:
             parse_signal(json.dumps({"kind": "hybrid"}))
 
 
+def _system_doc(edit):
+    """The worked example's document after ``edit(doc)``, as text."""
+    doc = json.loads(serialize_system(make_worked_example()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    """An edit that sets ``doc[path[0]]...[path[-1]]`` to ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_system, "[]", "/: expected an object"),
+        (parse_system, _system_doc(_set(["region"], [0.0, 1.0])), "/region: expected an object"),
+        (parse_system, _system_doc(lambda d: d.pop("D")), "/: missing field 'D'"),
+        (parse_system, _system_doc(_set(["A", 0, "data"], 1.0)), "/A/0/data: expected a list"),
+        (parse_system, _system_doc(_set(["A", 0, "shape"], [9])), "/A/0/shape: expected [rows"),
+        (parse_system, _system_doc(_set(["A", 0, "shape"], [-1, 3])), "/A/0/shape: expected [rows"),
+        (parse_system, _system_doc(_set(["A"], [])), "/A: expected a nonempty list of matrices"),
+        (
+            parse_system, _system_doc(_set(["region", "lower"], [0.0, 0.0])),
+            "/region: lower and upper must be nonempty and equally long",
+        ),
+        (parse_signal, json.dumps({"kind": "dt", "values": []}), "/values: expected a nonempty"),
+        (parse_signal, json.dumps({"kind": "dt", "values": [[], []]}), "/values: sample rows must"),
+        (parse_signal, json.dumps({"values": [[1.0]]}), '/: expected an object with a "kind"'),
+    ],
+    ids=[
+        "not-an-object", "region-not-an-object", "missing-field", "data-not-a-list", "shape-length",
+        "shape-negative", "empty-matrix-list", "region-unequal-bounds", "no-sample-rows",
+        "empty-sample-rows", "signal-without-kind",
+    ],
+)
+def test_document_input_errors(parse, text, message):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    assert message in str(exc.value)
+
+
 class TestTrajectoryExport:
     def _trajectory(self):
         sys = make_worked_example()

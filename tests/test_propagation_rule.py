@@ -97,7 +97,8 @@ class TestTheRule:
         for steps, composed in ((_CROSSOVER - 1, False), (_CROSSOVER, True)):
             compose_calls.clear()
             if domain == TimeDomain.DT:
-                p, u = Signal.dt_constant([0.3], steps), Signal.dt_constant([1.0], steps)
+                p = Signal.dt(np.full((steps + 1, 1), 0.3))
+                u = Signal.dt(np.full((steps + 1, 1), 1.0))
                 simulate_dt(sys, [1.0, 0.0], u, p, steps)
                 transition_matrices_dt(sys, p, steps)
             else:  # a constant signal adds no breakpoint: ``steps`` uniform steps
@@ -183,7 +184,7 @@ class TestOverflowRunsTheExactLoop:
     def test_dt_simulation(self):
         sys = _diverging_system(TimeDomain.DT)
         N = max(200, _CROSSOVER)
-        p, u = Signal.dt_constant([0.3], N), Signal.dt_constant([0.5], N)
+        p, u = Signal.dt(np.full((N + 1, 1), 0.3)), Signal.dt(np.full((N + 1, 1), 0.5))
         x0 = np.array([0.0, 1.0])
         traj = simulate_dt(sys, x0, u, p, N)
         xs, M, c = _plain_dt_loop(sys, x0, u.values, p.values, N)

@@ -30,7 +30,7 @@ from lpvssa import (
     match_initial_state,
     minimize,
     observability_reduction,
-    reachability_reduction,
+    transpose_dual,
     unobservable_subspace,
 )
 from lpvssa import analysis, equivalence
@@ -86,7 +86,6 @@ FORMER_OVERRIDES = {
     "match_initial_state": match_initial_state,
     "observability_reduction": observability_reduction,
     "minimize": minimize,
-    "reachability_reduction": reachability_reduction,
 }
 
 
@@ -132,7 +131,8 @@ def test_reduction_keeps_the_rank_at_the_floor(name):
     assert red.reduced.n_x == red.o == minimize(sys).o
     ok, dec = is_observable(red.reduced)
     assert ok and dec.rank == red.o
-    assert reachability_reduction(sys).o == is_span_reachable_from_zero(sys)[1].rank
+    reach = observability_reduction(transpose_dual(sys))  # the reachability reduction
+    assert reach.o == is_span_reachable_from_zero(sys)[1].rank
 
 
 @pytest.mark.parametrize("domain", [TimeDomain.DT, TimeDomain.CT])

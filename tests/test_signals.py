@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lpvssa import InputError, Signal, TimeDomain
-from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR
+from lpvssa import InputError, SchedulingRegion, Signal, TimeDomain, Trajectory
+from lpvssa.signals import PIECEWISE_CONSTANT, PIECEWISE_LINEAR, random_input, random_scheduling
 
 
 def test_dt_signal_basics():
@@ -63,8 +63,6 @@ def test_interpolation_aliases():
 
 
 def test_constant_builders():
-    d = Signal.dt_constant([1.0, 2.0], 4)
-    assert d.n_samples == 5 and d.dim == 2
     c = Signal.ct_constant([7.0], 3.0)
     assert c.value_at(2.9)[0] == 7.0
 
@@ -73,3 +71,48 @@ def test_values_are_immutable():
     s = Signal.dt([[1.0]])
     with pytest.raises(ValueError):
         s.values[0, 0] = 2.0
+
+
+def test_one_dimensional_values_are_one_column():
+    s = Signal.dt([1.0, 2.0, 3.0])
+    assert s.values.shape == (3, 1)
+    assert s.value_at(2)[0] == 3.0
+
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Signal.dt(np.zeros((2, 1, 1))), "signal values must be a (samples, dim) array"),
+        (lambda: Signal.dt([[1.0], [np.nan]]), "signal values must be finite"),
+        (lambda: Signal.ct([0.0, 1.0], [[np.inf], [1.0]]), "signal values must be finite"),
+        (lambda: Signal(TimeDomain.DT, [[1.0]], times=[0.0]), "DT signals carry no mesh"),
+        (lambda: Signal.ct([0.0, 1.0], [[1.0]]), "CT mesh length must match the number of samples"),
+        (
+            lambda: Trajectory(Signal.dt([[1.0]]), Signal.ct([0.0], [[1.0]])),
+            "state and output must share the time domain",
+        ),
+        (
+            lambda: Trajectory(Signal.dt([[1.0], [2.0]]), Signal.dt([[1.0]])),
+            "state and output must be aligned on the same grid",
+        ),
+        (
+            lambda: random_scheduling(
+                SchedulingRegion([0.0], [1.0]), np.random.default_rng(0), TimeDomain.DT
+            ),
+            "n_steps is required for a DT signal",
+        ),
+        (
+            lambda: random_input(1, np.random.default_rng(0), TimeDomain.CT),
+            "t_end is required for a CT signal",
+        ),
+    ],
+    ids=[
+        "values-3d", "values-nan", "values-inf", "dt-with-mesh", "ct-mesh-length",
+        "trajectory-domains", "trajectory-grids", "random-without-n_steps", "random-without-t_end",
+    ],
+)
+def test_signal_input_errors(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert message in str(exc.value)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lpvssa import (
     simulate_dt,
 )
 from lpvssa.signals import PIECEWISE_LINEAR, random_input, random_scheduling
+from lpvssa.simulation import integration_mesh, transition_matrices_ct, transition_matrices_dt
 
 from conftest import make_worked_minimal, random_system
 from oracles import dt_reference_simulation
@@ -180,6 +183,53 @@ class TestSimulateCt:
         u_short = Signal.ct([0.0, 0.5], [[0.0], [0.0]], PIECEWISE_LINEAR)
         with pytest.raises(InputError):
             simulate_ct(sys, [0.0], u_short, p, 1.0, 0.01)
+
+    def test_breakpoint_next_to_the_end_merges_into_it(self):
+        p = Signal.ct([0.0, 1.0 - 1e-13], [[0.0], [1.0]])
+        assert integration_mesh(1.0, 0.25, p).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _worked_minimal_ct():
+    return replace(make_worked_minimal(), domain=TimeDomain.CT)
+
+
+_P_DT, _U_DT = Signal.dt(np.zeros((4, 1))), Signal.dt(np.zeros((4, 1)))
+_P_CT, _U_CT = Signal.ct_constant([0.0], 1.0), Signal.ct_constant([0.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: simulate_dt(make_worked_minimal(), [1.0, 0.0, 0.0], _U_DT, _P_DT, 3),
+            "initial state has shape (3,), expected (2,)",
+        ),
+        (
+            lambda: simulate_dt(_worked_minimal_ct(), [1.0, 0.0], _U_CT, _P_CT, 1),
+            "simulate_dt needs a DT system",
+        ),
+        (
+            lambda: simulate_ct(make_worked_minimal(), [1.0, 0.0], _U_DT, _P_DT, 1.0, 0.1),
+            "simulate_ct needs a CT system",
+        ),
+        (
+            lambda: transition_matrices_dt(_worked_minimal_ct(), _P_CT, 1),
+            "transition_matrices_dt needs a DT system",
+        ),
+        (
+            lambda: transition_matrices_ct(make_worked_minimal(), _P_DT, 1.0, 0.1),
+            "transition_matrices_ct needs a CT system",
+        ),
+    ],
+    ids=[
+        "x0-shape", "simulate_dt-on-ct", "simulate_ct-on-dt", "transition_dt-on-ct",
+        "transition_ct-on-dt",
+    ],
+)
+def test_simulation_input_errors(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert message in str(exc.value)
 
 
 class TestErrorSystem:
