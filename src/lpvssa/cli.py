@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import os
 import sys as _sys
 import warnings
@@ -38,11 +37,13 @@ from .core import LpvSsa, TimeDomain
 from .equivalence import behavior_equivalence_empirical, find_isomorphism
 from .errors import InputError
 from .io import (
+    json_text,
     parse_signal,
     parse_system,
     serialize_signal,
     serialize_system,
     serialize_transform,
+    signal_document,
     trajectory_to_csv,
     trajectory_to_json,
 )
@@ -119,24 +120,6 @@ def _read_system(path) -> LpvSsa:
     return parse_system(_read_text(path))
 
 
-def _finite(obj):
-    """``obj`` with numpy arrays as lists and every number that is not finite as None."""
-    if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
-    if isinstance(obj, (list, np.ndarray)):
-        return [_finite(value) for value in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
-def _dumps(payload) -> str:
-    """Strict JSON text of a payload (numpy scalars become numbers)."""
-    return json.dumps(
-        _finite(payload), indent=2, allow_nan=False, default=lambda obj: obj.tolist()
-    )
-
-
 def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
     """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` with ``err``).
 
@@ -149,7 +132,7 @@ def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    _echo(_dumps(payload))
+    _echo(json_text(payload))
 
 
 def _base_payload(command: str) -> dict:
@@ -366,7 +349,7 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
             traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
         if out:
             if Path(out).suffix.lower() == ".json":
-                write(_dumps(trajectory_to_json(traj)) + "\n")
+                write(json_text(trajectory_to_json(traj)) + "\n")
             else:
                 write(trajectory_to_csv(traj))
     if out:
@@ -457,9 +440,7 @@ def reveal(system_file, trials, window, seed, out, as_json):
                 "trials": trials,
                 "seed": seed,
                 "diagnostics": diagnostics,
-                "scheduling": (
-                    json.loads(serialize_signal(found[0])) if found else None
-                ),
+                "scheduling": signal_document(found[0]) if found else None,
             }
         )
         _emit_json(payload)

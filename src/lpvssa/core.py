@@ -35,10 +35,20 @@ __all__ = [
 _BLOCK_DOUBLES = 16384
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _stack_each(coeffs) -> np.ndarray:
+    """Coefficients that one array conversion refuses, converted one by one.
+
+    Each becomes a matrix as ``np.atleast_2d`` makes it, and the first
+    whose shape differs from coefficient 0's is named in the InputError.
+    No coefficient at all gives an empty stack.
+    """
+    mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
+    if not mats:
+        return np.empty((0, 0, 0))
+    for i, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise InputError(f"coefficient {i} has shape {m.shape}, expected {mats[0].shape}")
+    return np.stack(mats)
 
 
 class TimeDomain(Enum):
@@ -58,12 +68,21 @@ class AffineMatrixFunction:
     in index order, and stacked products such as ``T @ f.coeffs @ S``
     transform every coefficient at once.
 
+    Construction costs what the data costs: one ``np.array`` conversion
+    of the whole coefficient list and one ``isfinite`` pass over the
+    stack.  Only when the conversion is refused (ragged shapes, or
+    coefficients that are not all scalars, all vectors or all matrices)
+    are the coefficients converted one by one, to name the first that
+    differs; only when the finiteness pass fails is the first non-finite
+    coefficient located.
+
     Parameters
     ----------
     coeffs : sequence of (rows, cols) array_like
         ``n_p + 1`` real matrices of identical shape.  Index 0 is the
         constant term, index ``i >= 1`` multiplies scheduling coordinate
-        ``p_i``.
+        ``p_i``.  A scalar coefficient is a ``1 x 1`` matrix and a 1-D
+        one a single row, as ``np.atleast_2d`` makes them.
 
     Raises
     ------
@@ -75,18 +94,18 @@ class AffineMatrixFunction:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
-        if not mats:
+        try:
+            stack = np.array(coeffs, dtype=float)
+        except (TypeError, ValueError):  # ragged, or an entry that is not a number
+            stack = None
+        if stack is None or not 1 <= stack.ndim <= 3:
+            stack = _stack_each(coeffs)
+        elif stack.ndim < 3:  # scalar or 1-D coefficients are 1 x cols matrices
+            stack = stack.reshape(len(stack), 1, *(stack.shape[1:] or (1,)))
+        if not len(stack):
             raise InputError("need at least the constant coefficient matrix")
-        shape = mats[0].shape
-        for i, m in enumerate(mats):
-            if m.shape != shape:
-                raise InputError(
-                    f"coefficient {i} has shape {m.shape}, expected {shape}"
-                )
-        stack = np.stack(mats)
-        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-        if bad.size:
+        if not np.isfinite(stack).all():
+            bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
             raise InputError(f"coefficient {bad[0]} contains non-finite entries")
         stack.setflags(write=False)
         object.__setattr__(self, "coeffs", stack)
@@ -174,29 +193,33 @@ class SchedulingRegion:
     ``analysis.check_rc``).  The interior is enforced here: a box with
     ``lower[i] >= upper[i]`` in any coordinate is an InputError naming
     every such coordinate, so every region is convex with nonempty
-    interior.
+    interior.  Each bound is converted once, into the read-only copy
+    the region keeps, and the coordinates are named only on failure.
     """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lo = np.atleast_1d(np.asarray(lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
+        lo = np.array(lower, dtype=float, ndmin=1)
+        hi = np.array(upper, dtype=float, ndmin=1)
+        if lo.ndim != 1 or lo.shape != hi.shape:
             raise InputError("lower and upper must be 1-d vectors of equal length")
         if lo.size < 1:
             raise InputError("scheduling region needs at least one coordinate")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        # n_p bounds a side: plain float checks cost less than array reductions
+        lows, highs = lo.tolist(), hi.tolist()
+        if not all(map(math.isfinite, lows + highs)):
             raise InputError("region bounds must be finite")
-        empty = np.flatnonzero(lo >= hi)
-        if empty.size:
+        if not all(a < b for a, b in zip(lows, highs)):
             raise InputError("; ".join(
                 f"region has empty interior in coordinate {i}: lower={lo[i]} >= upper={hi[i]}"
-                for i in empty
+                for i in np.flatnonzero(lo >= hi)
             ))
-        object.__setattr__(self, "lower", _frozen_array(lo))
-        object.__setattr__(self, "upper", _frozen_array(hi))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @property
     def n_p(self) -> int:

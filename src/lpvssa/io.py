@@ -5,6 +5,16 @@ plus row-major data so golden files diff cleanly; parsing is strict
 (unknown fields rejected, non-finite numbers rejected) and error messages
 carry JSON-pointer-style paths.  ``parse . serialize`` is the identity on
 canonical documents.
+
+Reading and writing cost what the data costs, on one path for valid
+input.  A JSON number list is checked with one pass over its entries'
+types and converted with one ``np.array`` call; the entry-by-entry scan
+that names the first bad entry, and the JSON-pointer path it names, are
+built only once that has failed.  :func:`json_text` is the one writer of
+documents, sidecars and ``--json`` payloads: its text is byte for byte
+``json.dumps(obj, indent=2)``, with a number that is not finite written
+as ``null`` (documents hold only finite numbers), and it writes a list of
+floats as one join of their ``repr``.
 """
 
 from __future__ import annotations
@@ -24,12 +34,17 @@ __all__ = [
     "serialize_system",
     "parse_signal",
     "serialize_signal",
+    "signal_document",
     "serialize_transform",
+    "json_text",
     "trajectory_to_csv",
     "trajectory_to_json",
 ]
 
 SCHEMA_VERSION = "1"
+_NUMBER_TYPES = {int, float}  # the types json.loads gives numbers; bool is its own type
+_MATRIX_FIELDS = {"shape", "data"}
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's string writer (ensure_ascii)
 
 
 def _reject_constant(name):
@@ -55,29 +70,75 @@ def _expect_object(node, path: str, required, optional=()) -> dict:
     return node
 
 
-def _number_list(node, path: str) -> list:
-    """The entries of a JSON list of finite numbers, as a list of floats.
+def _numbers(node):
+    """A JSON list of finite numbers as one float array, or None if it is not one.
+
+    One pass over the entries' types and one conversion; an integer
+    beyond the float range fails the conversion.
+    """
+    if type(node) is list and set(map(type, node)) <= _NUMBER_TYPES:
+        try:
+            out = np.array(node, dtype=float)
+        except OverflowError:
+            return None
+        # a sum of finite numbers is finite unless it overflows, and only
+        # then is every entry tested
+        if math.isfinite(sum(node, 0.0)) or np.isfinite(out).all():
+            return out
+    return None
+
+
+def _number_error(node, path: str) -> InputError:
+    """The error for a ``node`` that :func:`_numbers` refused: the first bad entry."""
+    if not isinstance(node, list):
+        return InputError(f"{path}: expected a list of numbers")
+    for i, v in enumerate(node):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return InputError(f"{path}/{i}: expected a number")
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:
+            return InputError(f"{path}/{i}: number must be finite")
+    # unreachable from json.loads, which gives exact types: every refusal has a bad entry
+    raise AssertionError(f"{path}: no bad entry in a refused number list")
+
+
+def _number_list(node, path: str) -> np.ndarray:
+    """The entries of a JSON list of finite numbers, as a float array.
 
     An error names the first bad entry; an integer beyond the float range
     is not finite.
     """
-    if not isinstance(node, list):
-        raise InputError(f"{path}: expected a list of numbers")
-    out = []
-    for i, v in enumerate(node):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputError(f"{path}/{i}: expected a number")
-        try:
-            v = float(v)
-        except OverflowError:
-            v = math.inf
-        if not math.isfinite(v):
-            raise InputError(f"{path}/{i}: number must be finite")
-        out.append(v)
+    out = _numbers(node)
+    if out is None:
+        raise _number_error(node, path)
     return out
 
 
-def _parse_matrix(node, path: str) -> np.ndarray:
+def _parse_matrix(node, where: str, i: int) -> np.ndarray:
+    """Matrix ``i`` of the list at ``where``, a ``{"shape", "data"}`` object.
+
+    The JSON-pointer path ``where/i`` is built only for the error.
+    """
+    if type(node) is dict and node.keys() == _MATRIX_FIELDS:
+        shape = node["shape"]
+        if (
+            type(shape) is list and len(shape) == 2
+            and set(map(type, shape)) == {int} and min(shape) >= 0
+        ):
+            data = _numbers(node["data"])
+            if data is not None and data.size == shape[0] * shape[1]:
+                return data.reshape(shape)
+    raise _matrix_error(node, f"{where}/{i}")
+
+
+def _matrix_error(node, path: str) -> InputError:
+    """The error for a matrix object that :func:`_parse_matrix` refused.
+
+    A bad object or data list raises its own error on the way.
+    """
     _expect_object(node, path, ("shape", "data"))
     shape = node["shape"]
     if (
@@ -85,21 +146,19 @@ def _parse_matrix(node, path: str) -> np.ndarray:
         or len(shape) != 2
         or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
     ):
-        raise InputError(f"{path}/shape: expected [rows, cols] nonnegative integers")
+        return InputError(f"{path}/shape: expected [rows, cols] nonnegative integers")
     rows, cols = shape
     data = _number_list(node["data"], f"{path}/data")
-    if len(data) != rows * cols:
-        raise InputError(
-            f"{path}/data: expected {rows * cols} entries for shape {rows}x{cols}, "
-            f"got {len(data)}"
-        )
-    return np.array(data, dtype=float).reshape(rows, cols)
+    return InputError(
+        f"{path}/data: expected {rows * cols} entries for shape {rows}x{cols}, "
+        f"got {len(data)}"
+    )
 
 
 def _parse_matrix_list(node, path: str) -> list:
     if not isinstance(node, list) or not node:
         raise InputError(f"{path}: expected a nonempty list of matrices")
-    return [_parse_matrix(m, f"{path}/{i}") for i, m in enumerate(node)]
+    return [_parse_matrix(m, path, i) for i, m in enumerate(node)]
 
 
 def parse_system(text: str) -> LpvSsa:
@@ -125,7 +184,7 @@ def parse_system(text: str) -> LpvSsa:
     region_node = _expect_object(doc["region"], "/region", ("lower", "upper"))
     lower = _number_list(region_node["lower"], "/region/lower")
     upper = _number_list(region_node["upper"], "/region/upper")
-    if len(lower) != len(upper) or not lower:
+    if len(lower) != len(upper) or not len(lower):
         raise InputError("/region: lower and upper must be nonempty and equally long")
     n_p = len(lower)
     mats = {}
@@ -167,7 +226,53 @@ def serialize_system(sys: LpvSsa) -> str:
         "C": [_matrix_doc(m) for m in sys.C.coeffs],
         "D": [_matrix_doc(m) for m in sys.D.coeffs],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, with non-finite numbers as ``null``.
+
+    ``obj`` is built from dicts with string keys, lists, tuples, strings,
+    numbers, None and numpy arrays or scalars (written as their
+    ``tolist()``, as ``json.dumps(..., default=lambda o: o.tolist())``
+    writes them).  A float that is not finite is ``null``, so the text
+    is strict JSON.
+    """
+    return _json_text(obj, "")
+
+
+def _json_text(obj, indent: str) -> str:
+    """:func:`json_text` of ``obj`` written on a line indented by ``indent``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            body = sep.join(_quote(k) + ": " + _json_text(v, inner) for k, v in obj.items())
+            return "{\n" + inner + body + "\n" + indent + "}"
+        # a list of ints, or of floats with a finite sum (so every entry is
+        # finite), is one join; a sum that overflows only sends a list of
+        # finite floats down the entry-by-entry path
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {float} and math.isfinite(sum(obj)):
+            body = sep.join(map(repr, obj))
+        else:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _json_text(obj.tolist(), indent)
 
 
 def _values_matrix(node, path: str) -> np.ndarray:
@@ -176,7 +281,9 @@ def _values_matrix(node, path: str) -> np.ndarray:
     rows = []
     width = None
     for i, row in enumerate(node):
-        vals = _number_list(row, f"{path}/{i}")
+        vals = _numbers(row)
+        if vals is None:
+            raise _number_error(row, f"{path}/{i}")
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -206,17 +313,20 @@ def parse_signal(text: str) -> Signal:
     raise InputError("/kind: expected \"dt\" or \"ct\"")
 
 
-def serialize_signal(sig: Signal) -> str:
+def signal_document(sig: Signal) -> dict:
+    """The signal document of ``sig`` as a dict (the object :func:`serialize_signal` writes)."""
     if sig.domain == TimeDomain.DT:
-        doc = {"kind": "dt", "values": sig.values.tolist()}
-    else:
-        doc = {
-            "kind": "ct",
-            "times": sig.times.tolist(),
-            "values": sig.values.tolist(),
-            "interpolation": sig.interpolation,
-        }
-    return json.dumps(doc, indent=2) + "\n"
+        return {"kind": "dt", "values": sig.values.tolist()}
+    return {
+        "kind": "ct",
+        "times": sig.times.tolist(),
+        "values": sig.values.tolist(),
+        "interpolation": sig.interpolation,
+    }
+
+
+def serialize_signal(sig: Signal) -> str:
+    return json_text(signal_document(sig)) + "\n"
 
 
 def serialize_transform(T: np.ndarray, Pi: np.ndarray, o: int, minimality=None) -> str:
@@ -228,7 +338,7 @@ def serialize_transform(T: np.ndarray, Pi: np.ndarray, o: int, minimality=None) 
         "Pi": _matrix_doc(np.asarray(Pi, dtype=float)),
         "minimality": minimality,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def _time_column(traj: Trajectory) -> np.ndarray:

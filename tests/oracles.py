@@ -5,8 +5,12 @@ library's own stacking/iteration code paths.
 """
 
 import itertools
+import json
+import math
 
 import numpy as np
+
+from lpvssa.errors import InputError
 
 
 def region_grid(region, points_per_axis):
@@ -229,3 +233,164 @@ def rk4_maps_full_horizon(sys, ps, mesh, us=None):
             g = matvec(A[j], (nu * hv) * g) + F[j]
             c += (w / 6.0 * hv) * g
     return M, c
+
+
+# ---------------------------------------------------------------------------
+# Documents read and written entry by entry: the reading of ``io`` and the
+# coefficient conversion of ``core`` as they were before the one-pass layer,
+# and the payload text of ``json.dumps`` itself.
+
+
+def reference_finite(obj):
+    """``obj`` with numpy arrays as lists and every number that is not finite as None."""
+    if isinstance(obj, dict):
+        return {key: reference_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, np.ndarray)):
+        return [reference_finite(value) for value in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def reference_payload_text(payload):
+    """Strict JSON text of a ``--json`` payload, by ``json.dumps`` after :func:`reference_finite`."""
+    return json.dumps(
+        reference_finite(payload), indent=2, allow_nan=False, default=lambda obj: obj.tolist()
+    )
+
+
+def reference_coefficient_stack(coeffs):
+    """The ``(n_p + 1, rows, cols)`` stack of ``coeffs``, one coefficient at a time."""
+    mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
+    if not mats:
+        raise InputError("need at least the constant coefficient matrix")
+    shape = mats[0].shape
+    for i, m in enumerate(mats):
+        if m.shape != shape:
+            raise InputError(f"coefficient {i} has shape {m.shape}, expected {shape}")
+    stack = np.stack(mats)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise InputError(f"coefficient {bad[0]} contains non-finite entries")
+    return stack
+
+
+def _reference_region(lower, upper):
+    lo = np.atleast_1d(np.asarray(lower, dtype=float))
+    hi = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
+        raise InputError("lower and upper must be 1-d vectors of equal length")
+    if lo.size < 1:
+        raise InputError("scheduling region needs at least one coordinate")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise InputError("region bounds must be finite")
+    empty = np.flatnonzero(lo >= hi)
+    if empty.size:
+        raise InputError("; ".join(
+            f"region has empty interior in coordinate {i}: lower={lo[i]} >= upper={hi[i]}"
+            for i in empty
+        ))
+    return lo, hi
+
+
+def _reference_reject_constant(name):
+    raise InputError(f"non-finite number {name!r} is not allowed")
+
+
+def _reference_expect_object(node, path, required, optional=()):
+    if not isinstance(node, dict):
+        raise InputError(f"{path or '/'}: expected an object")
+    unknown = set(node) - set(required) - set(optional)
+    if unknown:
+        raise InputError(f"{path or '/'}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in node:
+            raise InputError(f"{path or '/'}: missing field {key!r}")
+    return node
+
+
+def reference_number_list(node, path):
+    """The entries of a JSON list of finite numbers as floats, checked one by one."""
+    if not isinstance(node, list):
+        raise InputError(f"{path}: expected a list of numbers")
+    out = []
+    for i, v in enumerate(node):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputError(f"{path}/{i}: expected a number")
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise InputError(f"{path}/{i}: number must be finite")
+        out.append(v)
+    return out
+
+
+def reference_parse_matrix(node, path):
+    _reference_expect_object(node, path, ("shape", "data"))
+    shape = node["shape"]
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
+    ):
+        raise InputError(f"{path}/shape: expected [rows, cols] nonnegative integers")
+    rows, cols = shape
+    data = reference_number_list(node["data"], f"{path}/data")
+    if len(data) != rows * cols:
+        raise InputError(
+            f"{path}/data: expected {rows * cols} entries for shape {rows}x{cols}, "
+            f"got {len(data)}"
+        )
+    return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def reference_parse_system(text):
+    """A system document read entry by entry: ``(stacks, lower, upper, domain)``.
+
+    ``stacks`` maps ``"A"`` .. ``"D"`` to coefficient stacks.  Every check
+    and message of the reading is repeated here; the system invariants
+    are those of :class:`lpvssa.LpvSsa`, checked on the stacks built here.
+    """
+    from lpvssa.core import AffineMatrixFunction, LpvSsa, SchedulingRegion, TimeDomain
+
+    try:
+        doc = json.loads(text, parse_constant=_reference_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}") from exc
+    _reference_expect_object(doc, "", ("schema_version", "domain", "region", "A", "B", "C", "D"))
+    if doc["schema_version"] != "1":
+        raise InputError(
+            f"/schema_version: unsupported version {doc['schema_version']!r} (expected '1')"
+        )
+    if doc["domain"] not in ("dt", "ct"):
+        raise InputError("/domain: expected \"dt\" or \"ct\"")
+    region_node = _reference_expect_object(doc["region"], "/region", ("lower", "upper"))
+    lower = reference_number_list(region_node["lower"], "/region/lower")
+    upper = reference_number_list(region_node["upper"], "/region/upper")
+    if len(lower) != len(upper) or not lower:
+        raise InputError("/region: lower and upper must be nonempty and equally long")
+    n_p = len(lower)
+    mats = {}
+    for name in ("A", "B", "C", "D"):
+        node = doc[name]
+        if not isinstance(node, list) or not node:
+            raise InputError(f"/{name}: expected a nonempty list of matrices")
+        mats[name] = [reference_parse_matrix(m, f"/{name}/{i}") for i, m in enumerate(node)]
+        if len(mats[name]) != n_p + 1:
+            raise InputError(
+                f"/{name}: expected {n_p + 1} coefficient matrices for "
+                f"n_p = {n_p}, got {len(mats[name])}"
+            )
+    try:
+        lo, hi = _reference_region(lower, upper)
+        stacks = {name: reference_coefficient_stack(mats[name]) for name in mats}
+        LpvSsa(
+            *(AffineMatrixFunction(stacks[name]) for name in "ABCD"),
+            SchedulingRegion(lo, hi),
+            TimeDomain(doc["domain"]),
+        )
+    except InputError as exc:
+        raise InputError(f"system document invalid: {exc}") from exc
+    return stacks, lo, hi, doc["domain"]

@@ -571,6 +571,13 @@ class TestReveal:
         assert doc["found"] is True
         assert doc["scheduling"]["kind"] == "dt"
 
+    def test_json_scheduling_is_the_written_document(self, runner, data_dir, tmp_path):
+        out = tmp_path / "p.json"
+        args = ["reveal", _minimal_file(data_dir), "--window", "3", "--out", str(out), "--json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["scheduling"] == json.loads(out.read_text())
+
     def test_ct_weak_coupling_found(self, runner, tmp_path):
         # observable through a 1e-6 coupling that only the stacked window
         # matrix resolves at the 1e-10 floor (a Gramian would square it away)

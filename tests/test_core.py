@@ -15,7 +15,7 @@ from lpvssa import (
 )
 
 from conftest import make_constant_2state, random_system
-from oracles import in_box
+from oracles import in_box, reference_coefficient_stack
 
 # the package's public names; a name added or removed changes this set on purpose
 PUBLIC_NAMES = {
@@ -256,3 +256,65 @@ class TestTransposeDual:
     def test_dual_preserves_validity(self):
         dual = transpose_dual(make_constant_2state())  # construction runs every check
         assert (dual.n_x, dual.n_u, dual.n_y, dual.n_p) == (2, 1, 1, 1)
+
+
+# Coefficient lists of every form the constructor has accepted or refused:
+# one array conversion must keep both the accepted stacks and the messages.
+COEFFICIENT_FORMS = {
+    "scalars": [1.0, -2.5],
+    "1-D lists": [[1.0, 2.0], [3.0, 4.0]],
+    "1-D arrays": [np.array([1.0, 2.0]), np.array([3.0, 4.0])],
+    "1-D array stack": np.arange(6.0).reshape(3, 2),
+    "scalar then 1x1": [2.0, [[1.0]]],
+    "1x1 then scalar": [np.ones((1, 1)), 3],
+    "1-D then 1xn": [np.array([1.0, 2.0]), [[3.0, 4.0]]],
+    "matrix stack": np.arange(12.0).reshape(3, 2, 2),
+    "integers": [[[1, 2]], [[3, 4]]],
+    "numeric strings": [[["1.5", "2"]]],
+    "generator": lambda: (np.eye(2) * k for k in range(3)),  # read once: one per side
+    "empty generator": lambda: (m for m in []),
+    "empty matrices": [np.zeros((0, 0)), np.zeros((0, 0))],
+    "no columns": [np.zeros((2, 0))],
+    "empty row": [[]],
+    "ragged matrices": [np.eye(2), np.ones((2, 3))],
+    "matrix then 1-D": [np.eye(2), np.ones(2)],
+    "ragged nested lists": [[[1.0, 2.0], [3.0]]],
+    "3-D coefficient": [np.ones((2, 2, 2))],
+    "non-finite second": [np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]],
+    "infinite scalar": [0.0, np.inf],
+    "None entry": [None],
+    "non-numeric string": [[["a"]]],
+    "complex": [[[1j]]],
+    "empty list": [],
+    "empty stack": np.zeros((0, 2, 2)),
+    "empty 1-D stack": np.zeros((0, 3)),
+    "scalar": 3.0,
+}
+
+
+def _construction(build, coeffs):
+    try:
+        stack = build(coeffs)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return "ok", stack.dtype.str, stack.shape, stack.tobytes()
+
+
+@pytest.mark.parametrize("name", list(COEFFICIENT_FORMS))
+def test_constructor_accepts_what_one_by_one_conversion_accepts(name):
+    form = COEFFICIENT_FORMS[name]
+    coeffs = form if callable(form) else lambda: form
+    want = _construction(reference_coefficient_stack, coeffs())
+    got = _construction(lambda c: AffineMatrixFunction(c).coeffs, coeffs())
+    assert got == want
+
+
+def test_construction_copies_its_input():
+    """The stored arrays are read-only copies: the caller's arrays stay writable and unshared."""
+    stack, lower, upper = np.ones((2, 2, 2)), np.zeros(1), np.ones(1)
+    f = AffineMatrixFunction(stack)
+    region = SchedulingRegion(lower, upper)
+    stack[0, 0, 0] = lower[0] = upper[0] = 7.0
+    assert f.coeffs[0, 0, 0] == 1.0 and region.lower[0] == 0.0 and region.upper[0] == 1.0
+    for stored in (f.coeffs, region.lower, region.upper):
+        assert not stored.flags.writeable

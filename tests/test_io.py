@@ -1,10 +1,14 @@
 import json
+import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from lpvssa import InputError, Signal, TimeDomain, simulate_dt
+from lpvssa import InputError, LpvSsa, Signal, TimeDomain, cli, simulate_dt
 from lpvssa.io import (
+    json_text,
     parse_signal,
     parse_system,
     serialize_signal,
@@ -14,7 +18,8 @@ from lpvssa.io import (
     trajectory_to_json,
 )
 
-from conftest import make_worked_example
+from conftest import make_worked_example, random_system
+from oracles import reference_parse_system, reference_payload_text
 
 
 class TestSystemDocuments:
@@ -33,9 +38,16 @@ class TestSystemDocuments:
         assert np.array_equal(sys.region.lower, [0.0])
         assert np.array_equal(sys.region.upper, [1.0])
 
-    def test_bundled_file_round_trips(self, data_dir):
-        text = (data_dir / "worked_example.json").read_text()
-        assert serialize_system(parse_system(text)) == text
+    @pytest.mark.parametrize("name", [
+        "worked_example.json", "worked_minimal.json", "constant_1state.json",
+        "constant_2state.json", "scheduling_zero.json", "scheduling_first_one.json",
+    ])
+    def test_bundled_file_round_trips(self, data_dir, name):
+        text = (data_dir / name).read_text()
+        if name.startswith("scheduling"):
+            assert serialize_signal(parse_signal(text)) == text
+        else:
+            assert serialize_system(parse_system(text)) == text
 
     def test_wrong_coefficient_count_names_path(self, worked_example):
         doc = json.loads(serialize_system(worked_example))
@@ -268,3 +280,248 @@ class TestHugeIntegers:
         big = [2**53 + 1, 2**63 + 12345, -(2**64) - 1, 10**300, 0]
         sig = parse_signal(json.dumps({"kind": "dt", "values": [big]}))
         assert sig.values[0].tolist() == [float(v) for v in big]
+
+
+# ---------------------------------------------------------------------------
+# The one writer: byte for byte ``json.dumps(obj, indent=2)``.
+
+# finite floats that stress the shortest round-trip repr
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, 3.0, -17.0, 1e16, 1e22, 2.0**53, 0.1, 1e-5, 123456789.125,
+]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+any_floats = st.one_of(finite_floats, st.sampled_from(NON_FINITE))
+
+
+def _json_trees(leaf_numbers):
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(min_value=-(10**30), max_value=10**30),
+        leaf_numbers, st.text(max_size=8),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(leaf_numbers, max_size=6),
+            st.dictionaries(st.text(max_size=6), children, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+
+def _numpy_leaves(floats):
+    """numpy arrays and scalars, as payloads carry them."""
+    return st.one_of(
+        st.lists(floats, max_size=6).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.lists(floats, min_size=2, max_size=2), min_size=1, max_size=3).map(np.array),
+        floats.map(np.float64),
+        st.integers(-5, 5).map(np.int64),
+        st.booleans().map(np.bool_),
+    )
+
+
+@st.composite
+def systems(draw):
+    """Systems with ``n_x`` 0-6, ``n_u`` and ``n_y`` 1-3, ``n_p`` 1-3, either domain."""
+    n_x, n_u, n_y, n_p = (draw(st.integers(lo, hi)) for lo, hi in ((0, 6), (1, 3), (1, 3), (1, 3)))
+
+    def coeffs(rows, cols):
+        return [
+            np.array(draw(st.lists(finite_floats, min_size=rows * cols, max_size=rows * cols)))
+            .reshape(rows, cols)
+            for _ in range(n_p + 1)
+        ]
+
+    bounds = st.lists(finite_floats, min_size=2, max_size=2, unique=True).map(sorted)
+    region = np.array([draw(bounds) for _ in range(n_p)]).T
+    return LpvSsa.from_matrices(
+        coeffs(n_x, n_x), coeffs(n_x, n_u), coeffs(n_y, n_x), coeffs(n_y, n_u), region,
+        draw(st.sampled_from(["dt", "ct"])),
+    )
+
+
+def _matrix_doc(M):
+    return {"shape": list(M.shape), "data": [float(v) for v in M.ravel()]}
+
+
+def _replace_floats(obj, values):
+    """``obj`` with its float leaves (arrays included) taken from ``values`` while it lasts."""
+    if isinstance(obj, dict):
+        return {k: _replace_floats(v, values) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray) and obj.dtype == float:
+        return np.array(_replace_floats(obj.tolist(), values))
+    if isinstance(obj, list):
+        return [_replace_floats(v, values) for v in obj]
+    if isinstance(obj, float):
+        return next(values, obj)
+    return obj
+
+
+class TestWriterParity:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees(finite_floats))
+    def test_finite_trees_match_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees(st.one_of(any_floats, _numpy_leaves(any_floats))))
+    def test_payload_trees_match_the_finite_mapping(self, obj):
+        assert json_text(obj) == reference_payload_text(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems())
+    def test_system_documents(self, sys):
+        doc = {
+            "schema_version": "1",
+            "domain": sys.domain.value,
+            "region": {
+                "lower": [float(v) for v in sys.region.lower],
+                "upper": [float(v) for v in sys.region.upper],
+            },
+            **{name: [_matrix_doc(m) for m in getattr(sys, name).coeffs] for name in "ABCD"},
+        }
+        text = serialize_system(sys)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert serialize_system(parse_system(text)) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6), st.lists(finite_floats, min_size=36, max_size=36),
+           st.sampled_from([None, "minimal (behavioral)", "observable reduction only"]))
+    def test_transform_sidecars_with_nothing_kept(self, n, values, minimality):
+        T = np.array(values[: n * n]).reshape(n, n)
+        Pi = np.zeros((0, n))
+        doc = {"schema_version": "1", "o": 0, "T": _matrix_doc(T), "Pi": _matrix_doc(Pi),
+               "minimality": minimality}
+        assert serialize_transform(T, Pi, 0, minimality) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from([TimeDomain.DT, TimeDomain.CT]),
+           st.lists(st.sampled_from(NON_FINITE), min_size=1, max_size=4))
+    def test_command_payloads(self, tmp_path_factory, seed, n_x, n_u, n_y, n_p, domain, bad):
+        """``check``, ``minimize``, ``iso`` and ``equiv`` payloads, then with non-finite numbers."""
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n_x=n_x, n_u=n_u, n_y=n_y, n_p=n_p, domain=domain, rc_shift=1.5)
+        tmp = tmp_path_factory.mktemp("payloads")
+        path = tmp / "sys.json"
+        path.write_text(serialize_system(sys))
+        payloads = []
+        runner = CliRunner()
+        original = cli._emit_json
+        cli._emit_json = payloads.append
+        try:
+            for args in (
+                ["check", str(path)],
+                ["minimize", str(path), "--out", str(tmp / "min.json")],
+                ["iso", str(path), str(path)],
+                ["equiv", str(path), str(path), "--trials", "2"],
+            ):
+                result = runner.invoke(cli.main, [*args, "--json"])
+                assert result.exit_code == 0, result.output
+        finally:
+            cli._emit_json = original
+        assert [p["command"] for p in payloads] == ["check", "minimize", "iso", "equiv"]
+        for payload in payloads:
+            assert json_text(payload) == reference_payload_text(payload)
+            # the same payload with its float leaves replaced by NaN and infinities
+            spoilt = _replace_floats(payload, iter(bad * 100))
+            text = json_text(spoilt)
+            assert text == reference_payload_text(spoilt)
+            assert "NaN" not in text and "Infinity" not in text
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader against the entry-by-entry reader of tests/oracles.py.
+
+HUGE_LITERAL = "__huge_literal__"  # written as 1e400, which json.loads reads as inf
+
+
+def _mutate(doc, rng):
+    """``doc`` with one random node deleted, replaced, reshaped or made ragged."""
+    nodes = []
+
+    def walk(node, parent, key):
+        nodes.append((node, parent, key))
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, node, k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, node, i)
+
+    walk(doc, None, None)
+    matrices = [n for n, _, _ in nodes if isinstance(n, dict) and "shape" in n]
+    if matrices and rng.random() < 0.2:  # well-formed matrices of another shape
+        r, c = rng.choice([(0, 3), (1, 1), (1, 3), (3, 1), (3, 3), (2, 2), (3, 0)])
+        name = rng.choice("ABCD")
+        group = doc[name] if rng.random() < 0.5 and isinstance(doc.get(name), list) else []
+        for m in [n for n in group if n in matrices] or [rng.choice(matrices)]:
+            m.update(shape=[r, c], data=[rng.uniform(-2, 2) for _ in range(r * c)])
+        return doc
+    node, parent, key = rng.choice(nodes[1:])
+    kind = rng.choice([
+        "delete", "null", "string", "true", "big", "-big", "int400", "-int400", "nan", "inf",
+        "subnormal", "huge_literal", "shape", "ragged", "nest", "unknown", "duplicate", "empty",
+        "int", "list",
+    ])
+    if kind == "shape" and matrices:
+        node = rng.choice(matrices)
+    replace = {
+        "null": None, "string": "1.0", "true": True, "big": 1e308, "-big": -1e308,
+        "int400": 10**400, "-int400": -(10**400), "nan": float("nan"), "inf": float("-inf"),
+        "subnormal": 5e-324, "huge_literal": HUGE_LITERAL, "int": rng.choice([0, 3, -1, 2**70]),
+        "list": [1.0, 2.0],
+    }
+    if kind in replace:
+        parent[key] = replace[kind]
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "shape" and isinstance(node, dict) and "shape" in node:
+        r, c = node["shape"]
+        node["shape"] = rng.choice([[r + 1, c], [c, r], [r, c, 1], [-1, c], [-r, -c], [r, 0], [r * c, 1]])
+    elif kind == "ragged" and isinstance(node, list) and node:
+        node.pop(rng.randrange(len(node)))
+    elif kind == "nest" and isinstance(node, list) and node:
+        i = rng.randrange(len(node))
+        node[i] = [node[i]]
+    elif kind == "unknown" and isinstance(node, dict):
+        node["extra"] = 1
+    elif kind == "duplicate" and isinstance(node, list) and node:
+        node.append(json.loads(json.dumps(node[0])))
+    elif kind == "empty":
+        parent[key] = [] if isinstance(node, list) else {}
+    return doc
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    if isinstance(result, LpvSsa):
+        stacks = {name: getattr(result, name).coeffs for name in "ABCD"}
+        result = stacks, result.region.lower, result.region.upper, result.domain.value
+    stacks, lower, upper, domain = result
+    arrays = [stacks[name] for name in "ABCD"] + [lower, upper]
+    return "ok", domain, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_parse_matches_the_entry_by_entry_reader(data_dir):
+    """Seeded mutations of the worked example: one message, or bit-identical stacks."""
+    base = json.loads((data_dir / "worked_example.json").read_text())
+    rng = random.Random(20241020)
+    seen = set()
+    for _ in range(1500):
+        doc = json.loads(json.dumps(base))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            doc = _mutate(doc, rng)
+        text = json.dumps(doc).replace(f'"{HUGE_LITERAL}"', "1e400")
+        want = _outcome(reference_parse_system, text)
+        assert _outcome(parse_system, text) == want, text
+        seen.add(want[0] if want[0] == "ok" else want[1].split(":")[0])
+    assert "ok" in seen and len(seen) > 20  # the mutations reach many checks
