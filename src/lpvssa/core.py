@@ -35,20 +35,17 @@ __all__ = [
 _BLOCK_DOUBLES = 16384
 
 
-def _stack_each(coeffs) -> np.ndarray:
-    """Coefficients that one array conversion refuses, converted one by one.
+def _check_shapes(coeffs) -> None:
+    """Name the first coefficient whose shape differs from coefficient 0's.
 
-    Each becomes a matrix as ``np.atleast_2d`` makes it, and the first
-    whose shape differs from coefficient 0's is named in the InputError.
-    No coefficient at all gives an empty stack.
+    Runs only when one array conversion of ``coeffs`` gives no stack of
+    scalars, vectors or matrices.  Each coefficient is converted on its
+    own, so an entry that is not a number raises numpy's own error.
     """
-    mats = [np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
-    if not mats:
-        return np.empty((0, 0, 0))
-    for i, m in enumerate(mats):
-        if m.shape != mats[0].shape:
-            raise InputError(f"coefficient {i} has shape {m.shape}, expected {mats[0].shape}")
-    return np.stack(mats)
+    shapes = [np.asarray(c, dtype=float).shape for c in coeffs]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise InputError(f"coefficient {i} has shape {shape}, expected {shapes[0]}")
 
 
 class TimeDomain(Enum):
@@ -70,25 +67,27 @@ class AffineMatrixFunction:
 
     Construction costs what the data costs: one ``np.array`` conversion
     of the whole coefficient list and one ``isfinite`` pass over the
-    stack.  Only when the conversion is refused (ragged shapes, or
-    coefficients that are not all scalars, all vectors or all matrices)
-    are the coefficients converted one by one, to name the first that
-    differs; only when the finiteness pass fails is the first non-finite
-    coefficient located.
+    stack.  Only when the conversion is refused, or gives no stack of
+    scalars, vectors or matrices, are the coefficients converted one by
+    one, to name the first whose shape differs; only when the finiteness
+    pass fails is the first non-finite coefficient located.
 
     Parameters
     ----------
     coeffs : sequence of (rows, cols) array_like
         ``n_p + 1`` real matrices of identical shape.  Index 0 is the
         constant term, index ``i >= 1`` multiplies scheduling coordinate
-        ``p_i``.  A scalar coefficient is a ``1 x 1`` matrix and a 1-D
-        one a single row, as ``np.atleast_2d`` makes them.
+        ``p_i``.  Coefficients that are all scalars are ``1 x 1``
+        matrices and coefficients that are all 1-D are single rows; a
+        list that mixes scalars, vectors and matrices is refused, as is
+        an iterator.
 
     Raises
     ------
     InputError
-        If the coefficient list is empty, shapes disagree, or any entry
-        is not finite.
+        If the coefficient list is empty, shapes disagree, it is not a
+        sequence of scalars, vectors or matrices, or any entry is not
+        finite.
     """
 
     coeffs: np.ndarray
@@ -96,11 +95,14 @@ class AffineMatrixFunction:
     def __init__(self, coeffs):
         try:
             stack = np.array(coeffs, dtype=float)
-        except (TypeError, ValueError):  # ragged, or an entry that is not a number
+        except (TypeError, ValueError):  # ragged, an entry that is not a number, or an iterator
             stack = None
         if stack is None or not 1 <= stack.ndim <= 3:
-            stack = _stack_each(coeffs)
-        elif stack.ndim < 3:  # scalar or 1-D coefficients are 1 x cols matrices
+            _check_shapes(coeffs)
+            raise InputError(
+                "coefficients must be a sequence of scalars, vectors or matrices of one shape"
+            )
+        if stack.ndim < 3:  # scalar or 1-D coefficients are 1 x cols matrices
             stack = stack.reshape(len(stack), 1, *(stack.shape[1:] or (1,)))
         if not len(stack):
             raise InputError("need at least the constant coefficient matrix")
@@ -194,7 +196,7 @@ class SchedulingRegion:
     ``lower[i] >= upper[i]`` in any coordinate is an InputError naming
     every such coordinate, so every region is convex with nonempty
     interior.  Each bound is converted once, into the read-only copy
-    the region keeps, and the coordinates are named only on failure.
+    the region keeps.
     """
 
     lower: np.ndarray
@@ -207,14 +209,13 @@ class SchedulingRegion:
             raise InputError("lower and upper must be 1-d vectors of equal length")
         if lo.size < 1:
             raise InputError("scheduling region needs at least one coordinate")
-        # n_p bounds a side: plain float checks cost less than array reductions
-        lows, highs = lo.tolist(), hi.tolist()
-        if not all(map(math.isfinite, lows + highs)):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise InputError("region bounds must be finite")
-        if not all(a < b for a, b in zip(lows, highs)):
+        empty = np.flatnonzero(lo >= hi)
+        if empty.size:
             raise InputError("; ".join(
                 f"region has empty interior in coordinate {i}: lower={lo[i]} >= upper={hi[i]}"
-                for i in np.flatnonzero(lo >= hi)
+                for i in empty
             ))
         lo.setflags(write=False)
         hi.setflags(write=False)

@@ -117,6 +117,14 @@ def _number_list(node, path: str) -> np.ndarray:
     return out
 
 
+def _shape_ok(shape) -> bool:
+    """Whether a matrix's ``shape`` field is ``[rows, cols]``, two nonnegative integers."""
+    return (
+        type(shape) is list and len(shape) == 2
+        and set(map(type, shape)) == {int} and min(shape) >= 0
+    )
+
+
 def _parse_matrix(node, where: str, i: int) -> np.ndarray:
     """Matrix ``i`` of the list at ``where``, a ``{"shape", "data"}`` object.
 
@@ -124,10 +132,7 @@ def _parse_matrix(node, where: str, i: int) -> np.ndarray:
     """
     if type(node) is dict and node.keys() == _MATRIX_FIELDS:
         shape = node["shape"]
-        if (
-            type(shape) is list and len(shape) == 2
-            and set(map(type, shape)) == {int} and min(shape) >= 0
-        ):
+        if _shape_ok(shape):
             data = _numbers(node["data"])
             if data is not None and data.size == shape[0] * shape[1]:
                 return data.reshape(shape)
@@ -141,11 +146,7 @@ def _matrix_error(node, path: str) -> InputError:
     """
     _expect_object(node, path, ("shape", "data"))
     shape = node["shape"]
-    if (
-        not isinstance(shape, list)
-        or len(shape) != 2
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)
-    ):
+    if not _shape_ok(shape):
         return InputError(f"{path}/shape: expected [rows, cols] nonnegative integers")
     rows, cols = shape
     data = _number_list(node["data"], f"{path}/data")
@@ -281,9 +282,7 @@ def _values_matrix(node, path: str) -> np.ndarray:
     rows = []
     width = None
     for i, row in enumerate(node):
-        vals = _numbers(row)
-        if vals is None:
-            raise _number_error(row, f"{path}/{i}")
+        vals = _number_list(row, f"{path}/{i}")
         if width is None:
             width = len(vals)
         elif len(vals) != width:

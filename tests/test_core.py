@@ -258,8 +258,9 @@ class TestTransposeDual:
         assert (dual.n_x, dual.n_u, dual.n_y, dual.n_p) == (2, 1, 1, 1)
 
 
-# Coefficient lists of every form the constructor has accepted or refused:
-# one array conversion must keep both the accepted stacks and the messages.
+# Coefficient lists of every form the one-by-one conversion accepted or
+# refused: outside REFUSED_FORMS, one array conversion must keep both the
+# accepted stacks and the messages.
 COEFFICIENT_FORMS = {
     "scalars": [1.0, -2.5],
     "1-D lists": [[1.0, 2.0], [3.0, 4.0]],
@@ -292,6 +293,24 @@ COEFFICIENT_FORMS = {
 }
 
 
+# Forms that one array conversion refuses although the one-by-one conversion
+# took them (mixed ranks, an iterator, 3-D coefficients), and a mixed-rank
+# list whose message now names the shape as given, not as promoted to 2-D.
+REFUSED_FORMS = {
+    "scalar then 1x1": "coefficient 1 has shape (1, 1), expected ()",
+    "1x1 then scalar": "coefficient 1 has shape (), expected (1, 1)",
+    "1-D then 1xn": "coefficient 1 has shape (1, 2), expected (2,)",
+    "matrix then 1-D": "coefficient 1 has shape (2,), expected (2, 2)",
+    "generator": "coefficients must be a sequence of scalars, vectors or matrices of one shape",
+    "empty generator": (
+        "coefficients must be a sequence of scalars, vectors or matrices of one shape"
+    ),
+    "3-D coefficient": (
+        "coefficients must be a sequence of scalars, vectors or matrices of one shape"
+    ),
+}
+
+
 def _construction(build, coeffs):
     try:
         stack = build(coeffs)
@@ -301,12 +320,14 @@ def _construction(build, coeffs):
 
 
 @pytest.mark.parametrize("name", list(COEFFICIENT_FORMS))
-def test_constructor_accepts_what_one_by_one_conversion_accepts(name):
+def test_constructor_matches_one_by_one_conversion(name):
     form = COEFFICIENT_FORMS[name]
     coeffs = form if callable(form) else lambda: form
-    want = _construction(reference_coefficient_stack, coeffs())
     got = _construction(lambda c: AffineMatrixFunction(c).coeffs, coeffs())
-    assert got == want
+    if name in REFUSED_FORMS:
+        assert got == ("InputError", REFUSED_FORMS[name])
+    else:
+        assert got == _construction(reference_coefficient_stack, coeffs())
 
 
 def test_construction_copies_its_input():
