@@ -35,6 +35,9 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial import polynomial as poly
+from numpy.polynomial import polyutils as pu
 
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError
@@ -272,32 +275,51 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
         P = np.clip(P - scale[:, None] * g, lo, hi)
 
 
-def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray):
-    """``det A(a + t (b - a))`` as a Chebyshev series in ``t`` on ``[0, 1]``.
+def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``det A(a + t (b - a))`` as Chebyshev coefficients in ``t`` on ``[0, 1]``.
 
     The determinant is a polynomial of degree at most ``n_x`` in ``t``, so
     its interpolant at the ``n_x + 1`` Chebyshev nodes is exact up to
     rounding: one ``at_points`` call and one stacked determinant.
-    Numerically-zero leading coefficients are dropped.
+    Numerically-zero leading coefficients are dropped.  The steps are
+    those of ``Chebyshev.fit(t, dets, n_x, domain=[0, 1]).trim(tol)``, on
+    arrays: the fit runs on ``2 t - 1``.
     """
     t = _chebyshev_nodes(0.0, 1.0, sys.n_x + 1)
     dets = np.linalg.det(sys.A.at_points(a + t[:, None] * (b - a)))
-    fit = np.polynomial.Chebyshev.fit(t, dets, sys.n_x, domain=[0.0, 1.0])
-    return fit.trim(1e-12 * float(np.max(np.abs(fit.coef))))
+    coef = cheb.chebfit(2.0 * t - 1.0, dets, sys.n_x)
+    return pu.trimcoef(coef, 1e-12 * float(np.max(np.abs(coef))))
 
 
-def _segment_roots(det: np.polynomial.Chebyshev) -> np.ndarray:
-    """Real roots of the interpolant in ``[0, 1]`` (within ``1e-9``), clipped.
+def _segment_roots(det: np.ndarray) -> np.ndarray:
+    """Real roots of the interpolant ``det`` in ``[0, 1]`` (within ``1e-9``), clipped.
 
     Every segment passed here runs through a point that passed the scaled
     test (two open box centres, or the root box's centre on the
     diagonal), so ``det`` is not identically zero on it; a constant
     series has no roots.
     """
-    r = det.roots()
+    r = pu.mapdomain(cheb.chebroots(det), (-1.0, 1.0), (0.0, 1.0))
     real = np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))
     inside = (r.real >= -1e-9) & (r.real <= 1.0 + 1e-9)
     return np.clip(r.real[real & inside], 0.0, 1.0)
+
+
+def _power_series(det: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The Chebyshev series ``det`` on ``[lo, hi]`` as power-series coefficients.
+
+    The operations, and their order, of
+    ``Chebyshev(det, domain=[lo, hi]).convert(kind=Polynomial).coef``: the
+    Clenshaw recursion of ``chebval`` run on the power series of the map
+    from ``[lo, hi]`` onto ``[-1, 1]``, so the result is the same to the bit.
+    """
+    off, scl = pu.mapparms([lo, hi], [-1.0, 1.0])
+    x = poly.polyadd(off, poly.polymul(scl, [0.0, 1.0]))
+    x2 = poly.polymul(2, x)
+    c0, c1 = (det[0], 0) if len(det) == 1 else (det[-2], det[-1])
+    for c in det[-3::-1]:
+        c0, c1 = poly.polysub(c, c1), poly.polyadd(c0, poly.polymul(c1, x2))
+    return poly.polyadd(c0, poly.polymul(c1, x))
 
 
 def _segment_witness(sys: LpvSsa, a: np.ndarray, b: np.ndarray, det):
@@ -469,8 +491,7 @@ def check_rc(sys: LpvSsa) -> RcCertificate:
     else:
         cert = _rc_boxes(sys, diagonal)
     if sys.n_p == 1:  # reported evidence; the box search decided
-        det = np.polynomial.Chebyshev(diagonal().coef, domain=[lo[0], hi[0]])
-        cert = replace(cert, det_poly_1d=det.convert(kind=np.polynomial.Polynomial).coef)
+        cert = replace(cert, det_poly_1d=_power_series(diagonal(), lo[0], hi[0]))
     return cert
 
 

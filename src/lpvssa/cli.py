@@ -1,11 +1,16 @@
 """Command-line interface exposing the library over JSON documents.
 
+One standard-library ``argparse`` parser, built once at import, reads
+the command line, and results are printed to ``sys.stdout``.
 Exit codes: 0 when the command ran to completion (verdicts do not change
-the exit code), 2 on input errors.  Output paths are checked before any
-work, and output files appear only whole, once every one is written; a
-command that fails prints no result and leaves no file.  Every rank
-decision runs through the polynomial-time observability kernel, so no
-command builds a capped matrix.  Every command is deterministic given its files and flags.
+the exit code), 2 on input errors and on usage errors (an unknown command
+or option, a missing argument, a value of the wrong type), each reported
+as one ``error: …`` line on stderr.  Output paths are checked before any
+work (an existing directory is refused), and output files appear only
+whole, once every one is written; a command that fails prints no result
+and leaves no file.  Every rank decision runs through the polynomial-time
+observability kernel, so no command builds a capped matrix.  Every
+command is deterministic given its files and flags.
 Machine-readable output (``--json``) is strict JSON (a number that is not
 finite is ``null``) and carries the payload's ``schema_version``, the tool
 version and the tolerances that ran: the rank floor and the singularity
@@ -14,14 +19,13 @@ floor, both constants (``1e-10`` relative, see :mod:`~lpvssa.analysis`).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
-import functools
 import os
 import sys as _sys
 import warnings
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
@@ -56,18 +60,6 @@ from .simulation import _check_window, simulate_ct, simulate_dt
 PAYLOAD_SCHEMA_VERSION = "3"
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InputError as exc:
-            _echo(f"error: {exc}", err=True)
-            _sys.exit(2)
-
-    return wrapper
-
-
 def _read_text(path) -> str:
     """A document's text; JSON text is UTF-8 (RFC 8259), whatever the locale."""
     try:
@@ -82,16 +74,17 @@ def _read_text(path) -> str:
 def _output_files(*paths):
     """Write the output ``paths`` whole, and only after every one is written.
 
-    A temporary file is created beside each path on entry, before the
-    command computes or prints anything, so an unwritable path is an
-    InputError up front.  The body calls the yielded ``write(*texts)``
-    (one text per path) once its results are ready: every text goes to
-    its temporary file first, then each file is moved onto its path with
+    On entry, before the command computes or prints anything, a path that
+    is an existing directory is refused and a temporary file is created
+    beside each path, so an unwritable path is an InputError up front.
+    The body calls the yielded ``write(*texts)`` (one text per path) once
+    its results are ready: every text goes through the open handle of its
+    temporary file, then each file is moved onto its path with
     ``os.replace``.  Temporary files left over (an error, or no call) are
     removed on exit.
     """
     paths = [Path(path) for path in paths]
-    temps = []
+    temps = []  # (temporary path, its open handle)
 
     def attempt(path, action, *args):
         try:
@@ -100,19 +93,23 @@ def _output_files(*paths):
             raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
     def write(*texts):
-        for tmp, text, path in zip(temps, texts, paths):
-            attempt(path, tmp.write_text, text)
-        for tmp, path in zip(temps, paths):
+        for (_, handle), text, path in zip(temps, texts, paths):
+            attempt(path, handle.write, text)
+            attempt(path, handle.close)
+        for (tmp, _), path in zip(temps, paths):
             attempt(path, os.replace, tmp, path)
 
     try:
         for path in paths:
+            if path.is_dir():
+                raise InputError(f"cannot write {path}: Is a directory")
             tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-            attempt(path, tmp.open, "x").close()  # a new file's default mode, unlike mkstemp
-            temps.append(tmp)
+            temps.append((tmp, attempt(path, tmp.open, "x")))  # a new file's default mode, unlike mkstemp
         yield write
     finally:
-        for tmp in temps:
+        for tmp, handle in temps:
+            with contextlib.suppress(OSError):  # after a failed write the flush fails too
+                handle.close()
             tmp.unlink(missing_ok=True)
 
 
@@ -121,14 +118,13 @@ def _read_system(path) -> LpvSsa:
 
 
 def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
-    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` with ``err``).
+    """Print to the current ``sys.stdout`` (``sys.stderr`` with ``err``) and flush it.
 
-    Without ``file``, click caches a text wrapper per stream object, and
-    the cache entry keeps that stream alive: a caller that runs commands
-    in one process with a fresh ``sys.stdout`` each time would keep every
-    output buffer.
+    The stream is looked up at each call, so a caller may swap it between
+    commands run in one process; the flush keeps the two streams in the
+    order they were written when they share one terminal or pipe.
     """
-    click.echo(message, file=_sys.stderr if err else _sys.stdout, nl=nl)
+    print(message, end="\n" if nl else "", file=_sys.stderr if err else _sys.stdout, flush=True)
 
 
 def _emit_json(payload: dict) -> None:
@@ -179,21 +175,105 @@ def _point(p) -> str:
     return "[" + ", ".join(repr(float(v)) for v in p) + "]"
 
 
-_json_option = click.option(
-    "--json", "as_json", is_flag=True, help="Machine-readable output."
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors print the usage line and ``error: …``, exit 2."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        _echo(f"error: {message}", err=True)
+        _sys.exit(2)
+
+
+_PARSER = _Parser(
+    prog="lpvssa",
+    description="Analysis, minimization, and simulation of affine LPV state-space systems.",
+    add_help=False,
+    allow_abbrev=False,
 )
+_PARSER.add_argument("--version", action="version", version=f"lpvssa, version {__version__}",
+                     help="Show the version and exit.")
+_PARSER.add_argument("--help", action="help", help="Show this message and exit.")
+_COMMANDS = _PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
+_VALUED = set()  # option strings that take a value, in any command
 
 
-@click.group()
-@click.version_option(__version__, prog_name="lpvssa")
-def main():
-    """Analysis, minimization, and simulation of affine LPV state-space systems."""
+def _arg(*names, **kwargs):
+    return names, kwargs
 
 
-@main.command()
-@click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@_json_option
-@_guard
+def _command(*arguments):
+    """Register the decorated function as the command of its name.
+
+    ``arguments`` are ``_arg(...)`` calls, passed on to ``add_argument``;
+    every command also takes ``--json`` (``as_json``) and ``--help``.
+    """
+
+    def register(fn):
+        parser = _COMMANDS.add_parser(
+            fn.__name__, help=fn.__doc__, description=fn.__doc__, add_help=False,
+            allow_abbrev=False,
+        )
+        for names, kwargs in arguments:
+            if names[0].startswith("--"):
+                _VALUED.update(names)
+            else:
+                kwargs = {"metavar": names[0].upper(), **kwargs}
+            parser.add_argument(*names, **kwargs)
+        parser.add_argument("--json", dest="as_json", action="store_true",
+                            help="Machine-readable output.")
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        parser.set_defaults(run=fn)
+        return fn
+
+    return register
+
+
+def _joined(args):
+    """``--name value`` as ``--name=value`` for every option that takes a value.
+
+    So a value that starts with ``-`` (``--x0 -1,0``, ``--tol -1e-3``)
+    stays a value; ``argparse`` alone would read it as an option.  Nothing
+    after ``--`` is joined.
+    """
+    args = iter(args)
+    for arg in args:
+        if arg == "--":
+            yield arg
+            yield from args
+        elif arg in _VALUED:
+            value = next(args, None)
+            yield arg if value is None else f"{arg}={value}"
+        else:
+            yield arg
+
+
+def main(args=None, *, prog_name="lpvssa", standalone_mode=True):
+    """Run the command line ``args`` (default: ``sys.argv[1:]``).
+
+    Returns when the command ran, and exits with code 2 on an input or
+    usage error, with one ``error: …`` line on stderr.  ``prog_name`` and
+    ``standalone_mode`` do nothing: the program is always named
+    ``lpvssa``, and every call returns, or exits on an error, alike.  They
+    stay because ``bench/workloads.py`` calls ``main(args,
+    standalone_mode=False, prog_name="lpvssa")``, and go with the next
+    change to the benchmark.
+    """
+    ns, extra = _PARSER.parse_known_args(list(_joined(_sys.argv[1:] if args is None else args)))
+    if extra:
+        _COMMANDS.choices[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    kwargs = vars(ns)
+    del kwargs["command"]
+    try:
+        kwargs.pop("run")(**kwargs)
+    except InputError as exc:
+        _echo(f"error: {exc}", err=True)
+        _sys.exit(2)
+
+
+_SYSTEM_FILE = _arg("system_file")
+
+
+@_command(_SYSTEM_FILE)
 def check(system_file, as_json):
     """Observability, span-reachability, and regularity report."""
     sys_ = _read_system(system_file)
@@ -226,17 +306,12 @@ def check(system_file, as_json):
     _echo(_rc_text(rc))
 
 
-@main.command()
-@click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False), help="Reduced system document.")
-@click.option(
-    "--transform-out",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Transform sidecar path [default: OUT with a .transform.json suffix].",
+@_command(
+    _SYSTEM_FILE,
+    _arg("--out", required=True, help="Reduced system document."),
+    _arg("--transform-out",
+         help="Transform sidecar path [default: OUT with a .transform.json suffix]."),
 )
-@_json_option
-@_guard
 def minimize(system_file, out, transform_out, as_json):
     """Observability reduction; minimal realization under regularity."""
     sys_ = _read_system(system_file)
@@ -274,12 +349,13 @@ def minimize(system_file, out, transform_out, as_json):
     _echo(f"wrote {out_path} and {sidecar}")
 
 
-@main.command()
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-8, show_default=True, help="Residual tolerance.")
-@_json_option
-@_guard
+_FILES = (_arg("file1"), _arg("file2"))
+
+
+@_command(
+    *_FILES,
+    _arg("--tol", type=float, default=1e-8, help="Residual tolerance. [default: %(default)s]"),
+)
 def iso(file1, file2, tol, as_json):
     """Isomorphism between two systems of equal dimension."""
     r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol)
@@ -306,19 +382,15 @@ def iso(file1, file2, tol, as_json):
         _echo(np.array2string(r.T, precision=12, suppress_small=True))
 
 
-@main.command()
-@click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--x0", default=None, help="Comma-separated initial state [default: origin].")
-@click.option("--u", "u_file", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Input signal document [default: zero input].")
-@click.option("--p", "p_file", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Scheduling signal document.")
-@click.option("--horizon", required=True, type=float, help="Steps (DT) or end time (CT).")
-@click.option("--step", default=1e-3, show_default=True, help="CT integrator step.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Trajectory file (.csv or .json by extension) [default: CSV to stdout].")
-@_json_option
-@_guard
+@_command(
+    _SYSTEM_FILE,
+    _arg("--x0", help="Comma-separated initial state [default: origin]."),
+    _arg("--u", dest="u_file", help="Input signal document [default: zero input]."),
+    _arg("--p", dest="p_file", required=True, help="Scheduling signal document."),
+    _arg("--horizon", type=float, required=True, help="Steps (DT) or end time (CT)."),
+    _arg("--step", type=float, default=1e-3, help="CT integrator step. [default: %(default)s]"),
+    _arg("--out", help="Trajectory file (.csv or .json by extension) [default: CSV to stdout]."),
+)
 def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
     """Simulate a trajectory under given input and scheduling signals."""
     sys_ = _read_system(system_file)
@@ -363,16 +435,14 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
     _echo(trajectory_to_csv(traj), nl=False)
 
 
-@main.command()
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--trials", default=20, show_default=True)
-@click.option("--horizon", default=None, type=float, help="[default: 20 steps DT / 2.0 CT]")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=None, type=float, help="[default: 1e-6 DT / 1e-4 CT]")
-@click.option("--step", default=1e-2, show_default=True, help="CT integrator step.")
-@_json_option
-@_guard
+@_command(
+    *_FILES,
+    _arg("--trials", type=int, default=20, help="[default: %(default)s]"),
+    _arg("--horizon", type=float, help="[default: 20 steps DT / 2.0 CT]"),
+    _arg("--seed", type=int, default=0, help="[default: %(default)s]"),
+    _arg("--tol", type=float, help="[default: 1e-6 DT / 1e-4 CT]"),
+    _arg("--step", type=float, default=1e-2, help="CT integrator step. [default: %(default)s]"),
+)
 def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
     """Empirical behavior-equivalence test between two systems."""
     report = behavior_equivalence_empirical(
@@ -412,15 +482,13 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
     _echo(f"note: {report.note}")
 
 
-@main.command()
-@click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--trials", default=50, show_default=True)
-@click.option("--window", required=True, type=float, help="Steps (DT) or end time (CT).")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the found scheduling signal document here.")
-@_json_option
-@_guard
+@_command(
+    _SYSTEM_FILE,
+    _arg("--trials", type=int, default=50, help="[default: %(default)s]"),
+    _arg("--window", type=float, required=True, help="Steps (DT) or end time (CT)."),
+    _arg("--seed", type=int, default=0, help="[default: %(default)s]"),
+    _arg("--out", help="Write the found scheduling signal document here."),
+)
 def reveal(system_file, trials, window, seed, out, as_json):
     """Search for a scheduling signal revealing the state on a window."""
     sys_ = _read_system(system_file)

@@ -1,9 +1,63 @@
+import contextlib
+import io
+import os
+from dataclasses import dataclass
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from lpvssa import LpvSsa, TimeDomain
 
 DATA_DIR_NAME = "demos/data"
+
+
+@dataclass
+class CliResult:
+    """What one in-process command printed and how it ended."""
+
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    stderr: str
+    exception: BaseException = None
+
+
+class _Stream(io.StringIO):
+    """A captured stream that also copies every write into ``mixed``."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text):
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a command line in this process and captures what it prints.
+
+    ``invoke(main, args, env=None)`` calls ``main(args)`` with ``sys.stdout``
+    and ``sys.stderr`` captured and ``env`` added to the environment.  A
+    ``SystemExit`` gives its code (``None`` is 0); any other exception
+    gives exit code 1.  ``exception`` is what ended a nonzero exit.
+    """
+
+    def invoke(self, main, args, env=None):
+        mixed = io.StringIO()
+        out, err = _Stream(mixed), _Stream(mixed)
+        code, exception = 0, None
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return CliResult(code, mixed.getvalue(), out.getvalue(), err.getvalue(), exception)
 
 
 def make_worked_example() -> LpvSsa:

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import scipy.linalg as sla
-from click.testing import CliRunner
 
 from lpvssa import (
     Signal,
@@ -30,6 +29,7 @@ from lpvssa.io import parse_system
 from lpvssa.signals import PIECEWISE_LINEAR, random_input, random_scheduling
 
 from conftest import (
+    CliRunner,
     conjugate_system,
     make_constant_2state,
     make_constant_1state,

@@ -12,7 +12,6 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from lpvssa import InputError, LpvSsa, check_rc
@@ -21,7 +20,7 @@ from lpvssa.analysis import SINGULARITY_RTOL, _singular_mask
 from lpvssa.cli import _rc_text, main
 from lpvssa.io import serialize_system
 
-from conftest import random_system
+from conftest import CliRunner, random_system
 from oracles import in_box, region_grid
 
 
@@ -446,6 +445,6 @@ class TestDeterminantOnce:
         assert len(calls) == 1
         assert cert.dt_invertibility == "certified" and cert.witness is None
         lo, hi = worked_example.region.lower, worked_example.region.upper
-        det = np.polynomial.Chebyshev(real(worked_example, lo, hi).coef, domain=[lo[0], hi[0]])
+        det = np.polynomial.Chebyshev(real(worked_example, lo, hi), domain=[lo[0], hi[0]])
         assert np.array_equal(cert.det_poly_1d, det.convert(kind=np.polynomial.Polynomial).coef)
         assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)

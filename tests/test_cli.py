@@ -8,14 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import lpvssa
 from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
 
-from conftest import make_weakly_coupled_ct
+from conftest import CliRunner, make_weakly_coupled_ct
 
 
 
@@ -221,7 +220,7 @@ class TestRankTolOverrides:
         }[command]
         result = runner.invoke(main, [*args, "--rank-rtol", "1e-3"])
         assert result.exit_code == 2
-        assert "No such option '--rank-rtol'" in result.output
+        assert "error: unrecognized arguments: --rank-rtol" in result.output
         assert not (tmp_path / "m.json").exists()
 
 
@@ -765,7 +764,7 @@ class TestExitCodes:
                      ["minimize", _worked_file(data_dir), "--out", str(tmp_path / "m.json")]):
             result = runner.invoke(main, [*args, "--grid", "5"])
             assert result.exit_code == 2
-            assert "No such option '--grid'" in result.output
+            assert "error: unrecognized arguments: --grid" in result.output
 
     def test_missing_file_is_input_error(self, runner):
         result = runner.invoke(main, ["check", "/nonexistent/sys.json"])
@@ -818,6 +817,88 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert lpvssa.__version__ in result.output
+    assert result.output == f"lpvssa, version {lpvssa.__version__}\n"
+
+
+def test_importing_the_cli_loads_no_click(data_dir):
+    env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+    result = subprocess.run(
+        [_sys.executable, "-c", "import sys, lpvssa.cli; assert 'click' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# command lines refused before any work, with {W} a system document and {dir}
+# an existing directory
+USAGE_ERRORS = [
+    "check {W} --frobnicate",
+    "check {W} --js",
+    "check",
+    "frobnicate {W}",
+    "equiv {W} {W} --trials 2.5",
+    "minimize {W} --out {dir}",
+    "minimize {W} --out {tmp}/m.json --transform-out {dir}",
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", USAGE_ERRORS)
+    def test_exits_2_with_one_error_line(self, runner, data_dir, tmp_path, command):
+        (tmp_path / "d").mkdir()
+        args = command.format(W=_worked_file(data_dir), dir=tmp_path / "d", tmp=tmp_path).split()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, result.stderr
+        assert "Traceback" not in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert not any((tmp_path / "d").iterdir())
+
+    @pytest.mark.parametrize("command,work", [
+        ("minimize {W} --out {dir}", "_minimize_op"),
+        ("simulate {W} --p {P} --horizon 3 --out {dir}", "simulate_dt"),
+        ("reveal {W} --window 3 --out {dir}", "find_revealing_scheduling"),
+    ], ids=["minimize", "simulate", "reveal"])
+    def test_a_directory_as_output_is_refused_before_any_work(
+        self, runner, data_dir, tmp_path, monkeypatch, command, work
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(f"lpvssa.cli.{work}", refuse)
+        d = tmp_path / "d"
+        d.mkdir()
+        files = dict(W=_worked_file(data_dir), P=str(data_dir / "scheduling_zero.json"), dir=d)
+        result = runner.invoke(main, command.format(**files).split())
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: cannot write {d}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_a_value_that_starts_with_a_dash_is_a_value(self, runner, data_dir):
+        result = runner.invoke(main, [
+            "simulate", str(data_dir / "constant_2state.json"), "--x0", "-1,0",
+            "--p", str(data_dir / "scheduling_first_one.json"), "--horizon", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        header, first = result.output.splitlines()[:2]
+        assert header.split(",")[:3] == ["t", "x0", "x1"]
+        assert [float(v) for v in first.split(",")[:3]] == [0.0, -1.0, 0.0]
+
+    @pytest.mark.parametrize("tol", ["-1e-3", "-inf"])
+    def test_a_negative_tolerance_reaches_the_command(self, runner, data_dir, tol):
+        M = _minimal_file(data_dir)
+        result = runner.invoke(main, ["iso", M, M, "--tol", tol])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: tolerance must be finite and positive, got {float(tol)!r}\n"
+
+    def test_name_equals_value(self, runner, data_dir):
+        M = _minimal_file(data_dir)
+        result = runner.invoke(main, ["iso", M, M, "--tol=1e-6", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["tolerances"]["iso_tol"] == 1e-6
 
 
 class TestInProcess:

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from lpvssa import InputError, LpvSsa, Signal, TimeDomain, cli, simulate_dt
@@ -18,7 +17,7 @@ from lpvssa.io import (
     trajectory_to_json,
 )
 
-from conftest import make_worked_example, random_system
+from conftest import CliRunner, make_worked_example, random_system
 from oracles import reference_parse_system, reference_payload_text
 
 

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from lpvssa import (
@@ -26,7 +25,7 @@ from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import serialize_system
 
-from conftest import conjugate_system, random_invertible, random_system
+from conftest import CliRunner, conjugate_system, random_invertible, random_system
 
 SYSTEM_FILES = (
     "worked_example.json",

@@ -16,7 +16,6 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from lpvssa import (
     RankDecision,
@@ -39,6 +38,7 @@ from lpvssa.cli import main
 from lpvssa.signals import random_scheduling
 
 from conftest import (
+    CliRunner,
     conjugate_system,
     make_constant_2state,
     make_singular_unobservable_block,
