@@ -448,3 +448,16 @@ class TestDeterminantOnce:
         det = np.polynomial.Chebyshev(real(worked_example, lo, hi), domain=[lo[0], hi[0]])
         assert np.array_equal(cert.det_poly_1d, det.convert(kind=np.polynomial.Polynomial).coef)
         assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)
+
+    def test_power_series_matches_the_class_conversion_bit_for_bit(self):
+        # lengths 1-13, signed zeros anywhere (a trailing one too), wide magnitudes
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            c = rng.standard_normal(int(rng.integers(1, 14))) * 10.0 ** rng.integers(-6, 6)
+            zeros = rng.random(len(c)) < 0.2
+            c[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+            lo = float(rng.uniform(-3.0, 2.0))
+            hi = lo + float(rng.uniform(1e-3, 4.0))
+            ref = np.polynomial.Chebyshev(c, domain=[lo, hi]).convert(kind=np.polynomial.Polynomial)
+            got = analysis._power_series(c, lo, hi)
+            assert got.dtype == ref.coef.dtype and got.tobytes() == ref.coef.tobytes()
