@@ -194,7 +194,7 @@ _PARSER.add_argument("--version", action="version", version=f"lpvssa, version {_
                      help="Show the version and exit.")
 _PARSER.add_argument("--help", action="help", help="Show this message and exit.")
 _COMMANDS = _PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
-_VALUED = set()  # option strings that take a value, in any command
+_VALUED = {}  # command name -> its option strings that take a value
 
 
 def _arg(*names, **kwargs):
@@ -213,9 +213,10 @@ def _command(*arguments):
             fn.__name__, help=fn.__doc__, description=fn.__doc__, add_help=False,
             allow_abbrev=False,
         )
+        valued = _VALUED[fn.__name__] = set()
         for names, kwargs in arguments:
             if names[0].startswith("--"):
-                _VALUED.update(names)
+                valued.update(names)
             else:
                 kwargs = {"metavar": names[0].upper(), **kwargs}
             parser.add_argument(*names, **kwargs)
@@ -229,18 +230,23 @@ def _command(*arguments):
 
 
 def _joined(args):
-    """``--name value`` as ``--name=value`` for every option that takes a value.
+    """``--name value`` as ``--name=value`` for each option of the command that takes a value.
 
     So a value that starts with ``-`` (``--x0 -1,0``, ``--tol -1e-3``)
-    stays a value; ``argparse`` alone would read it as an option.  Nothing
-    after ``--`` is joined.
+    stays a value; ``argparse`` alone would read it as an option.  The
+    command is the first argument that names one: the program's own
+    options take no value.  Nothing after ``--`` is joined.
     """
+    valued = None
     args = iter(args)
     for arg in args:
         if arg == "--":
             yield arg
             yield from args
-        elif arg in _VALUED:
+        elif valued is None:
+            valued = _VALUED.get(arg)
+            yield arg
+        elif arg in valued:
             value = next(args, None)
             yield arg if value is None else f"{arg}={value}"
         else:

@@ -887,6 +887,11 @@ class TestUsageErrors:
         assert header.split(",")[:3] == ["t", "x0", "x1"]
         assert [float(v) for v in first.split(",")[:3]] == [0.0, -1.0, 0.0]
 
+    def test_an_option_of_another_command_is_reported_as_typed(self, runner, data_dir):
+        result = runner.invoke(main, ["check", _worked_file(data_dir), "--out", "m.json"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith("\nerror: unrecognized arguments: --out m.json\n")
+
     @pytest.mark.parametrize("tol", ["-1e-3", "-inf"])
     def test_a_negative_tolerance_reaches_the_command(self, runner, data_dir, tol):
         M = _minimal_file(data_dir)
