@@ -312,16 +312,17 @@ def _power_series(det: np.ndarray, lo: float, hi: float) -> np.ndarray:
     ``Chebyshev(det, domain=[lo, hi]).convert(kind=Polynomial).coef``: the
     Clenshaw recursion of ``chebval`` run on the power series of the map
     from ``[lo, hi]`` onto ``[-1, 1]``, with the series arithmetic of
-    ``numpy.polynomial`` (:func:`_series_add`, :func:`_series_sub`, and
-    ``np.convolve`` with trailing zeros trimmed), so the result is the same
-    to the bit.
+    ``numpy.polynomial`` (``np.convolve`` and :func:`_series_add`, each
+    with trailing zeros trimmed), so the result is the same to the bit.
+    ``polysub(a, b)`` is ``a + (-b)`` elementwise, which IEEE arithmetic
+    rounds as ``a - b``, signed zeros included.
     """
     off, scl = pu.mapparms([lo, hi], [-1.0, 1.0])
     x = poly.polyadd(off, poly.polymul(scl, [0.0, 1.0]))
     x2 = poly.polymul(2, x)
     c0, c1 = (det[:1], np.zeros(1)) if len(det) == 1 else (det[-2:-1], det[-1:])
     for k in range(len(det) - 3, -1, -1):
-        c0, c1 = _series_sub(det[k:k + 1], c1), _series_add(c0, pu.trimseq(np.convolve(c1, x2)))
+        c0, c1 = _series_add(det[k:k + 1], -c1), _series_add(c0, pu.trimseq(np.convolve(c1, x2)))
     return _series_add(c0, pu.trimseq(np.convolve(c1, x)))
 
 
@@ -331,21 +332,6 @@ def _series_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     out = a.copy()
     out[: len(b)] += b
-    return pu.trimseq(out)
-
-
-def _series_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``polysub(a, b)`` on float coefficient arrays, without its conversions.
-
-    Where ``b`` is at least as long, ``polysub`` adds ``a`` to ``-b``; the
-    same order keeps the sign of a zero coefficient.
-    """
-    if len(a) > len(b):
-        out = a.copy()
-        out[: len(b)] -= b
-    else:
-        out = -b
-        out[: len(a)] += a
     return pu.trimseq(out)
 
 
