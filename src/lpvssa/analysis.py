@@ -314,8 +314,8 @@ def _power_series(det: np.ndarray, lo: float, hi: float) -> np.ndarray:
     from ``[lo, hi]`` onto ``[-1, 1]``, with the series arithmetic of
     ``numpy.polynomial`` (``np.convolve`` and :func:`_series_add`, each
     with trailing zeros trimmed), so the result is the same to the bit.
-    ``polysub(a, b)`` is ``a + (-b)`` elementwise, which IEEE arithmetic
-    rounds as ``a - b``, signed zeros included.
+    The recursion's difference ``c - c1`` is taken as ``c + (-c1)``, which
+    IEEE arithmetic rounds as ``polysub`` does, signed zeros included.
     """
     off, scl = pu.mapparms([lo, hi], [-1.0, 1.0])
     x = poly.polyadd(off, poly.polymul(scl, [0.0, 1.0]))
