@@ -1,7 +1,11 @@
 """Command-line interface exposing the library over JSON documents.
 
 One standard-library ``argparse`` parser, built once at import, reads
-the command line, and results are printed to ``sys.stdout``.
+the command line.  Each command returns one dict, its result record, and
+:func:`main` prints the record either as JSON (``--json``: one document,
+the only thing on stdout, written paths included) or through the
+command's text renderer, which reads nothing but the record; so every
+line of text is backed by a payload field.
 Exit codes: 0 when the command ran to completion (verdicts do not change
 the exit code), 2 on input errors and on usage errors (an unknown command
 or option, a missing argument, a value of the wrong type), each reported
@@ -44,7 +48,6 @@ from .io import (
     json_text,
     parse_signal,
     parse_system,
-    serialize_signal,
     serialize_system,
     serialize_transform,
     signal_document,
@@ -57,7 +60,7 @@ from .simulation import _check_window, simulate_ct, simulate_dt
 
 # version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
 # it changes whenever a payload key is added, removed or renamed
-PAYLOAD_SCHEMA_VERSION = "3"
+PAYLOAD_SCHEMA_VERSION = "4"
 
 
 def _read_text(path) -> str:
@@ -74,9 +77,11 @@ def _read_text(path) -> str:
 def _output_files(*paths):
     """Write the output ``paths`` whole, and only after every one is written.
 
-    On entry, before the command computes or prints anything, a path that
-    is an existing directory is refused and a temporary file is created
-    beside each path, so an unwritable path is an InputError up front.
+    On entry, before the command computes or prints anything, a path given
+    twice (one name in one directory, after resolving links and ``..``)
+    or that is an existing directory is refused, and a temporary file is
+    created beside each path, so an unwritable path is an InputError up
+    front.
     The body calls the yielded ``write(*texts)`` (one text per path) once
     its results are ready: every text goes through the open handle of its
     temporary file, then each file is moved onto its path with
@@ -84,6 +89,12 @@ def _output_files(*paths):
     removed on exit.
     """
     paths = [Path(path) for path in paths]
+    for i, path in enumerate(paths):
+        for other in paths[i + 1:]:
+            if other.name == path.name and (
+                os.path.realpath(other.parent) == os.path.realpath(path.parent)
+            ):
+                raise InputError(f"cannot write {path}: the path is given twice")
     temps = []  # (temporary path, its open handle)
 
     def attempt(path, action, *args):
@@ -117,28 +128,18 @@ def _read_system(path) -> LpvSsa:
     return parse_system(_read_text(path))
 
 
-def _echo(message: str, *, nl: bool = True, err: bool = False) -> None:
+def _echo(message: str, *, err: bool = False) -> None:
     """Print to the current ``sys.stdout`` (``sys.stderr`` with ``err``) and flush it.
 
     The stream is looked up at each call, so a caller may swap it between
     commands run in one process; the flush keeps the two streams in the
     order they were written when they share one terminal or pipe.
     """
-    print(message, end="\n" if nl else "", file=_sys.stderr if err else _sys.stdout, flush=True)
+    print(message, file=_sys.stderr if err else _sys.stdout, flush=True)
 
 
 def _emit_json(payload: dict) -> None:
     _echo(json_text(payload))
-
-
-def _base_payload(command: str) -> dict:
-    """Schema version, tool version, command and the two relative floors."""
-    return {
-        "schema_version": PAYLOAD_SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "tolerances": {"rank_rtol_used": ITERATION_RTOL, "singularity_rtol": SINGULARITY_RTOL},
-    }
 
 
 def _rc_payload(rc) -> dict:
@@ -154,20 +155,21 @@ def _rc_payload(rc) -> dict:
 
 
 def _rc_text(rc) -> str:
-    if rc.dt_invertibility == "not-applicable":
+    """The regularity line of an ``rc`` record (:func:`_rc_payload`)."""
+    if rc["dt_invertibility"] == "not-applicable":
         return "regularity: satisfied (CT; box region is convex with interior)"
-    if rc.dt_invertibility == "certified":
+    if rc["dt_invertibility"] == "certified":
         return (
-            f"regularity: certified (sigma_min(A(p)) >= {rc.sigma_min_bound:.6g} "
-            f"on the region by Weyl's bound; boxes visited: {rc.boxes})"
+            f"regularity: certified (sigma_min(A(p)) >= {rc['sigma_min_bound']:.6g} "
+            f"on the region by Weyl's bound; boxes visited: {rc['boxes']})"
         )
-    if rc.dt_invertibility == "undecided":
+    if rc["dt_invertibility"] == "undecided":
         return (
-            f"regularity: undecided (sigma_min lower bound {rc.sigma_min_bound:.6g} on "
-            f"the box {_point(rc.box[0])} .. {_point(rc.box[1])}; boxes visited: "
-            f"{rc.boxes}; not a certificate)"
+            f"regularity: undecided (sigma_min lower bound {rc['sigma_min_bound']:.6g} on "
+            f"the box {_point(rc['box'][0])} .. {_point(rc['box'][1])}; boxes visited: "
+            f"{rc['boxes']}; not a certificate)"
         )
-    return f"regularity: refuted, witness p* = {_point(rc.witness)}"
+    return f"regularity: refuted, witness p* = {_point(rc['witness'])}"
 
 
 def _point(p) -> str:
@@ -201,11 +203,14 @@ def _arg(*names, **kwargs):
     return names, kwargs
 
 
-def _command(*arguments):
+def _command(render, *arguments):
     """Register the decorated function as the command of its name.
 
-    ``arguments`` are ``_arg(...)`` calls, passed on to ``add_argument``;
-    every command also takes ``--json`` (``as_json``) and ``--help``.
+    The function returns the command's result record: its payload keys,
+    with any tolerances of its own under ``tolerances``.  ``render``
+    yields the text lines of the whole payload.  ``arguments`` are
+    ``_arg(...)`` calls, passed on to ``add_argument``; every command
+    also takes ``--json`` and ``--help``.
     """
 
     def register(fn):
@@ -220,10 +225,9 @@ def _command(*arguments):
             else:
                 kwargs = {"metavar": names[0].upper(), **kwargs}
             parser.add_argument(*names, **kwargs)
-        parser.add_argument("--json", dest="as_json", action="store_true",
-                            help="Machine-readable output.")
+        parser.add_argument("--json", action="store_true", help="Machine-readable output.")
         parser.add_argument("--help", action="help", help="Show this message and exit.")
-        parser.set_defaults(run=fn)
+        parser.set_defaults(run=fn, render=render)
         return fn
 
     return register
@@ -256,8 +260,10 @@ def _joined(args):
 def main(args=None, *, prog_name="lpvssa", standalone_mode=True):
     """Run the command line ``args`` (default: ``sys.argv[1:]``).
 
-    Returns when the command ran, and exits with code 2 on an input or
-    usage error, with one ``error: …`` line on stderr.  ``prog_name`` and
+    Prints the command's payload (the schema and tool versions, the
+    command, the two floors and the command's record) as JSON or as its
+    text, and returns; exits with code 2 on an input or usage error, with
+    one ``error: …`` line on stderr.  ``prog_name`` and
     ``standalone_mode`` do nothing: the program is always named
     ``lpvssa``, and every call returns, or exits on an error, alike.  They
     stay because ``bench/workloads.py`` calls ``main(args,
@@ -268,57 +274,74 @@ def main(args=None, *, prog_name="lpvssa", standalone_mode=True):
     if extra:
         _COMMANDS.choices[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
     kwargs = vars(ns)
-    del kwargs["command"]
+    command, run, render, as_json = (kwargs.pop(k) for k in ("command", "run", "render", "json"))
     try:
-        kwargs.pop("run")(**kwargs)
+        record = run(**kwargs)
     except InputError as exc:
         _echo(f"error: {exc}", err=True)
         _sys.exit(2)
+    tolerances = {"rank_rtol_used": ITERATION_RTOL, "singularity_rtol": SINGULARITY_RTOL}
+    tolerances.update(record.pop("tolerances", {}))
+    payload = {"schema_version": PAYLOAD_SCHEMA_VERSION, "version": __version__,
+               "command": command, "tolerances": tolerances, **record}
+    if as_json:
+        _emit_json(payload)
+    else:
+        _echo("\n".join(render(payload)))
 
 
 _SYSTEM_FILE = _arg("system_file")
 
 
-@_command(_SYSTEM_FILE)
-def check(system_file, as_json):
+def _check_text(r):
+    yield (
+        f"observable: {'yes' if r['observable'] else 'no'} "
+        f"(rank {r['observability_rank']}/{r['n_x']})"
+    )
+    yield (
+        f"span-reachable from zero: {'yes' if r['span_reachable_from_zero'] else 'no'} "
+        f"(rank {r['reachability_rank']}/{r['n_x']})"
+    )
+    yield _rc_text(r["rc"])
+
+
+@_command(_check_text, _SYSTEM_FILE)
+def check(system_file):
     """Observability, span-reachability, and regularity report."""
     sys_ = _read_system(system_file)
     obs, obs_dec = is_observable(sys_)
     reach, reach_dec = is_span_reachable_from_zero(sys_)
-    rc = check_rc(sys_)
-    if as_json:
-        payload = _base_payload("check")
-        payload["tolerances"]["observability_tolerance_used"] = obs_dec.tolerance_used
-        payload["tolerances"]["reachability_tolerance_used"] = reach_dec.tolerance_used
-        payload.update(
-            {
-                "n_x": sys_.n_x,
-                "observable": obs,
-                "observability_rank": obs_dec.rank,
-                "observability_singular_values": obs_dec.singular_values,
-                "span_reachable_from_zero": reach,
-                "reachability_rank": reach_dec.rank,
-                "reachability_singular_values": reach_dec.singular_values,
-                "rc": _rc_payload(rc),
-            }
-        )
-        _emit_json(payload)
-        return
-    _echo(f"observable: {'yes' if obs else 'no'} (rank {obs_dec.rank}/{sys_.n_x})")
-    _echo(
-        f"span-reachable from zero: {'yes' if reach else 'no'} "
-        f"(rank {reach_dec.rank}/{sys_.n_x})"
-    )
-    _echo(_rc_text(rc))
+    return {
+        "tolerances": {
+            "observability_tolerance_used": obs_dec.tolerance_used,
+            "reachability_tolerance_used": reach_dec.tolerance_used,
+        },
+        "n_x": sys_.n_x,
+        "observable": obs,
+        "observability_rank": obs_dec.rank,
+        "observability_singular_values": obs_dec.singular_values,
+        "span_reachable_from_zero": reach,
+        "reachability_rank": reach_dec.rank,
+        "reachability_singular_values": reach_dec.singular_values,
+        "rc": _rc_payload(check_rc(sys_)),
+    }
+
+
+def _minimize_text(r):
+    yield f"reduced dimension: {r['reduced_dimension']} (from {r['input_dimension']})"
+    yield f"status: {r['minimality']}"
+    yield _rc_text(r["rc"])
+    yield f"wrote {r['out']} and {r['transform_out']}"
 
 
 @_command(
+    _minimize_text,
     _SYSTEM_FILE,
     _arg("--out", required=True, help="Reduced system document."),
     _arg("--transform-out",
          help="Transform sidecar path [default: OUT with a .transform.json suffix]."),
 )
-def minimize(system_file, out, transform_out, as_json):
+def minimize(system_file, out, transform_out):
     """Observability reduction; minimal realization under regularity."""
     sys_ = _read_system(system_file)
     out_path = Path(out)
@@ -335,60 +358,56 @@ def minimize(system_file, out, transform_out, as_json):
                 result.transform_T, result.projection_Pi, result.o, result.minimality
             ),
         )
-    if as_json:
-        payload = _base_payload("minimize")
-        payload.update(
-            {
-                "input_dimension": sys_.n_x,
-                "reduced_dimension": result.o,
-                "minimality": result.minimality,
-                "rc": _rc_payload(result.rc),
-                "out": str(out_path),
-                "transform_out": str(sidecar),
-            }
-        )
-        _emit_json(payload)
-        return
-    _echo(f"reduced dimension: {result.o} (from {sys_.n_x})")
-    _echo(f"status: {result.minimality}")
-    _echo(_rc_text(result.rc))
-    _echo(f"wrote {out_path} and {sidecar}")
+    return {
+        "input_dimension": sys_.n_x,
+        "reduced_dimension": result.o,
+        "minimality": result.minimality,
+        "rc": _rc_payload(result.rc),
+        "out": str(out_path),
+        "transform_out": str(sidecar),
+    }
 
 
 _FILES = (_arg("file1"), _arg("file2"))
 
 
+def _iso_text(r):
+    yield f"verdict: {r['verdict']}"
+    yield f"residual: {r['residual']:.3e}"
+    if r["obstruction"]:
+        yield f"obstruction: {r['obstruction']}"
+    if r["T"] is not None:
+        yield "T ="
+        yield np.array2string(r["T"], precision=12, suppress_small=True)
+
+
 @_command(
+    _iso_text,
     *_FILES,
     _arg("--tol", type=float, default=1e-8, help="Residual tolerance. [default: %(default)s]"),
 )
-def iso(file1, file2, tol, as_json):
+def iso(file1, file2, tol):
     """Isomorphism between two systems of equal dimension."""
     r = find_isomorphism(_read_system(file1), _read_system(file2), tol=tol)
-    if as_json:
-        payload = _base_payload("iso")
-        payload["tolerances"]["iso_tol"] = tol
-        payload.update(
-            {
-                "verdict": r.verdict,
-                "residual": r.residual,
-                "obstruction": r.obstruction,
-                "condition_number": r.condition_number,
-                "T": r.T,
-            }
-        )
-        _emit_json(payload)
-        return
-    _echo(f"verdict: {r.verdict}")
-    _echo(f"residual: {r.residual:.3e}")
-    if r.obstruction:
-        _echo(f"obstruction: {r.obstruction}")
-    if r.T is not None:
-        _echo("T =")
-        _echo(np.array2string(r.T, precision=12, suppress_small=True))
+    return {
+        "tolerances": {"iso_tol": tol},
+        "verdict": r.verdict,
+        "residual": r.residual,
+        "obstruction": r.obstruction,
+        "condition_number": r.condition_number,
+        "T": r.T,
+    }
+
+
+def _simulate_text(r):
+    if r["out"]:
+        yield f"wrote {r['out']}"
+    else:  # the CSV less its last newline, which the print puts back
+        yield trajectory_to_csv(r["trajectory"])[:-1]
 
 
 @_command(
+    _simulate_text,
     _SYSTEM_FILE,
     _arg("--x0", help="Comma-separated initial state [default: origin]."),
     _arg("--u", dest="u_file", help="Input signal document [default: zero input]."),
@@ -397,7 +416,7 @@ def iso(file1, file2, tol, as_json):
     _arg("--step", type=float, default=1e-3, help="CT integrator step. [default: %(default)s]"),
     _arg("--out", help="Trajectory file (.csv or .json by extension) [default: CSV to stdout]."),
 )
-def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
+def simulate(system_file, x0, u_file, p_file, horizon, step, out):
     """Simulate a trajectory under given input and scheduling signals."""
     sys_ = _read_system(system_file)
     p = parse_signal(_read_text(p_file))
@@ -425,23 +444,28 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
                 else Signal.ct_constant(np.zeros(sys_.n_u), horizon)
             )
             traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
+        trajectory = trajectory_to_json(traj)
         if out:
             if Path(out).suffix.lower() == ".json":
-                write(json_text(trajectory_to_json(traj)) + "\n")
+                write(json_text(trajectory) + "\n")
             else:
-                write(trajectory_to_csv(traj))
-    if out:
-        _echo(f"wrote {out}")
-        return
-    if as_json:
-        payload = _base_payload("simulate")
-        payload["trajectory"] = trajectory_to_json(traj)
-        _emit_json(payload)
-        return
-    _echo(trajectory_to_csv(traj), nl=False)
+                write(trajectory_to_csv(trajectory))
+    return {"trajectory": trajectory, "out": out}
+
+
+def _equiv_text(r):
+    yield (
+        f"behavior equivalence: {'PASS' if r['passed'] else 'FAIL'} "
+        f"(max residual {r['max_residual']:.3e} vs tolerance "
+        f"{r['tolerances']['equiv_tol']:.1e}, {r['trials']} trials, horizon {r['horizon']})"
+    )
+    yield f"system 1 {_rc_text(r['rc_sys1'])}"
+    yield f"system 2 {_rc_text(r['rc_sys2'])}"
+    yield f"note: {r['note']}"
 
 
 @_command(
+    _equiv_text,
     *_FILES,
     _arg("--trials", type=int, default=20, help="[default: %(default)s]"),
     _arg("--horizon", type=float, help="[default: 20 steps DT / 2.0 CT]"),
@@ -449,7 +473,7 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out, as_json):
     _arg("--tol", type=float, help="[default: 1e-6 DT / 1e-4 CT]"),
     _arg("--step", type=float, default=1e-2, help="CT integrator step. [default: %(default)s]"),
 )
-def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
+def equiv(file1, file2, trials, horizon, seed, tol, step):
     """Empirical behavior-equivalence test between two systems."""
     report = behavior_equivalence_empirical(
         _read_system(file1),
@@ -460,73 +484,58 @@ def equiv(file1, file2, trials, horizon, seed, tol, step, as_json):
         tol=tol,
         step=step,
     )
-    if as_json:
-        payload = _base_payload("equiv")
-        payload["tolerances"]["equiv_tol"] = report.tolerance
-        payload.update(
-            {
-                "passed": report.passed,
-                "max_residual": report.max_residual,
-                "trials": report.trials,
-                "horizon": report.horizon,
-                "seed": report.seed,
-                "residuals": report.residuals,
-                "rc_sys1": _rc_payload(report.rc_sys1),
-                "rc_sys2": _rc_payload(report.rc_sys2),
-                "note": report.note,
-            }
-        )
-        _emit_json(payload)
+    return {
+        "tolerances": {"equiv_tol": report.tolerance},
+        "passed": report.passed,
+        "max_residual": report.max_residual,
+        "trials": report.trials,
+        "horizon": report.horizon,
+        "seed": report.seed,
+        "residuals": report.residuals,
+        "rc_sys1": _rc_payload(report.rc_sys1),
+        "rc_sys2": _rc_payload(report.rc_sys2),
+        "note": report.note,
+    }
+
+
+def _reveal_text(r):
+    for msg in r["diagnostics"]:
+        yield f"diagnostic: {msg}"
+    if not r["found"]:
+        yield "no revealing scheduling found"
         return
-    _echo(
-        f"behavior equivalence: {'PASS' if report.passed else 'FAIL'} "
-        f"(max residual {report.max_residual:.3e} vs tolerance {report.tolerance:.1e}, "
-        f"{report.trials} trials, horizon {report.horizon})"
-    )
-    for name, rc in (("system 1", report.rc_sys1), ("system 2", report.rc_sys2)):
-        _echo(f"{name} {_rc_text(rc)}")
-    _echo(f"note: {report.note}")
+    yield f"found a revealing scheduling on window {r['window']}"
+    if r["out"]:
+        yield f"wrote {r['out']}"
 
 
 @_command(
+    _reveal_text,
     _SYSTEM_FILE,
     _arg("--trials", type=int, default=50, help="[default: %(default)s]"),
     _arg("--window", type=float, required=True, help="Steps (DT) or end time (CT)."),
     _arg("--seed", type=int, default=0, help="[default: %(default)s]"),
     _arg("--out", help="Write the found scheduling signal document here."),
 )
-def reveal(system_file, trials, window, seed, out, as_json):
+def reveal(system_file, trials, window, seed, out):
     """Search for a scheduling signal revealing the state on a window."""
     sys_ = _read_system(system_file)
     with _output_files(*[out] if out else []) as write:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             found = find_revealing_scheduling(sys_, trials, window, seed)
-        if found and out:
-            write(serialize_signal(found[0]))
-    diagnostics = [str(w.message) for w in caught]
-    if as_json:
-        payload = _base_payload("reveal")
-        payload.update(
-            {
-                "found": found is not None,
-                "window": window,
-                "trials": trials,
-                "seed": seed,
-                "diagnostics": diagnostics,
-                "scheduling": signal_document(found[0]) if found else None,
-            }
-        )
-        _emit_json(payload)
-    else:
-        for msg in diagnostics:
-            _echo(f"diagnostic: {msg}")
-        if found is None:
-            _echo("no revealing scheduling found")
-        else:
-            _echo(f"found a revealing scheduling on window {found[1]}")
-    if found and out:
-        _echo(f"wrote {out}", err=as_json)
+        scheduling = signal_document(found[0]) if found else None
+        if scheduling and out:
+            write(json_text(scheduling) + "\n")
+    return {
+        "found": found is not None,
+        "window": window,
+        "trials": trials,
+        "seed": seed,
+        "diagnostics": [str(w.message) for w in caught],
+        "scheduling": scheduling,
+        "out": out if scheduling else None,  # the path written, if any
+    }
 
 
 if __name__ == "__main__":

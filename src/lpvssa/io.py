@@ -346,18 +346,18 @@ def _time_column(traj: Trajectory) -> np.ndarray:
     return traj.times
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV export with 17 significant digits (lossless double round-trip)."""
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(traj.x.dim)]
-        + [f"y{i}" for i in range((traj.y.dim))]
-    )
+def trajectory_to_csv(traj) -> str:
+    """CSV export with 17 significant digits (lossless double round-trip).
+
+    ``traj`` is a :class:`Trajectory` or its :func:`trajectory_to_json`
+    document; the CSV is written from the document.
+    """
+    doc = traj if isinstance(traj, dict) else trajectory_to_json(traj)
+    x, y = doc["x"], doc["y"]
+    header = ["t", *(f"x{i}" for i in range(len(x[0]))), *(f"y{i}" for i in range(len(y[0])))]
     lines = [",".join(header)]
-    times = _time_column(traj)
-    for k in range(traj.x.n_samples):
-        row = [times[k], *traj.x.values[k], *traj.y.values[k]]
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    for row in zip(doc["times"], x, y):
+        lines.append(",".join(f"{v:.17g}" for v in (row[0], *row[1], *row[2])))
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from lpvssa import InputError, LpvSsa, check_rc
 from lpvssa import analysis
 from lpvssa.analysis import SINGULARITY_RTOL, _singular_mask
-from lpvssa.cli import _rc_text, main
+from lpvssa.cli import _rc_payload, _rc_text, main
 from lpvssa.io import serialize_system
 
 from conftest import CliRunner, random_system
@@ -326,7 +326,7 @@ class TestDoubleRoot:
         assert cert.boxes == 1 and cert.witness is None
         assert np.array_equal(cert.box, [[0.0, 0.0], [1.0, 1.0]])
         assert cert.sigma_min_bound <= 0.0
-        text = _rc_text(cert)
+        text = _rc_text(_rc_payload(cert))
         assert text.startswith("regularity: undecided")
         assert "[0.0, 0.0] .. [1.0, 1.0]" in text and "boxes visited: 1" in text
         path = tmp_path / "double_root.json"
@@ -428,7 +428,7 @@ class TestOnePath:
         assert cert.dt_invertibility == "certified"
         assert cert.boxes >= 1
         assert 0.0 < cert.sigma_min_bound
-        assert _rc_text(cert).startswith("regularity: certified (sigma_min(A(p)) >= ")
+        assert _rc_text(_rc_payload(cert)).startswith("regularity: certified (sigma_min(A(p)) >= ")
 
 
 class TestDeterminantOnce:

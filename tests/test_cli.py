@@ -123,6 +123,7 @@ class TestCheck:
         doc = json.loads(
             runner.invoke(main, ["check", _worked_file(data_dir), "--json"]).output
         )
+        assert doc["schema_version"] == "4"
         assert set(doc) == {
             "schema_version", "version", "command", "tolerances", "n_x",
             "observable", "observability_rank", "observability_singular_values",
@@ -194,6 +195,109 @@ class TestCheck:
         assert result.exit_code == 0, result.output
         assert _strict_json(result.output)["condition_number"] is None
         assert "Infinity" not in result.output
+
+
+def _bundled_files(data_dir, tmp_path):
+    return dict(
+        W=_worked_file(data_dir), M=_minimal_file(data_dir),
+        C2=str(data_dir / "constant_2state.json"), C1=str(data_dir / "constant_1state.json"),
+        P=str(data_dir / "scheduling_first_one.json"), tmp=tmp_path,
+    )
+
+
+# every command, with --out where it takes one
+JSON_COMMANDS = {
+    "check": "check {W}",
+    "minimize": "minimize {W} --out {tmp}/m.json",
+    "iso": "iso {M} {M}",
+    "equiv": "equiv {W} {M} --trials 2",
+    "reveal": "reveal {M} --window 3",
+    "reveal-out": "reveal {M} --window 3 --out {tmp}/p.json",
+    "reveal-out-none-found": "reveal {C2} --window 3 --out {tmp}/p.json",
+    "simulate": "simulate {C2} --x0 1,1 --p {P} --horizon 4",
+    "simulate-csv": "simulate {C2} --x0 1,1 --p {P} --horizon 4 --out {tmp}/t.csv",
+    "simulate-json": "simulate {C2} --x0 1,1 --p {P} --horizon 4 --out {tmp}/t.json",
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_COMMANDS.values()), ids=list(JSON_COMMANDS))
+def test_json_output_is_one_document_naming_the_written_files(
+    runner, data_dir, tmp_path, command
+):
+    args = command.format(**_bundled_files(data_dir, tmp_path)).split()
+    result = runner.invoke(main, [*args, "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    doc = _strict_json(result.stdout)  # a second document is "Extra data"
+    # the paths written, and only those (none when reveal finds nothing)
+    named = sorted(Path(doc[key]) for key in ("out", "transform_out") if doc.get(key))
+    assert named == sorted(tmp_path.iterdir())
+    assert ("out" in doc) == (args[0] in ("minimize", "reveal", "simulate"))
+
+
+# each command on the bundled systems, text and --json alike
+TEXT_COMMANDS = [
+    *(f"check {{{s}}}" for s in ("W", "M", "C2", "C1")),
+    *(f"minimize {{{s}}} --out {{tmp}}/{s}.json" for s in ("W", "M", "C2", "C1")),
+    "minimize {W} --out {tmp}/w.json --transform-out {tmp}/w_t.json",
+    "iso {M} {M}",
+    "iso {W} {M}",
+    "iso {C2} {C2}",
+    "equiv {W} {M} --trials 3",
+    "equiv {C2} {C1} --trials 3 --seed 4",
+    "reveal {M} --window 3 --out {tmp}/p.json",
+    "reveal {W} --window 3",
+    "reveal {C2} --window 3",
+    "simulate {C2} --x0 1,-1 --p {P} --horizon 6",
+    "simulate {W} --x0 1,0.5,-2 --p {P} --horizon 5",
+    "simulate {W} --p {P} --horizon 5 --out {tmp}/t.csv",
+]
+
+# a decimal number not inside a name (x0, y1), and the label of equiv's system lines
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_SYSTEM_LABEL = re.compile(r"^system [12] ", re.M)
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _leaves(v)
+    else:
+        yield node
+
+
+def _half_unit(token):
+    """Half a unit in the last digit that the number ``token`` shows."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return 0.5 * 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+@pytest.mark.parametrize("command", TEXT_COMMANDS)
+def test_every_number_and_path_of_the_text_is_in_the_payload(
+    runner, data_dir, tmp_path, command
+):
+    args = command.format(**_bundled_files(data_dir, tmp_path)).split()
+    text = runner.invoke(main, args)
+    result = runner.invoke(main, [*args, "--json"])
+    assert text.exit_code == result.exit_code == 0, text.output + result.output
+    payload = _strict_json(result.stdout)
+    leaves = list(_leaves(payload))
+    numbers = np.sort([v for v in leaves if type(v) in (int, float)])
+    # a string of the record (a path, a verdict, a note, a diagnostic) accounts for
+    # the words it spans
+    rest = _SYSTEM_LABEL.sub("", text.stdout)
+    strings = {v for k in payload.keys() - {"schema_version", "version", "command"}
+               for v in _leaves(payload[k]) if isinstance(v, str)}
+    for string in sorted(strings, key=len, reverse=True):
+        rest = re.sub(rf"(?<![\w.]){re.escape(string)}(?![\w.])", " ", rest)
+    assert all(set(line.split()) <= {"wrote", "and"} for line in rest.splitlines()
+               if line.startswith("wrote ")), rest
+    for token in _NUMBER.findall(rest):
+        t, h = float(token), _half_unit(token) * (1 + 1e-9)
+        lo, hi = np.searchsorted(numbers, t - h), np.searchsorted(numbers, t + h, "right")
+        assert lo < hi, f"{token} of {command!r} is not in the payload"
 
 
 class TestRankTolOverrides:
@@ -707,6 +811,31 @@ class TestExitCodes:
             assert result.exit_code == 2, result.output
             assert result.output.startswith("error: cannot write"), result.output
             assert "found" not in result.output
+
+    def test_the_same_path_twice_is_refused_by_name(
+        self, runner, data_dir, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_minimize_op ran")
+
+        monkeypatch.setattr("lpvssa.cli._minimize_op", refuse)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "m.json"
+        for sidecar in (str(out), f"{tmp_path}/sub/../m.json"):
+            result = runner.invoke(main, [
+                "minimize", _worked_file(data_dir), "--out", str(out), "--transform-out", sidecar,
+            ])
+            assert result.exit_code == 2, result.output
+            assert result.output == f"error: cannot write {out}: the path is given twice\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        # one name in two directories is two files
+        monkeypatch.undo()
+        result = runner.invoke(main, [
+            "minimize", _worked_file(data_dir), "--out", str(out),
+            "--transform-out", str(tmp_path / "sub" / "m.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "sub" / "m.json").read_text())["o"] == 2
 
     def test_outputs_replace_existing_files_whole(self, runner, data_dir, tmp_path):
         out, sidecar, traj = (tmp_path / name for name in ("m.json", "t.json", "x.csv"))

@@ -403,12 +403,17 @@ class TestWriterParity:
            st.integers(1, 3), st.sampled_from([TimeDomain.DT, TimeDomain.CT]),
            st.lists(st.sampled_from(NON_FINITE), min_size=1, max_size=4))
     def test_command_payloads(self, tmp_path_factory, seed, n_x, n_u, n_y, n_p, domain, bad):
-        """``check``, ``minimize``, ``iso`` and ``equiv`` payloads, then with non-finite numbers."""
+        """Every command's payload, then the same with non-finite numbers."""
         rng = np.random.default_rng(seed)
         sys = random_system(rng, n_x=n_x, n_u=n_u, n_y=n_y, n_p=n_p, domain=domain, rc_shift=1.5)
         tmp = tmp_path_factory.mktemp("payloads")
         path = tmp / "sys.json"
         path.write_text(serialize_system(sys))
+        p_path = tmp / "p.json"
+        if domain == TimeDomain.DT:
+            p_path.write_text(serialize_signal(Signal.dt(rng.uniform(-1, 1, (4, n_p)))))
+        else:
+            p_path.write_text(serialize_signal(Signal.ct_constant(rng.uniform(-1, 1, n_p), 3.0)))
         payloads = []
         runner = CliRunner()
         original = cli._emit_json
@@ -419,12 +424,16 @@ class TestWriterParity:
                 ["minimize", str(path), "--out", str(tmp / "min.json")],
                 ["iso", str(path), str(path)],
                 ["equiv", str(path), str(path), "--trials", "2"],
+                ["simulate", str(path), "--p", str(p_path), "--horizon", "3", "--step", "0.1"],
+                ["reveal", str(path), "--window", "3"],
             ):
                 result = runner.invoke(cli.main, [*args, "--json"])
                 assert result.exit_code == 0, result.output
         finally:
             cli._emit_json = original
-        assert [p["command"] for p in payloads] == ["check", "minimize", "iso", "equiv"]
+        assert [p["command"] for p in payloads] == [
+            "check", "minimize", "iso", "equiv", "simulate", "reveal"
+        ]
         for payload in payloads:
             assert json_text(payload) == reference_payload_text(payload)
             # the same payload with its float leaves replaced by NaN and infinities
