@@ -23,7 +23,9 @@ has no builder of its own: the extended reachability matrix of ``sys`` is
 ``extended_observability_matrix(transpose_dual(sys), n).T``.
 Invertibility of ``A(p)`` is judged by the scaled SVD test at
 ``SINGULARITY_RTOL``, and :func:`check_rc` decides it on the whole region
-by branch and bound on boxes, with no random draw.  Orthonormal bases returned
+by branch and bound on boxes, with no random draw; its refutations come
+from box centres and from the eigenvalues of the matrix pencil that ``A``
+is along a line.  Orthonormal bases returned
 from SVDs are sign-normalized so the largest-magnitude entry of each
 column is positive.
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -61,7 +62,6 @@ __all__ = [
 DEFAULT_MAX_ENTRIES = 10**7  # entry cap of the explicit builders only
 SINGULARITY_RTOL = 1e-10
 RC_MAX_BOXES = 4096  # box budget of the DT regularity search
-RC_NEWTON_STEPS = 8  # Newton steps on sigma_min that polish a segment root
 # rank floor for iterated subspaces and transition-matrix stacks, whose
 # rounding debris sits well above machine precision (see the docstrings)
 ITERATION_RTOL = 1e-10
@@ -252,27 +252,26 @@ def _singular_mask(As: np.ndarray) -> np.ndarray:
 def _newton_witness(sys: LpvSsa, starts: np.ndarray):
     """A scheduling point at which ``A`` fails the scaled test, or None.
 
-    Runs ``RC_NEWTON_STEPS`` Newton steps on ``sigma_min(A(p))`` from each
-    start point at once.  The gradient of ``sigma_min`` along ``p_i`` is
-    ``u^T A_i v`` (``u``, ``v`` its singular vectors), and each step
-    ``p -= sigma_min g / |g|^2`` goes to the zero of the linearization,
-    clipped to the box.  A point is returned only after it passed
-    :func:`_singular_mask`.
+    Tests the start points, then the points one Newton step on
+    ``sigma_min(A(p))`` away from them.  The gradient of ``sigma_min``
+    along ``p_i`` is ``u^T A_i v`` (``u``, ``v`` its singular vectors), and
+    the step ``p -= sigma_min g / |g|^2`` goes to the zero of the
+    linearization, clipped to the box.  That one step lands a start near a
+    root of even multiplicity, where ``A`` may be a multiple of the
+    identity and pass the scaled test, on the root.  A point is returned
+    only after it passed :func:`_singular_mask`.
     """
-    lo, hi = sys.region.lower, sys.region.upper
     P = np.array(starts, dtype=float)
-    for step in range(RC_NEWTON_STEPS + 1):
-        As = sys.A.at_points(P)
-        hit = np.flatnonzero(_singular_mask(As))
-        if hit.size:
-            return P[hit[0]]
-        if step == RC_NEWTON_STEPS:
-            return None
+    As = sys.A.at_points(P)
+    hit = np.flatnonzero(_singular_mask(As))
+    if hit.size == 0:
         U, s, Vh = np.linalg.svd(As)
         g = np.einsum("ka,iab,kb->ki", U[:, :, -1], sys.A.coeffs[1:], Vh[:, -1, :])
         gg = np.sum(g * g, axis=1)
         scale = np.divide(s[:, -1], gg, out=np.zeros_like(gg), where=gg > 0)
-        P = np.clip(P - scale[:, None] * g, lo, hi)
+        P = np.clip(P - scale[:, None] * g, sys.region.lower, sys.region.upper)
+        hit = np.flatnonzero(_singular_mask(sys.A.at_points(P)))
+    return P[hit[0]] if hit.size else None
 
 
 def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,20 +288,6 @@ def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dets = np.linalg.det(sys.A.at_points(a + t[:, None] * (b - a)))
     coef = cheb.chebfit(2.0 * t - 1.0, dets, sys.n_x)
     return pu.trimcoef(coef, 1e-12 * float(np.max(np.abs(coef))))
-
-
-def _segment_roots(det: np.ndarray) -> np.ndarray:
-    """Real roots of the interpolant ``det`` in ``[0, 1]`` (within ``1e-9``), clipped.
-
-    Every segment passed here runs through a point that passed the scaled
-    test (two open box centres, or the root box's centre on the
-    diagonal), so ``det`` is not identically zero on it; a constant
-    series has no roots.
-    """
-    r = pu.mapdomain(cheb.chebroots(det), (-1.0, 1.0), (0.0, 1.0))
-    real = np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))
-    inside = (r.real >= -1e-9) & (r.real <= 1.0 + 1e-9)
-    return np.clip(r.real[real & inside], 0.0, 1.0)
 
 
 def _power_series(det: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -335,18 +320,25 @@ def _series_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pu.trimseq(out)
 
 
-def _segment_witness(sys: LpvSsa, a: np.ndarray, b: np.ndarray, det):
-    """A verified singular point on the segment from ``a`` to ``b``, or None.
+def _segment_witness(sys: LpvSsa, base: np.ndarray, A_base: np.ndarray, d: np.ndarray):
+    """A verified singular point on the line ``base + s d`` in the region, or None.
 
-    The candidates are the real roots of ``det``, the determinant
-    interpolant of the segment (:func:`_det_on_segment`), polished by
-    :func:`_newton_witness`.  When ``det A`` takes opposite signs at ``a``
-    and ``b``, a root lies on the segment.
+    ``A_base = A(base)`` passed the scaled test.  On the line ``A`` is the
+    pencil ``A_base + s E`` with ``E = sum_i d_i A_i``, singular exactly
+    where ``s = -1 / lambda`` for an eigenvalue ``lambda`` of ``A_base^-1
+    E`` (Golub & Van Loan, *Matrix Computations*, section 7.7): one solve
+    and one eigenvalue problem of order ``n_x``.  The real part of every
+    finite ``-1 / lambda`` is a candidate (a nearly real pair stands for a
+    root of even multiplicity, or a near miss); the candidates in the
+    region, nearest to ``base`` first, go to :func:`_newton_witness`.
     """
-    t = _segment_roots(det)
-    if t.size == 0:
-        return None
-    return _newton_witness(sys, a + t[:, None] * (b - a))
+    lam = np.linalg.eigvals(np.linalg.solve(A_base, np.tensordot(d, sys.A.coeffs[1:], axes=1)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # lambda = 0 gives s = -inf
+        s = (-1.0 / lam).real
+        P = base + s[:, None] * d
+    inside = np.all((P >= sys.region.lower) & (P <= sys.region.upper), axis=1)  # drops inf, nan
+    starts = P[inside][np.argsort(np.abs(s[inside]))]
+    return _newton_witness(sys, starts) if starts.size else None
 
 
 @dataclass(frozen=True)
@@ -399,7 +391,7 @@ def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
     return RcCertificate("refuted-with-witness", witness=witness, boxes=boxes)
 
 
-def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
+def _rc_boxes(sys: LpvSsa) -> RcCertificate:
     """Decide DT invertibility of ``A(p)`` on the box by branch and bound.
 
     A box with centre ``c`` and half-widths ``r`` satisfies, by Weyl's
@@ -417,17 +409,20 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
     polynomial in ``n_x`` and ``n_p``.
 
     A witness comes from a box centre that fails the scaled test, or from
-    a sign change of ``det A`` between two open box centres of a
-    frontier, resolved by :func:`_segment_witness`.  When the root box is
-    open, the roots of ``det A`` along the region's main diagonal are
-    tried too, which also finds roots of even multiplicity on it (for
-    ``n_p = 1`` the diagonal is the interval itself); ``diagonal()``
-    returns their interpolant.  No other point is evaluated.  Deciding
-    nonsingularity on a box is NP-hard in general (Poljak & Rohn,
-    "Checking robust nonsingularity is NP-hard", Math. Control Signals
-    Systems 6, 1993), so the search is bounded instead: when the
-    ``RC_MAX_BOXES`` budget runs out, or a box is too small for its bound
-    to tighten, the verdict is ``"undecided"``, with the worst box open.
+    the singular points of the pencil ``A`` on a line through an open
+    centre (:func:`_segment_witness`, one solve and one eigenvalue problem
+    of the matrices the frontier evaluated there): the line through two
+    open centres of a frontier where ``det A`` changes sign, from the
+    negative one, and, while only the root box is open, the region's main
+    diagonal through its centre, which also finds roots of even
+    multiplicity on it (for ``n_p = 1`` the diagonal is the interval
+    itself).  No other point is evaluated but those candidates and one
+    Newton step from each.  Deciding nonsingularity on a box is NP-hard in
+    general (Poljak & Rohn, "Checking robust nonsingularity is NP-hard",
+    Math. Control Signals Systems 6, 1993), so the search is bounded
+    instead: when the ``RC_MAX_BOXES`` budget runs out, or a box is too
+    small for its bound to tighten, the verdict is ``"undecided"``, with
+    the worst box open.
     """
     lo, hi = sys.region.lower, sys.region.upper
     norms = np.linalg.norm(sys.A.coeffs[1:], 2, axis=(1, 2))
@@ -448,15 +443,14 @@ def _rc_boxes(sys: LpvSsa, diagonal) -> RcCertificate:
         certified_min = min(certified_min, lower[~open_].min(initial=np.inf))
         if not open_.any():
             return RcCertificate("certified", boxes=boxes, sigma_min_bound=float(certified_min))
-        centres, radii, lower = centres[open_], radii[open_], lower[open_]
-        dets = np.linalg.det(As[open_])
+        centres, radii, lower, As = centres[open_], radii[open_], lower[open_], As[open_]
+        dets = np.linalg.det(As)
         i, j = np.argmax(dets), np.argmin(dets)
         witness = None
         if dets[i] > 0.0 > dets[j]:
-            a, b = centres[j], centres[i]
-            witness = _segment_witness(sys, a, b, _det_on_segment(sys, a, b))
+            witness = _segment_witness(sys, centres[j], As[j], centres[i] - centres[j])
         if witness is None and boxes == 1:  # roots of even multiplicity
-            witness = _segment_witness(sys, lo, hi, diagonal())
+            witness = _segment_witness(sys, centres[0], As[0], hi - lo)
         if witness is not None:
             return _refuted(witness, boxes)
         weight = radii * norms
@@ -486,25 +480,25 @@ def check_rc(sys: LpvSsa) -> RcCertificate:
     deterministic (no random draw) and never a pass without a proof: for
     every ``n_p`` the Weyl-bound box search of :func:`_rc_boxes`
     certifies, refutes with a verified witness (a failing box centre, or a
-    root of ``det A`` between open box centres of opposite sign or on the
-    region's main diagonal), or returns ``"undecided"`` with its smallest
-    bound.  Each frontier of boxes costs one ``at_points`` call and one
-    stacked SVD.  Deciding nonsingularity on a box is NP-hard in general
-    (Poljak & Rohn 1993), so the ``RC_MAX_BOXES`` budget and the
-    ``"undecided"`` verdict are deliberate.  With one scheduling variable
-    the certificate also reports the coefficients of ``det A(p)``
-    (``det_poly_1d``).
+    singular point of the pencil ``A`` on the line through open box centres
+    of opposite ``det`` sign or on the region's main diagonal), or returns
+    ``"undecided"`` with its smallest bound.  Each frontier of boxes costs
+    one ``at_points`` call and one stacked SVD.  Deciding nonsingularity
+    on a box is NP-hard in general (Poljak & Rohn 1993), so the
+    ``RC_MAX_BOXES`` budget and the ``"undecided"`` verdict are
+    deliberate.  With one scheduling variable the certificate also reports
+    the coefficients of ``det A(p)`` (``det_poly_1d``), from its Chebyshev
+    interpolant (:func:`_det_on_segment`), which serves nothing else.
     """
     if sys.domain == TimeDomain.CT:
         return RcCertificate("not-applicable")
     lo, hi = sys.region.lower, sys.region.upper
-    diagonal = cache(partial(_det_on_segment, sys, lo, hi))  # interpolated at most once
     if sys.n_x == 0:  # the minimum over no singular value is +inf
         cert = RcCertificate("certified", boxes=0, sigma_min_bound=np.inf)
     else:
-        cert = _rc_boxes(sys, diagonal)
+        cert = _rc_boxes(sys)
     if sys.n_p == 1:  # reported evidence; the box search decided
-        cert = replace(cert, det_poly_1d=_power_series(diagonal(), lo[0], hi[0]))
+        cert = replace(cert, det_poly_1d=_power_series(_det_on_segment(sys, lo, hi), lo[0], hi[0]))
     return cert
 
 

@@ -1,7 +1,8 @@
 """Batched evaluation and the deterministic regularity decision.
 
 ``check_rc`` decides DT invertibility of ``A(p)`` on the box with Weyl's
-bound on boxes, a sign-change root search and Newton steps.  Every
+bound on boxes, the eigenvalues of the matrix pencil along a line, and
+one Newton step from them.  Every
 verdict is checked against a per-point reference: a witness must fail
 the scaled SVD test evaluated point by point, and a certified system
 must pass it on a grid plus random draws, with a ``sigma_min`` bound no
@@ -9,10 +10,11 @@ larger than at any of those points.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lpvssa import InputError, LpvSsa, check_rc
 from lpvssa import analysis
@@ -22,6 +24,7 @@ from lpvssa.io import serialize_system
 
 from conftest import CliRunner, random_system
 from oracles import in_box, region_grid
+from test_polynomial_regularity import shifted_plant
 
 
 def pointwise_singular(sys, p):
@@ -180,15 +183,29 @@ class TestBoxDecision:
                 assert abs(cert.witness[0] - 0.123456789) <= 1e-12
 
     def test_diagonal_sign_change_refutes_within_one_box(self, monkeypatch):
-        # no budget beyond the root box and no Newton step: only the sign
-        # change of det along the region's main diagonal can find the line
-        # p_1 = 0.123456789
+        # no budget beyond the root box: only the pencil along the region's
+        # main diagonal can find the line p_1 = 0.123456789
         monkeypatch.setattr(analysis, "RC_MAX_BOXES", 1)
-        monkeypatch.setattr(analysis, "RC_NEWTON_STEPS", 0)
         for n_p in (2, 3):
             cert = assert_consistent(diagonal_line(n_p, 0.123456789), 5)
             assert cert.dt_invertibility == "refuted-with-witness"
             assert cert.boxes == 1
+
+    def test_tiny_eigenvalue_refuted_without_overflow(self):
+        # along the main diagonal A_base^-1 E has the eigenvalue 2e-310, whose
+        # -1 / lambda overflows; the other one gives the witness
+        Z = np.zeros((2, 1))
+        sys = LpvSsa.from_matrices(
+            [np.diag([-0.3, 1.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1e-310])],
+            [Z] * 3, [np.ones((1, 2))] * 3, [np.zeros((1, 1))] * 3,
+            (-np.ones(2), np.ones(2)), "dt",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert = assert_consistent(sys, 5)
+        assert cert.dt_invertibility == "refuted-with-witness"
+        assert cert.boxes == 1
+        assert np.allclose(cert.witness, [0.3, 0.3], rtol=0.0, atol=1e-12)
 
     def test_badly_scaled_band_refuted(self):
         # sigma_min / sigma_max <= 1e-10 wherever |p_1 - 0.3| >= ~0.1, so
@@ -278,6 +295,7 @@ class TestNewton:
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+unit = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
 class TestProperties:
@@ -294,6 +312,33 @@ class TestProperties:
         for s, cert in ((sys, first), (rotated, second)):
             if cert.witness is not None:
                 assert pointwise_singular(s, cert.witness)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        n_p=st.integers(1, 3),
+        c=st.floats(-0.99, 0.99),
+        base=st.lists(unit, min_size=3, max_size=3),
+        d=st.lists(unit, min_size=3, max_size=3),
+    )
+    def test_segment_witness_finds_the_crossing_of_the_line(self, n_p, c, base, d):
+        # on the line base + s d the only singular points are where it
+        # crosses p_1 = c; crossings within 1e-9 of the boundary are left
+        # out, where rounding decides whether the crossing is in the region
+        sys = diagonal_line(n_p, c)
+        base, d = np.array(base[:n_p]), np.array(d[:n_p])
+        assume(abs(d[0]) >= 1e-6)
+        A_base = sys.A.at_points(base[None])
+        assume(not _singular_mask(A_base)[0])
+        crossing = base + (c - base[0]) / d[0] * d
+        gap = np.min(np.minimum(crossing - sys.region.lower, sys.region.upper - crossing))
+        assume(abs(gap) > 1e-9)
+        witness = analysis._segment_witness(sys, base, A_base[0], d)
+        if gap > 0:
+            assert witness is not None and in_box(sys.region, witness)
+            assert abs(witness[0] - c) <= 1e-12
+            assert pointwise_singular(sys, witness)
+        else:
+            assert witness is None
 
 
 class TestDoubleRoot:
@@ -315,21 +360,31 @@ class TestDoubleRoot:
         assert doc["minimality"] == "observable reduction only"
         assert doc["rc"]["holds"] is False
 
-    def test_exhausted_budget_is_undecided(self, monkeypatch, tmp_path):
-        # one box and no Newton step: the root box stays open, det >= 0 has
-        # no sign change, so nothing decides
+    @pytest.mark.parametrize("system", [double_root, near_double_root])
+    def test_refuted_within_one_box(self, system, monkeypatch):
+        # det has no sign change; along the main diagonal the pencil has a
+        # double eigenvalue (double_root, where one Newton step lands on
+        # p_1 = c) or a nearly real pair whose real part is p = 0.3
         monkeypatch.setattr(analysis, "RC_MAX_BOXES", 1)
-        monkeypatch.setattr(analysis, "RC_NEWTON_STEPS", 0)
-        sys = double_root()
+        cert = assert_consistent(system(), 5)
+        assert cert.dt_invertibility == "refuted-with-witness"
+        assert cert.boxes == 1
+
+    def test_exhausted_budget_is_undecided(self, monkeypatch, tmp_path):
+        # one box: the root box of a regular plant that Weyl's bound cannot
+        # certify stays open, its main diagonal holds no singular point, so
+        # nothing decides
+        monkeypatch.setattr(analysis, "RC_MAX_BOXES", 1)
+        sys = shifted_plant(np.random.default_rng(0), n_p=2)
         cert = check_rc(sys)
         assert cert.dt_invertibility == "undecided" and not cert.holds
         assert cert.boxes == 1 and cert.witness is None
-        assert np.array_equal(cert.box, [[0.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(cert.box, [[-1.0, -1.0], [1.0, 1.0]])
         assert cert.sigma_min_bound <= 0.0
         text = _rc_text(_rc_payload(cert))
         assert text.startswith("regularity: undecided")
-        assert "[0.0, 0.0] .. [1.0, 1.0]" in text and "boxes visited: 1" in text
-        path = tmp_path / "double_root.json"
+        assert "[-1.0, -1.0] .. [1.0, 1.0]" in text and "boxes visited: 1" in text
+        path = tmp_path / "shifted_plant.json"
         path.write_text(serialize_system(sys))
         result = CliRunner().invoke(main, ["check", str(path)])
         assert result.exit_code == 0, result.output

@@ -1,16 +1,17 @@
 """The DT regularity search does polynomial work per box.
 
 ``check_rc`` evaluates ``A(p)`` only at the centres of each frontier of
-boxes and on segments (the region's main diagonal, and a sign change of
-``det A`` between two open centres), never on a tensor grid of the
-region, so ``n_p = 6`` or ``8`` costs a few hundred boxes, not ``10^n_p``
-points.
+boxes and at the singular points of the matrix pencil on a line (the
+region's main diagonal, and the line through two open centres where
+``det A`` changes sign), with one Newton step from them, never on a
+tensor grid of the region, so ``n_p = 6`` or ``8`` costs a few hundred
+boxes, not ``10^n_p`` points.
 """
 
 import numpy as np
 import pytest
 
-from lpvssa import LpvSsa, check_rc
+from lpvssa import LpvSsa, analysis, check_rc
 from lpvssa.core import AffineMatrixFunction
 
 
@@ -47,17 +48,29 @@ def evaluated(monkeypatch):
 
 
 class TestPolynomialWork:
-    def test_no_call_evaluates_more_points_than_its_frontier(self, evaluated):
+    def test_no_call_evaluates_more_points_than_its_frontier(self, evaluated, monkeypatch):
+        real = analysis._segment_witness
+        on_lines = set()
+
+        def spy(*args):
+            start = len(evaluated)
+            witness = real(*args)
+            on_lines.update(range(start, len(evaluated)))
+            return witness
+
+        monkeypatch.setattr(analysis, "_segment_witness", spy)
         sys = shifted_plant(np.random.default_rng(0), n_p=6)
         cert = check_rc(sys)
         assert cert.dt_invertibility == "certified" and cert.boxes > 1
         sizes = [k for f, k in evaluated if f is sys.A]
         assert sizes == [k for _, k in evaluated]  # only A is evaluated
-        # the root box, the main diagonal's n_x + 1 interpolation nodes, then
-        # one call per frontier: the centres of the boxes bisected from the
-        # open boxes of the frontier before
-        root, diagonal, frontiers = sizes[0], sizes[1], sizes[2:]
-        assert root == 1 and diagonal == sys.n_x + 1
+        # the root box, then one call per frontier: the centres of the boxes
+        # bisected from the open boxes of the frontier before; the main
+        # diagonal evaluates its candidates, at most n_x (one per eigenvalue
+        # of the pencil), then the points one Newton step away from them
+        diagonal = [k for n, k in enumerate(sizes) if n in on_lines]
+        root, *frontiers = [k for n, k in enumerate(sizes) if n not in on_lines]
+        assert root == 1 and len(diagonal) <= 2 and all(k <= sys.n_x for k in diagonal)
         assert sum(frontiers) + root == cert.boxes
         previous = root
         for size in frontiers:
