@@ -43,7 +43,7 @@ from numpy.polynomial import polyutils as pu
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError
 from .signals import Signal, _rng, random_scheduling
-from .simulation import _check_signals, _check_window, _grid, _sample, _window
+from .simulation import _check_signals, _check_window, _sampled, _window
 
 __all__ = [
     "RankDecision",
@@ -564,9 +564,7 @@ def ltv_window_observability(sys: LpvSsa, p: Signal, t_end, *, step: float = Non
     (bool, RankDecision)
     """
     _check_observed_window(sys.domain, t_end, step)
-    _check_signals(sys, p, t_end)
-    times = _grid(sys.domain, t_end, t_end / 200.0 if step is None else step, p)
-    stack = _window(sys, _sample(p, times))[0]
+    stack = _window(sys, _sampled(sys, p, t_end, t_end / 200.0 if step is None else step))[0]
     decision = RankDecision.from_matrix(stack)
     return decision.rank == sys.n_x, decision
 

@@ -9,12 +9,16 @@ line of text is backed by a payload field.
 Exit codes: 0 when the command ran to completion (verdicts do not change
 the exit code), 2 on input errors and on usage errors (an unknown command
 or option, a missing argument, a value of the wrong type), each reported
-as one ``error: …`` line on stderr.  Output paths are checked before any
+as one ``error: …`` line on stderr, and 1, silently, when the reader of
+stdout closes it early (``| head``).  Output paths are checked before any
 work (an existing directory is refused), and output files appear only
 whole, once every one is written; a command that fails prints no result
-and leaves no file.  Every rank decision runs through the polynomial-time
-observability kernel, so no command builds a capped matrix.  Every
-command is deterministic given its files and flags.
+and leaves no file.  Windows (a horizon, a CT step) and signals are
+checked in the library only, by its one window rule: a command passes
+them on as given, and a missing ``--u`` as no input at all, which the
+simulators read as the zero input.  Every rank decision runs through the
+polynomial-time observability kernel, so no command builds a capped
+matrix.  Every command is deterministic given its files and flags.
 Machine-readable output (``--json``) is strict JSON (a number that is not
 finite is ``null``) and carries the payload's ``schema_version``, the tool
 version and the tolerances that ran: the rank floor and the singularity
@@ -55,8 +59,7 @@ from .io import (
     trajectory_to_json,
 )
 from .reduction import minimize as _minimize_op
-from .signals import Signal
-from .simulation import _check_window, simulate_ct, simulate_dt
+from .simulation import simulate_ct, simulate_dt
 
 # version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
 # it changes whenever a payload key is added, removed or renamed
@@ -284,10 +287,16 @@ def main(args=None, *, prog_name="lpvssa", standalone_mode=True):
     tolerances.update(record.pop("tolerances", {}))
     payload = {"schema_version": PAYLOAD_SCHEMA_VERSION, "version": __version__,
                "command": command, "tolerances": tolerances, **record}
-    if as_json:
-        _emit_json(payload)
-    else:
-        _echo("\n".join(render(payload)))
+    try:
+        if as_json:
+            _emit_json(payload)
+        else:
+            _echo("\n".join(render(payload)))
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to devnull, so the
+        # flush at exit does not fail again, and exit 1 as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        _sys.exit(1)
 
 
 _SYSTEM_FILE = _arg("system_file")
@@ -427,23 +436,10 @@ def simulate(system_file, x0, u_file, p_file, horizon, step, out):
             x0_vec = np.array([float(s) for s in x0.split(",")], dtype=float)
         except ValueError:
             raise InputError(f"cannot parse --x0 {x0!r} as comma-separated floats")
-    _check_window(sys_.domain, horizon, step)  # the default input needs a valid horizon
     with _output_files(*[out] if out else []) as write:
-        if sys_.domain == TimeDomain.DT:
-            n_steps = int(horizon)
-            u = (
-                parse_signal(_read_text(u_file))
-                if u_file
-                else Signal.dt(np.zeros((n_steps + 1, sys_.n_u)))
-            )
-            traj = simulate_dt(sys_, x0_vec, u, p, n_steps)
-        else:
-            u = (
-                parse_signal(_read_text(u_file))
-                if u_file
-                else Signal.ct_constant(np.zeros(sys_.n_u), horizon)
-            )
-            traj = simulate_ct(sys_, x0_vec, u, p, horizon, step)
+        u = parse_signal(_read_text(u_file)) if u_file else None  # None: the zero input
+        args = (sys_, x0_vec, u, p, horizon)
+        traj = simulate_dt(*args) if sys_.domain == TimeDomain.DT else simulate_ct(*args, step)
         trajectory = trajectory_to_json(traj)
         if out:
             if Path(out).suffix.lower() == ".json":

@@ -33,6 +33,7 @@ from .simulation import (
     _check_x0,
     _grid,
     _sample,
+    _sampled,
     _window,
     error_system,
 )
@@ -216,8 +217,10 @@ def _match(w_from, x0, w_to):
     y = f_from + (O_from @ x0).reshape(f_from.shape)
     x0_to = np.linalg.lstsq(O_to, (y - f_to).reshape(-1), rcond=ITERATION_RTOL)[0]
     y_match = f_to + (O_to @ x0_to).reshape(y.shape)
-    scale = np.sqrt(y.shape[0]) + float(np.linalg.norm(y))
-    return x0_to, float(np.linalg.norm(y - y_match)) / scale
+    # both norms of y / m: the squared norm of a finite but huge y overflows
+    m = float(np.max(np.abs(y), initial=1.0))
+    scale = np.sqrt(y.shape[0]) / m + float(np.linalg.norm(y / m))
+    return x0_to, float(np.linalg.norm((y - y_match) / m)) / scale
 
 
 def match_initial_state(
@@ -249,9 +252,8 @@ def match_initial_state(
         trajectories grow by many orders of magnitude over the horizon.
     """
     _check_signature(sys_from, sys_to)
-    _check_signals(sys_from, p, horizon, u)
+    s = _sampled(sys_from, p, horizon, step, u)
     x0 = _check_x0(sys_from, x0)
-    s = _sample(p, _grid(sys_from.domain, horizon, step, p, u), u)
     return _match(_window(sys_from, s), x0, _window(sys_to, s))
 
 

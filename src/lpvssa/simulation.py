@@ -1,10 +1,13 @@
 """Trajectory generation: the DT recursion and fixed-step RK4 in CT.
 
-Every window reads its signals once.  :func:`_grid` decides the sample
-times, the DT steps ``0 .. horizon`` or in CT the :func:`integration_mesh`
-that refines the breakpoints of every signal on the window (batch members
-included), and :func:`_sample` reads each signal once at those times and,
-in CT only, once more at the step midpoints.  Every system on the window
+Every window reads its signals once.  A single window goes through one
+front end, :func:`_sampled`: :func:`_check_signals` validates the
+signals on the window, :func:`_grid` decides the sample times, the DT
+steps ``0 .. horizon`` or in CT the :func:`integration_mesh` that refines
+the breakpoints of every signal on the window (batch members included),
+and :func:`_sample` reads each signal once at those times and, in CT
+only, once more at the step midpoints.  A missing input (``u`` None) is
+the zero input: no forcing term is formed.  Every system on the window
 then takes the same plain arrays: :func:`_step_maps` returns the maps of
 ``x_{k+1} = M_k x_k + c_k`` (``M_k = A(p(k))`` and ``c_k = B(p(k)) u(k)``
 in DT, the RK4 maps of :func:`rk4_on_mesh` in CT), with each matrix
@@ -146,7 +149,7 @@ def _check_x0(sys: LpvSsa, x0) -> np.ndarray:
 def simulate_dt(
     sys: LpvSsa,
     x0,
-    u: Signal,
+    u: Signal | None,
     p: Signal,
     n_steps: int,
 ) -> Trajectory:
@@ -164,7 +167,8 @@ def simulate_dt(
         Discrete-time system.
     x0 : array_like, shape (n_x,)
     u, p : Signal
-        Defined for every step up to ``n_steps``.
+        Defined for every step up to ``n_steps``.  ``u`` may be None, the
+        zero input: the recursion then has no forcing term at all.
     n_steps : int
         Number of recursion steps; the trajectory holds ``n_steps + 1``
         aligned state/output samples.
@@ -428,9 +432,11 @@ def _outputs(sys: LpvSsa, P: np.ndarray, C: np.ndarray, U: np.ndarray, xs: np.nd
     """Outputs ``C[k] xs[k] + D(P[k]) U[k]``, where ``C`` is ``sys.C`` at ``P``.
 
     ``P``, ``C``, ``U`` and ``xs`` share their leading axes: the samples,
-    and for a batch the batch axis after them.
+    and for a batch the batch axis after them.  ``U`` may be None, the
+    zero input, with no feedthrough term: the outputs are ``C[k] xs[k]``.
     """
-    return _matvec(C, xs) + _matvec(sys.D.at_points(P), U)
+    y = _matvec(C, xs)
+    return y if U is None else y + _matvec(sys.D.at_points(P), U)
 
 
 def _window(sys: LpvSsa, s: _Samples):
@@ -478,6 +484,17 @@ def _window(sys: LpvSsa, s: _Samples):
     return CPhi.reshape(rows, n), f
 
 
+def _sampled(sys: LpvSsa, p: Signal, horizon, step: float = None, u: Signal = None) -> _Samples:
+    """The one front end of a single window: :func:`_check_signals`, then :func:`_sample`.
+
+    The signals are validated on the window, then read once on its
+    :func:`_grid` (in CT the mesh of step ``step`` refining ``p`` and
+    ``u``).  ``u`` None is the zero input, with no forcing term.
+    """
+    _check_signals(sys, p, horizon, u)
+    return _sample(p, _grid(sys.domain, horizon, step, p, u), u)
+
+
 def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     """Sample times, states and outputs of the validated window from ``x0``.
 
@@ -486,9 +503,8 @@ def _simulate(sys: LpvSsa, x0, u, p, horizon, step: float = None) -> tuple:
     (:func:`_check_finite`); that check replaces numpy's overflow
     warnings, which are silenced.
     """
-    _check_signals(sys, p, horizon, u)
+    s = _sampled(sys, p, horizon, step, u)
     x0 = _check_x0(sys, x0)
-    s = _sample(p, _grid(sys.domain, horizon, step, p, u), u)
     M, c = _step_maps(sys, s)
     with np.errstate(over="ignore", invalid="ignore"):
         xs = _propagate(M, x0, c, _chunk(M.shape[0], sys.n_x))
@@ -620,7 +636,7 @@ def _rk4_block(sys: LpvSsa, h: np.ndarray, ps: list, us, M: np.ndarray, c) -> No
 def simulate_ct(
     sys: LpvSsa,
     x0,
-    u: Signal,
+    u: Signal | None,
     p: Signal,
     t_end: float,
     step: float,
@@ -630,7 +646,8 @@ def simulate_ct(
     The output is sampled on the integration mesh (the uniform grid plus
     the signals' breakpoints).  Local truncation is order 4; accuracy is
     controlled by ``step`` and verified by the step-halving convergence
-    test in the suite.
+    test in the suite.  ``u`` None is the zero input: the RK4 maps then
+    have no forcing term at all.
 
     Returns
     -------
@@ -648,7 +665,7 @@ def simulate_ct(
 def io_response(
     sys: LpvSsa,
     x0,
-    u: Signal,
+    u: Signal | None,
     p: Signal,
     horizon,
     *,
@@ -659,7 +676,8 @@ def io_response(
     This is the sampled input-output map induced by the initial state:
     the ``y`` component of the simulated trajectory.  ``horizon`` is the
     number of steps in DT and the end time in CT (where ``step`` selects
-    the integrator mesh).
+    the integrator mesh).  ``u`` None is the zero input, the free response
+    from ``x0``, with no forcing term.
     """
     if sys.domain == TimeDomain.DT:
         return simulate_dt(sys, x0, u, p, horizon).y
@@ -675,9 +693,7 @@ def transition_matrices_dt(sys: LpvSsa, p: Signal, n_steps: int) -> np.ndarray:
     """
     if sys.domain != TimeDomain.DT:
         raise InputError("transition_matrices_dt needs a DT system")
-    _check_signals(sys, p, n_steps)
-    M, _ = _step_maps(sys, _sample(p, _grid(sys.domain, n_steps, None)))
-    return _propagate(M, np.eye(sys.n_x), None, _chunk(M.shape[0], sys.n_x))
+    return _transitions(sys, p, n_steps)[1]
 
 
 def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) -> tuple:
@@ -688,9 +704,13 @@ def transition_matrices_ct(sys: LpvSsa, p: Signal, t_end: float, step: float) ->
     """
     if sys.domain != TimeDomain.CT:
         raise InputError("transition_matrices_ct needs a CT system")
-    _check_signals(sys, p, t_end)
-    s = _sample(p, _grid(sys.domain, t_end, step, p))
-    M = _step_maps(sys, s)[0]
+    return _transitions(sys, p, t_end, step)
+
+
+def _transitions(sys: LpvSsa, p: Signal, horizon, step: float = None) -> tuple:
+    """Sample times and ``Phi(t_k, 0)`` of the validated window, by :func:`_chunk`'s rule."""
+    s = _sampled(sys, p, horizon, step)
+    M, _ = _step_maps(sys, s)
     return s.times, _propagate(M, np.eye(sys.n_x), None, _chunk(M.shape[0], sys.n_x))
 
 

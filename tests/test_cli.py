@@ -15,6 +15,7 @@ from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
 
 from conftest import CliRunner, make_weakly_coupled_ct
+from test_batched_regularity import diagonal_line
 
 
 
@@ -545,6 +546,39 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "name, interpolation",
+        [("constant_1state", None), ("constant_2state", None), ("worked_example", None),
+         ("worked_minimal", None), ("worked_minimal", "piecewise-constant"),
+         ("worked_minimal", "piecewise-linear")],
+    )
+    def test_no_input_prints_what_a_zero_input_document_prints(
+        self, runner, data_dir, tmp_path, name, interpolation
+    ):
+        doc = json.loads((data_dir / f"{name}.json").read_text())
+        n_x, n_u = doc["B"][0]["shape"]
+        if interpolation is None:
+            system, horizon = str(data_dir / f"{name}.json"), "20"
+            p = {"kind": "dt", "values": [[1.0], [0.0], [0.5], [1.0]] * 5 + [[0.25]]}
+            u = {"kind": "dt", "values": [[0.0] * n_u] * 21}
+        else:  # a CT copy of the document
+            system = _write_system(tmp_path, parse_system(json.dumps(dict(doc, domain="ct"))),
+                                   "ct.json")
+            horizon = "2"
+            p = {"kind": "ct", "times": [0, 0.5, 1, 1.5, 2], "values": [[0.2], [0.9], [0.4],
+                 [0.7], [0.1]], "interpolation": interpolation}
+            u = {"kind": "ct", "times": [0, 2], "values": [[0.0] * n_u] * 2,
+                 "interpolation": "piecewise-constant"}
+        for sig, obj in (("p", p), ("u", u)):
+            (tmp_path / f"{sig}.json").write_text(json.dumps(obj))
+        args = ["simulate", system, "--x0", ",".join(["1"] * n_x), "--p", str(tmp_path / "p.json"),
+                "--horizon", horizon, "--step", "1e-2"]
+        for extra in ([], ["--json"]):
+            without = runner.invoke(main, args + extra)
+            assert without.exit_code == 0, without.output
+            with_zero = runner.invoke(main, args + extra + ["--u", str(tmp_path / "u.json")])
+            assert without.output == with_zero.output
 
 
 class TestEquiv:
@@ -1080,6 +1114,43 @@ class TestHugeCoefficientEquiv:
         assert result.stderr.startswith(
             "error: the window overflows: the free response at sample "
         ), result.stderr
+
+
+class TestClosedPipe:
+    def test_simulate_into_a_closed_pipe_exits_1_without_traceback(self, data_dir, tmp_path):
+        # the reader takes one line and closes the pipe, as `| head -1` does, while
+        # the CSV of 100 001 rows is far larger than the pipe's buffer
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"kind": "dt", "values": [[0.5]] * 100001}))
+        env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+        child = subprocess.Popen(
+            [_sys.executable, "-m", "lpvssa.cli", "simulate",
+             str(data_dir / "constant_2state.json"), "--x0", "1,1", "--p", str(p),
+             "--horizon", "100000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == b"t,x0,x1,y0\n"
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=120)
+        assert child.returncode == 1
+        assert b"Traceback" not in stderr, stderr.decode()
+
+
+class TestBadlyScaledEquiv:
+    def test_equiv_with_its_reduction_passes_without_warnings(self, runner, tmp_path):
+        # A(p) = diag(1e11 (p_1 - 0.3), ...): the 20-step outputs are finite, but
+        # their squared norm overflows
+        sys_file = _write_system(tmp_path, diagonal_line(2, 0.3, scale=1e11), "diag.json")
+        reduced = tmp_path / "reduced.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, ["minimize", sys_file, "--out", str(reduced)])
+            assert result.exit_code == 0, result.output
+            result = runner.invoke(main, ["equiv", sys_file, str(reduced), "--json"])
+        assert result.exit_code == 0, result.output
+        doc = _strict_json(result.output)
+        assert doc["passed"] is True
+        assert 0.0 <= doc["max_residual"] < 1e-12
 
 
 class TestHugeIntegerExitCode:

@@ -19,6 +19,7 @@ from lpvssa import (
     Signal,
     TimeDomain,
     behavior_equivalence_empirical,
+    io_response,
     ltv_window_observability,
     match_initial_state,
     observability_reduction,
@@ -65,6 +66,36 @@ CASES = [
     (TimeDomain.CT, PIECEWISE_CONSTANT),
     (TimeDomain.CT, PIECEWISE_LINEAR),
 ]
+
+
+class TestMissingInput:
+    """``u`` None is the zero input: no forcing term, the same trajectory."""
+
+    @pytest.mark.parametrize("long", [False, True], ids=["exact", "two-level"])
+    @pytest.mark.parametrize("domain, interpolation", CASES)
+    def test_equals_an_explicit_zero_input(self, domain, interpolation, long):
+        rng = np.random.default_rng(31)
+        sys = random_system(rng, n_x=3, n_p=2, n_u=2, n_y=2, domain=domain)
+        x0 = rng.standard_normal(3)
+        if domain == TimeDomain.DT:  # 100 steps are composed in two levels
+            horizon, step = (100 if long else N_STEPS), None
+            p = Signal.dt(rng.uniform(-1, 1, (horizon + 1, 2)))
+            zero = Signal.dt(np.zeros((horizon + 1, 2)))
+            simulate = lambda u: simulate_dt(sys, x0, u, p, horizon)
+        else:  # a step of STEP / 10 gives more than 200 mesh steps
+            horizon, step = T_END, (STEP / 10 if long else STEP)
+            _, p = _signals(rng, domain, 2, 2, interpolation)
+            zero = Signal.ct_constant(np.zeros(2), T_END)  # no breakpoint of its own
+            simulate = lambda u: simulate_ct(sys, x0, u, p, horizon, step)
+        got, want = simulate(None), simulate(zero)
+        for a, b in ((got.x, want.x), (got.y, want.y)):
+            assert np.array_equal(a.values, b.values)
+            assert (a.times is None) == (b.times is None)
+            assert a.times is None or np.array_equal(a.times, b.times)
+        kw = {} if step is None else {"step": step}
+        y = io_response(sys, x0, None, p, horizon, **kw)
+        assert np.array_equal(y.values, io_response(sys, x0, zero, p, horizon, **kw).values)
+        assert np.array_equal(y.values, got.y.values)
 
 
 class TestMatchAgainstReference:

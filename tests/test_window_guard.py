@@ -85,20 +85,32 @@ def _reveal(sys, p, monkeypatch):
     find_revealing_scheduling(sys, 1, HORIZON[sys.domain], 0)
 
 
-ENTRY_POINTS = {
-    "simulate_dt": (
-        (DT,), lambda s, p, mp: simulate_dt(s, np.zeros(s.n_x), _input(s), p, HORIZON[DT])
-    ),
-    "simulate_ct": (
-        (CT,),
-        lambda s, p, mp: simulate_ct(s, np.zeros(s.n_x), _input(s), p, HORIZON[CT], STEP),
-    ),
-    "io_response": (
-        (DT, CT),
-        lambda s, p, mp: io_response(
-            s, np.zeros(s.n_x), _input(s), p, HORIZON[s.domain], step=STEP
+def _simulators(make_input, suffix=""):
+    """The simulators, under the input ``make_input(sys)`` (None: no input)."""
+    return {
+        f"simulate_dt{suffix}": (
+            (DT,),
+            lambda s, p, mp: simulate_dt(s, np.zeros(s.n_x), make_input(s), p, HORIZON[DT]),
         ),
-    ),
+        f"simulate_ct{suffix}": (
+            (CT,),
+            lambda s, p, mp: simulate_ct(
+                s, np.zeros(s.n_x), make_input(s), p, HORIZON[CT], STEP
+            ),
+        ),
+        f"io_response{suffix}": (
+            (DT, CT),
+            lambda s, p, mp: io_response(
+                s, np.zeros(s.n_x), make_input(s), p, HORIZON[s.domain], step=STEP
+            ),
+        ),
+    }
+
+
+ENTRY_POINTS = {
+    **_simulators(_input),
+    # a missing input is the zero input, and its windows are checked alike
+    **_simulators(lambda s: None, "_no_input"),
     "transition_matrices_dt": ((DT,), lambda s, p, mp: transition_matrices_dt(s, p, HORIZON[DT])),
     "transition_matrices_ct": (
         (CT,), lambda s, p, mp: transition_matrices_ct(s, p, HORIZON[CT], STEP)
