@@ -33,12 +33,9 @@ column is positive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial import polynomial as poly
-from numpy.polynomial import polyutils as pu
 
 from .core import LpvSsa, TimeDomain, transpose_dual
 from .errors import InputError
@@ -274,52 +271,6 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
     return P[hit[0]] if hit.size else None
 
 
-def _det_on_segment(sys: LpvSsa, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``det A(a + t (b - a))`` as Chebyshev coefficients in ``t`` on ``[0, 1]``.
-
-    The determinant is a polynomial of degree at most ``n_x`` in ``t``, so
-    its interpolant at the ``n_x + 1`` Chebyshev nodes is exact up to
-    rounding: one ``at_points`` call and one stacked determinant.
-    Numerically-zero leading coefficients are dropped.  The steps are
-    those of ``Chebyshev.fit(t, dets, n_x, domain=[0, 1]).trim(tol)``, on
-    arrays: the fit runs on ``2 t - 1``.
-    """
-    t = _chebyshev_nodes(0.0, 1.0, sys.n_x + 1)
-    dets = np.linalg.det(sys.A.at_points(a + t[:, None] * (b - a)))
-    coef = cheb.chebfit(2.0 * t - 1.0, dets, sys.n_x)
-    return pu.trimcoef(coef, 1e-12 * float(np.max(np.abs(coef))))
-
-
-def _power_series(det: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The Chebyshev series ``det`` on ``[lo, hi]`` as power-series coefficients.
-
-    The operations, and their order, of
-    ``Chebyshev(det, domain=[lo, hi]).convert(kind=Polynomial).coef``: the
-    Clenshaw recursion of ``chebval`` run on the power series of the map
-    from ``[lo, hi]`` onto ``[-1, 1]``, with the series arithmetic of
-    ``numpy.polynomial`` (``np.convolve`` and :func:`_series_add`, each
-    with trailing zeros trimmed), so the result is the same to the bit.
-    The recursion's difference ``c - c1`` is taken as ``c + (-c1)``, which
-    IEEE arithmetic rounds as ``polysub`` does, signed zeros included.
-    """
-    off, scl = pu.mapparms([lo, hi], [-1.0, 1.0])
-    x = poly.polyadd(off, poly.polymul(scl, [0.0, 1.0]))
-    x2 = poly.polymul(2, x)
-    c0, c1 = (det[:1], np.zeros(1)) if len(det) == 1 else (det[-2:-1], det[-1:])
-    for k in range(len(det) - 3, -1, -1):
-        c0, c1 = _series_add(det[k:k + 1], -c1), _series_add(c0, pu.trimseq(np.convolve(c1, x2)))
-    return _series_add(c0, pu.trimseq(np.convolve(c1, x)))
-
-
-def _series_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``polyadd(a, b)`` on float coefficient arrays, without its conversions."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return pu.trimseq(out)
-
-
 def _segment_witness(sys: LpvSsa, base: np.ndarray, A_base: np.ndarray, d: np.ndarray):
     """A verified singular point on the line ``base + s d`` in the region, or None.
 
@@ -365,14 +316,13 @@ class RcCertificate:
     :class:`~lpvssa.core.SchedulingRegion` is convex with nonempty
     interior by construction.  ``holds`` is true exactly for
     ``"certified"`` and ``"not-applicable"``.
-    Every DT certificate carries ``boxes``, the boxes visited.  With one
-    scheduling variable ``det_poly_1d`` holds the coefficients of ``det
-    A(p)`` (constant first) as evidence; it decides nothing.
+    Every DT certificate carries ``boxes``, the boxes visited.  Each field
+    is evidence that the verdict rests on; the coefficients of ``det
+    A(p)``, which no verdict reads, are not reported.
     """
 
     dt_invertibility: str
     witness: np.ndarray = None
-    det_poly_1d: np.ndarray = None
     boxes: int = None
     sigma_min_bound: float = None
     box: np.ndarray = None
@@ -380,11 +330,6 @@ class RcCertificate:
     @property
     def holds(self) -> bool:
         return self.dt_invertibility in ("not-applicable", "certified")
-
-
-def _chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    k = np.arange(count)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * count))
 
 
 def _refuted(witness: np.ndarray, boxes: int) -> RcCertificate:
@@ -486,20 +431,14 @@ def check_rc(sys: LpvSsa) -> RcCertificate:
     one ``at_points`` call and one stacked SVD.  Deciding nonsingularity
     on a box is NP-hard in general (Poljak & Rohn 1993), so the
     ``RC_MAX_BOXES`` budget and the ``"undecided"`` verdict are
-    deliberate.  With one scheduling variable the certificate also reports
-    the coefficients of ``det A(p)`` (``det_poly_1d``), from its Chebyshev
-    interpolant (:func:`_det_on_segment`), which serves nothing else.
+    deliberate.  Nothing else is computed: in particular no coefficients of
+    ``det A(p)``, which the search does not need.
     """
     if sys.domain == TimeDomain.CT:
         return RcCertificate("not-applicable")
-    lo, hi = sys.region.lower, sys.region.upper
     if sys.n_x == 0:  # the minimum over no singular value is +inf
-        cert = RcCertificate("certified", boxes=0, sigma_min_bound=np.inf)
-    else:
-        cert = _rc_boxes(sys)
-    if sys.n_p == 1:  # reported evidence; the box search decided
-        cert = replace(cert, det_poly_1d=_power_series(_det_on_segment(sys, lo, hi), lo[0], hi[0]))
-    return cert
+        return RcCertificate("certified", boxes=0, sigma_min_bound=np.inf)
+    return _rc_boxes(sys)
 
 
 @dataclass(frozen=True)

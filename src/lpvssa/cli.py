@@ -63,7 +63,7 @@ from .simulation import simulate_ct, simulate_dt
 
 # version of the --json payload layout (not of the documents, io.SCHEMA_VERSION);
 # it changes whenever a payload key is added, removed or renamed
-PAYLOAD_SCHEMA_VERSION = "4"
+PAYLOAD_SCHEMA_VERSION = "5"
 
 
 def _read_text(path) -> str:
@@ -150,7 +150,6 @@ def _rc_payload(rc) -> dict:
         "dt_invertibility": rc.dt_invertibility,
         "holds": rc.holds,
         "witness": rc.witness,
-        "det_poly_1d": rc.det_poly_1d,
         "boxes": rc.boxes,
         "sigma_min_bound": rc.sigma_min_bound,
         "box": rc.box,

@@ -136,6 +136,17 @@ def make_weakly_coupled_ct() -> LpvSsa:
     return LpvSsa.from_matrices([A0, Z], [B, B], [C0, 0 * C0], [D, D], ([-1.0], [1.0]), "ct")
 
 
+def make_overflowing_determinant() -> LpvSsa:
+    """DT ``A(p) = (1e200 + 1e199 p) I_3`` on ``[0, 1]``, ``B_0 = 1``, ``C_0 = 1``.
+
+    ``sigma_min(A(p)) >= 1e200`` is a finite double; ``det A(p)`` overflows.
+    """
+    I, B, C, D = np.eye(3), np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1))
+    return LpvSsa.from_matrices(
+        [1e200 * I, 1e199 * I], [B, 0 * B], [C, 0 * C], [D, D], ([0.0], [1.0]), "dt"
+    )
+
+
 def random_system(
     rng: np.random.Generator,
     *,

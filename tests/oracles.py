@@ -7,6 +7,7 @@ library's own stacking/iteration code paths.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,6 +94,54 @@ def word_reachable_columns(sys, max_len):
 def word_reach_rank(sys, max_len):
     cols = word_reachable_columns(sys, max_len)
     return int(np.linalg.matrix_rank(cols)) if cols.size else 0
+
+
+def bareiss_det(M):
+    """Determinant of a square list of lists of ``Fraction`` by Bareiss elimination.
+
+    Fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968): step ``k`` sets ``M[i][j] = (M[i][j] M[k][k] - M[i][k] M[k][j])
+    / M[k-1][k-1]``, an exact division, and a zero pivot is swapped for a
+    row below with a nonzero entry in its column.  No rounding anywhere.
+    """
+    M = [list(row) for row in M]
+    n, sign, prev = len(M), 1, Fraction(1)
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if n else Fraction(1)
+
+
+def exact_det_poly(sys):
+    """Coefficients of ``det A(p)`` for one scheduling variable, constant first, exactly.
+
+    ``det(A_0 + p A_1)`` is a polynomial of degree at most ``n_x``: it is
+    evaluated by :func:`bareiss_det` at ``p = 0, 1, .., n_x`` and
+    Lagrange-interpolated, all in ``Fraction``.  Every float is a dyadic
+    rational, so the ``n_x + 1`` coefficients are exact (trailing zeros
+    kept).
+    """
+    if sys.n_p != 1:
+        raise ValueError("exact_det_poly needs one scheduling variable")
+    A0, A1 = ([[Fraction(v) for v in row] for row in M.tolist()] for M in sys.A.coeffs)
+    points = range(sys.n_x + 1)
+    coeffs = [Fraction(0)] * len(points)
+    for xj in points:
+        value = bareiss_det([[a + xj * b for a, b in zip(r0, r1)] for r0, r1 in zip(A0, A1)])
+        basis = [Fraction(1)]  # prod over m != j of (p - x_m) / (x_j - x_m), constant first
+        for xm in points:
+            if xm != xj:
+                basis = [(up - xm * b) / (xj - xm) for up, b in zip([0] + basis, basis + [0])]
+        coeffs = [c + value * b for c, b in zip(coeffs, basis)]
+    return coeffs
 
 
 def dt_reference_simulation(sys, x0, u_vals, p_vals, n_steps):

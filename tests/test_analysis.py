@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,9 +23,11 @@ from lpvssa import (
 )
 from lpvssa import analysis
 
-from conftest import make_weakly_coupled_ct, random_system
+from conftest import make_overflowing_determinant, make_weakly_coupled_ct, random_system
 from oracles import (
+    bareiss_det,
     dyadic,
+    exact_det_poly,
     in_box,
     literal_observability_recursion,
     textbook_reachability,
@@ -225,11 +230,19 @@ class TestRankTests:
 
 class TestCheckRc:
     def test_worked_example_determinant_polynomial(self, worked_example):
+        # the paper's det A(p) = -1 - 3p - 2p^2 has no root in [0, 1]
         cert = check_rc(worked_example)
         assert cert.dt_invertibility == "certified"
-        assert cert.det_poly_1d.shape == (3,)
-        assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)
+        assert exact_det_poly(worked_example) == [-1, -3, -2, 0]
         assert cert.holds
+
+    def test_overflowing_determinant_certified_without_warning(self):
+        # det A(p) overflows a double; nothing computes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check_rc(make_overflowing_determinant())
+        assert cert.dt_invertibility == "certified"
+        assert cert.boxes == 1 and cert.sigma_min_bound > 0
 
     def test_identity_dynamics_certified(self):
         sys = LpvSsa.from_matrices(
@@ -242,7 +255,6 @@ class TestCheckRc:
         )
         cert = check_rc(sys)
         assert cert.dt_invertibility == "certified"
-        assert np.allclose(cert.det_poly_1d, [1.0], atol=1e-12)
 
     def test_constant_2state_refuted_with_witness(self, constant_2state):
         cert = check_rc(constant_2state)
@@ -276,7 +288,7 @@ class TestCheckRc:
         sys = random_system(rng, domain=TimeDomain.CT)
         cert = check_rc(sys)
         assert cert.dt_invertibility == "not-applicable"
-        assert cert.holds and cert.det_poly_1d is None
+        assert cert.holds
 
     def test_multivariate_certified(self):
         rng = np.random.default_rng(11)
@@ -305,7 +317,30 @@ class TestCheckRc:
         c1 = check_rc(worked_example)
         c2 = check_rc(worked_example)
         assert c1.dt_invertibility == c2.dt_invertibility
-        assert np.array_equal(c1.det_poly_1d, c2.det_poly_1d)
+        assert c1.boxes == c2.boxes
+        assert c1.sigma_min_bound == c2.sigma_min_bound
+
+
+class TestExactDetOracle:
+    """The exact ``det A(p)`` of ``oracles`` agrees with floating point."""
+
+    def test_agrees_with_numpy_det(self):
+        rng = np.random.default_rng(12)
+        for n_x in range(1, 7):
+            sys = dyadic(random_system(rng, n_x=n_x, n_p=1))
+            coeffs = [float(c) for c in exact_det_poly(sys)]
+            assert len(coeffs) == n_x + 1
+            for p in rng.uniform(0.0, 1.0, 3):
+                det = np.linalg.det(sys.A(np.array([p])))
+                assert np.isclose(np.polyval(coeffs[::-1], p), det, rtol=1e-9, atol=1e-12)
+
+    def test_zero_pivots_and_singular_matrices(self):
+        F = Fraction
+        assert bareiss_det([]) == 1
+        assert bareiss_det([[F(0), F(1)], [F(1), F(0)]]) == -1
+        assert bareiss_det([[F(0), F(1), F(2)], [F(0), F(3), F(4)], [F(5), F(6), F(7)]]) == -10
+        assert bareiss_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+        assert bareiss_det([[F(0), F(1)], [F(0), F(2)]]) == 0
 
 
 class TestFreezeScheduling:

@@ -436,7 +436,6 @@ class TestUnivariate:
         cert = assert_consistent(sys, 10)
         assert cert.dt_invertibility == "refuted-with-witness"
         assert abs(cert.witness[0] - c) < 1e-6
-        assert cert.det_poly_1d.shape == (3,)
 
 
 class TestOnePath:
@@ -447,7 +446,6 @@ class TestOnePath:
         cert = assert_consistent(sys, 10)
         assert cert.dt_invertibility == "refuted-with-witness"
         assert abs(cert.witness[0] - 0.3) < 1e-5
-        assert cert.det_poly_1d.shape == (3,)
         inert = assert_consistent(with_inert_coordinate(sys), 10)
         assert inert.dt_invertibility == "refuted-with-witness"
         assert inert.witness[0] == cert.witness[0]
@@ -485,34 +483,3 @@ class TestOnePath:
         assert 0.0 < cert.sigma_min_bound
         assert _rc_text(_rc_payload(cert)).startswith("regularity: certified (sigma_min(A(p)) >= ")
 
-
-class TestDeterminantOnce:
-    def test_worked_example_interpolates_det_once(self, worked_example, monkeypatch):
-        real = analysis._det_on_segment
-        calls = []
-
-        def spy(sys, a, b):
-            calls.append((a, b))
-            return real(sys, a, b)
-
-        monkeypatch.setattr(analysis, "_det_on_segment", spy)
-        cert = check_rc(worked_example)
-        assert len(calls) == 1
-        assert cert.dt_invertibility == "certified" and cert.witness is None
-        lo, hi = worked_example.region.lower, worked_example.region.upper
-        det = np.polynomial.Chebyshev(real(worked_example, lo, hi), domain=[lo[0], hi[0]])
-        assert np.array_equal(cert.det_poly_1d, det.convert(kind=np.polynomial.Polynomial).coef)
-        assert np.allclose(cert.det_poly_1d, [-1.0, -3.0, -2.0], atol=1e-9)
-
-    def test_power_series_matches_the_class_conversion_bit_for_bit(self):
-        # lengths 1-13, signed zeros anywhere (a trailing one too), wide magnitudes
-        rng = np.random.default_rng(7)
-        for _ in range(400):
-            c = rng.standard_normal(int(rng.integers(1, 14))) * 10.0 ** rng.integers(-6, 6)
-            zeros = rng.random(len(c)) < 0.2
-            c[zeros] = rng.choice([0.0, -0.0], zeros.sum())
-            lo = float(rng.uniform(-3.0, 2.0))
-            hi = lo + float(rng.uniform(1e-3, 4.0))
-            ref = np.polynomial.Chebyshev(c, domain=[lo, hi]).convert(kind=np.polynomial.Polynomial)
-            got = analysis._power_series(c, lo, hi)
-            assert got.dtype == ref.coef.dtype and got.tobytes() == ref.coef.tobytes()

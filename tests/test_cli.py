@@ -14,7 +14,7 @@ from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
 
-from conftest import CliRunner, make_weakly_coupled_ct
+from conftest import CliRunner, make_overflowing_determinant, make_weakly_coupled_ct
 from test_batched_regularity import diagonal_line
 
 
@@ -66,7 +66,7 @@ class TestCheck:
         assert doc["observability_rank"] == 2
         assert doc["span_reachable_from_zero"] is True
         assert doc["rc"]["dt_invertibility"] == "certified"
-        assert np.allclose(doc["rc"]["det_poly_1d"], [-1, -3, -2], atol=1e-9)
+        assert "det_poly_1d" not in doc["rc"]
 
     def test_identity_output_observable(self, runner, tmp_path):
         from lpvssa import LpvSsa
@@ -124,7 +124,7 @@ class TestCheck:
         doc = json.loads(
             runner.invoke(main, ["check", _worked_file(data_dir), "--json"]).output
         )
-        assert doc["schema_version"] == "4"
+        assert doc["schema_version"] == "5"
         assert set(doc) == {
             "schema_version", "version", "command", "tolerances", "n_x",
             "observable", "observability_rank", "observability_singular_values",
@@ -132,7 +132,7 @@ class TestCheck:
             "reachability_singular_values", "rc",
         }
         assert set(doc["rc"]) == {
-            "dt_invertibility", "holds", "witness", "det_poly_1d",
+            "dt_invertibility", "holds", "witness",
             "boxes", "sigma_min_bound", "box",
         }
 
@@ -992,6 +992,19 @@ def test_importing_the_cli_loads_no_click(data_dir):
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_package_loads_no_numpy_polynomial(data_dir):
+    env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+    code = (
+        "import sys, lpvssa, lpvssa.cli; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.polynomial')); "
+        "assert not loaded, loaded"
+    )
+    result = subprocess.run(
+        [_sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # command lines refused before any work, with {W} a system document and {dir}
 # an existing directory
 USAGE_ERRORS = [
@@ -1151,6 +1164,22 @@ class TestBadlyScaledEquiv:
         doc = _strict_json(result.output)
         assert doc["passed"] is True
         assert 0.0 <= doc["max_residual"] < 1e-12
+
+
+class TestOverflowingDeterminant:
+    def test_check_certifies_with_an_empty_stderr(self, data_dir, tmp_path):
+        # det A(p) overflows a double; a child interpreter, so a warning would
+        # reach its stderr
+        path = _write_system(tmp_path, make_overflowing_determinant(), "overflow.json")
+        env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+        result = subprocess.run(
+            [_sys.executable, "-m", "lpvssa.cli", "check", path, "--json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        rc = _strict_json(result.stdout)["rc"]
+        assert rc["dt_invertibility"] == "certified" and rc["boxes"] == 1
 
 
 class TestHugeIntegerExitCode:

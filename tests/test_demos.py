@@ -22,8 +22,7 @@ def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script):
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -33,4 +32,15 @@ def test_demo_runs(script):
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip()
+    return result.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script):
+    assert _run(script).strip()
+
+
+def test_worked_example_demo_prints_the_papers_determinant():
+    # det A(p) = -1 - 3p - 2p^2, evaluated in exact fractions
+    out = _run(ROOT / "demos" / "worked_example_minimization.py")
+    assert "det A(p) coefficients (constant first, exact): -1, -3, -2, 0\n" in out
