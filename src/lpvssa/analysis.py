@@ -1,9 +1,10 @@
 """Observability/reachability analysis and regularity certification.
 
 Every observability decision (``unobservable_subspace``,
-``is_observable``, ``is_span_reachable_from_zero``, and the paired
-stacks behind ``equivalence.find_isomorphism``) runs through one
-polynomial-time kernel, the compressed subspace iteration of
+``is_observable``, ``is_span_reachable_from_zero``, and the transform of
+``equivalence.find_isomorphism``, which carries one system's stack
+through the other's compression) runs through one polynomial-time
+kernel, the compressed subspace iteration of
 :func:`_observability_iteration`, at one rank floor: a singular value
 counts toward the rank when it exceeds ``sigma_max * ITERATION_RTOL``
 (``1e-10``).  :func:`_threshold` is the only SVD that decides a rank,
@@ -136,7 +137,7 @@ def extended_observability_matrix(sys: LpvSsa, n: int) -> np.ndarray:
     return np.vstack(_obs_levels(sys, n))
 
 
-def _threshold(M: np.ndarray, *, kernel: bool = False):
+def _threshold(M: np.ndarray, *, kernel: bool = False, carried: np.ndarray = None):
     """The one rank threshold: one SVD of ``M``, ``sigma_max`` times ``ITERATION_RTOL``.
 
     Every rank decision runs this one SVD routine, with singular vectors.
@@ -144,19 +145,24 @@ def _threshold(M: np.ndarray, *, kernel: bool = False):
     row basis) and, with ``kernel``, the rest of the full SVD's ``Vh`` as
     sign-normalized columns (an orthonormal kernel basis).  Without
     ``kernel`` the SVD is the reduced one, which has no complete kernel for
-    a wide ``M``, and the kernel is None.
+    a wide ``M``, and the kernel is None.  With ``carried``, a block with
+    as many rows as ``M``, the third element is instead ``R carried`` for
+    the row map ``R = diag(1 / s_r) U_r^T`` that takes ``M`` to the kept
+    rows (``R M = Vh[:rank]``); the rank is decided on ``M`` alone.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     if M.size == 0:
-        return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else None
-    _, s, Vh = np.linalg.svd(M, full_matrices=kernel)
+        rest = None if carried is None else carried[:0]
+        return RankDecision(0, np.zeros(0), 0.0), np.zeros((0, n)), np.eye(n) if kernel else rest
+    U, s, Vh = np.linalg.svd(M, full_matrices=kernel)
     tol = float(s[0]) * ITERATION_RTOL
     rank = int(np.sum(s > tol))
-    return RankDecision(rank, s, tol), Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else None
+    rest = None if carried is None else (U[:, :rank].T @ carried) / s[:rank, None]
+    return RankDecision(rank, s, tol), Vh[:rank], _sign_fix(Vh[rank:].T) if kernel else rest
 
 
-def _observability_iteration(C_coeffs, A_coeffs):
+def _observability_iteration(C_coeffs, A_coeffs, carried=None):
     """The observability kernel shared by every observability decision.
 
     Compressed subspace iteration that never forms the extended matrix:
@@ -173,23 +179,37 @@ def _observability_iteration(C_coeffs, A_coeffs):
     count the rounding debris of earlier ones as new directions (see the
     module docstring).
 
+    ``carried = (C1_coeffs, A1_coeffs)``, a second system with the same
+    coefficient count, rides along without deciding anything: its stack
+    ``[Q1; Q1 A1_0; ..; Q1 A1_np]`` (level 0: ``[C1_0; ..; C1_np]``) takes
+    the row map ``R = diag(1 / s_r) U_r^T`` of the SVD that thresholded
+    the system's own stack (``R M = Q``, see :func:`_threshold`).  If
+    ``C_i T = C1_i`` and ``A_i T = T A1_i`` for every ``i``, then the
+    level-0 stacks satisfy ``M T = M1``, and ``Q T = Q1`` at one level
+    gives ``[Q; Q A_i] T = [Q1; Q1 A1_i]`` at the next, so ``Q T = Q1``
+    holds at every level, for every such ``T``.  The ranks, the levels and
+    ``Q`` are those of the run without ``carried``.
+
     Returns
     -------
     (Q, RankDecision)
         The final row basis and the decision on the last thresholded
-        stack, so ``decision.rank == Q.shape[0]``.
+        stack, so ``decision.rank == Q.shape[0]``.  With ``carried``,
+        ``Q1`` is appended as further columns: ``[Q | Q1]``.
     """
     n = A_coeffs[0].shape[0]
-    decision, Q, _ = _threshold(np.vstack(C_coeffs))
+    C1, A1 = (None, None) if carried is None else (np.vstack(carried[0]), carried[1])
+    decision, Q, Q1 = _threshold(np.vstack(C_coeffs), carried=C1)
     for _ in range(max(n - 1, 0)):
         if not 0 < Q.shape[0] < n:
             break
-        decision, grown, _ = _threshold(np.vstack([Q, *(Q @ A_coeffs)]))
+        M1 = None if Q1 is None else np.vstack([Q1, *(Q1 @ A1)])
+        decision, grown, Q1 = _threshold(np.vstack([Q, *(Q @ A_coeffs)]), carried=M1)
         unchanged = grown.shape[0] == Q.shape[0]
         Q = grown
         if unchanged:
             break
-    return Q, decision
+    return Q if Q1 is None else np.hstack([Q, Q1]), decision
 
 
 def unobservable_subspace(sys: LpvSsa) -> np.ndarray:
@@ -253,9 +273,12 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
     ``sigma_min(A(p))`` away from them.  The gradient of ``sigma_min``
     along ``p_i`` is ``u^T A_i v`` (``u``, ``v`` its singular vectors), and
     the step ``p -= sigma_min g / |g|^2`` goes to the zero of the
-    linearization, clipped to the box.  That one step lands a start near a
-    root of even multiplicity, where ``A`` may be a multiple of the
-    identity and pass the scaled test, on the root.  A point is returned
+    linearization, clipped to the box.  ``g`` is divided by a power of two
+    near its largest entry before it is squared: the step keeps every bit
+    wherever ``|g|^2`` is a normal double, and ``|g|^2`` stays finite for
+    large ``A_i``.  That one step lands a start near a root of even
+    multiplicity, where ``A`` may be a multiple of the identity and pass
+    the scaled test, on the root.  A point is returned
     only after it passed :func:`_singular_mask`.
     """
     P = np.array(starts, dtype=float)
@@ -264,8 +287,10 @@ def _newton_witness(sys: LpvSsa, starts: np.ndarray):
     if hit.size == 0:
         U, s, Vh = np.linalg.svd(As)
         g = np.einsum("ka,iab,kb->ki", U[:, :, -1], sys.A.coeffs[1:], Vh[:, -1, :])
+        m = np.ldexp(1.0, np.frexp(np.abs(g).max(axis=1))[1])  # a power of two near max |g_i|
+        g = g / m[:, None]
         gg = np.sum(g * g, axis=1)
-        scale = np.divide(s[:, -1], gg, out=np.zeros_like(gg), where=gg > 0)
+        scale = np.divide(s[:, -1], gg, out=np.zeros_like(gg), where=gg > 0) / m
         P = np.clip(P - scale[:, None] * g, sys.region.lower, sys.region.upper)
         hit = np.flatnonzero(_singular_mask(sys.A.at_points(P)))
     return P[hit[0]] if hit.size else None
@@ -350,15 +375,17 @@ def _rc_boxes(sys: LpvSsa) -> RcCertificate:
     ``SINGULARITY_RTOL`` times the upper one; every other box is bisected
     along the axis of largest ``r_i ||A_i||_2``.  Each frontier of boxes
     costs one ``at_points`` call at its centres and one stacked SVD (plus
-    the stacked determinant of its open boxes), so the work per box is
-    polynomial in ``n_x`` and ``n_p``.
+    the stacked sign and log-magnitude of the determinant of its open
+    boxes, ``slogdet``, which does not overflow where ``det`` would), so
+    the work per box is polynomial in ``n_x`` and ``n_p``.
 
     A witness comes from a box centre that fails the scaled test, or from
     the singular points of the pencil ``A`` on a line through an open
     centre (:func:`_segment_witness`, one solve and one eigenvalue problem
     of the matrices the frontier evaluated there): the line through two
     open centres of a frontier where ``det A`` changes sign, from the
-    negative one, and, while only the root box is open, the region's main
+    negative one, each of largest ``|det A|`` among the open centres of its
+    sign, and, while only the root box is open, the region's main
     diagonal through its centre, which also finds roots of even
     multiplicity on it (for ``n_p = 1`` the diagonal is the interval
     itself).  No other point is evaluated but those candidates and one
@@ -389,10 +416,10 @@ def _rc_boxes(sys: LpvSsa) -> RcCertificate:
         if not open_.any():
             return RcCertificate("certified", boxes=boxes, sigma_min_bound=float(certified_min))
         centres, radii, lower, As = centres[open_], radii[open_], lower[open_], As[open_]
-        dets = np.linalg.det(As)
-        i, j = np.argmax(dets), np.argmin(dets)
+        sign, logdet = np.linalg.slogdet(As)
+        i, j = (np.argmax(np.where(sign == k, logdet, -np.inf)) for k in (1.0, -1.0))
         witness = None
-        if dets[i] > 0.0 > dets[j]:
+        if sign[i] > 0.0 > sign[j]:
             witness = _segment_witness(sys, centres[j], As[j], centres[i] - centres[j])
         if witness is None and boxes == 1:  # roots of even multiplicity
             witness = _segment_witness(sys, centres[0], As[0], hi - lo)

@@ -5,9 +5,10 @@ when ``A'_i T = T A_i``, ``B'_i = T B_i``, ``C'_i T = C_i`` and
 ``D'_i = D_i`` for every coefficient index (primes denoting ``sys2``).
 Minimal regular realizations of one behavior are related by exactly one
 such transform, which is what :func:`find_isomorphism` estimates.  Its
-stacks and both least-squares solves (the transform, and the matched
-initial state of :func:`match_initial_state`) run at the one rank floor
-``ITERATION_RTOL`` of :mod:`~lpvssa.analysis`.
+stacks come from the one observability kernel, run on ``sys2`` with
+``sys1`` carried along, and they and both least-squares solves (the
+transform, and the matched initial state of :func:`match_initial_state`)
+run at the one rank floor ``ITERATION_RTOL`` of :mod:`~lpvssa.analysis`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .simulation import (
     _sample,
     _sampled,
     _window,
-    error_system,
 )
 
 __all__ = [
@@ -113,33 +113,22 @@ def check_isomorphism(sys1: LpvSsa, sys2: LpvSsa, T: np.ndarray) -> float:
     return worst
 
 
-def _paired_obs_stacks(sys2: LpvSsa, sys1: LpvSsa):
-    """Jointly compressed observability stacks ``[O(sys2) | O(sys1)]``.
-
-    The paired rows are the observability rows of ``error_system(sys2,
-    sys1)`` (output coefficients ``[C2_i  -C1_i]``, state coefficients
-    ``diag(A2_i, A1_i)``) with the sign of ``O(sys1)`` restored.  The
-    observability kernel compresses them, at its rank floor, into one
-    orthonormal basis of their joint row space and stops once that space
-    stops growing, which preserves every linear relation between the two
-    halves, in particular ``O(sys2) T = O(sys1)``.
-    """
-    err = error_system(sys2, sys1)
-    J, _ = _observability_iteration(err.C.coeffs, err.A.coeffs)
-    return J[:, : sys2.n_x], -J[:, sys2.n_x :]
-
-
 def find_isomorphism(sys1: LpvSsa, sys2: LpvSsa, *, tol: float = 1e-8) -> IsoResult:
     """Estimate the isomorphism from ``sys1`` to ``sys2`` and judge it.
 
-    The transform solves the least-squares problem ``O(sys2) T = O(sys1)``,
-    which the defining equations force for any true isomorphism, on the
-    jointly compressed stacks of :func:`_paired_obs_stacks`: the one
-    observability kernel at its one floor (``1e-10``), so neither
-    ``(n_p + 1)^n``-block matrix is formed.  The residual then
-    evaluates all four equation families (covering the B/D equations the
-    solve does not enforce).  ``tol`` must be finite and positive
-    (InputError), so every verdict can be reached.
+    The transform solves the least-squares problem ``Q2 T = Q1`` at the
+    ``1e-10`` floor.  ``Q2`` is the row basis that the observability kernel
+    ends with on ``sys2``, and ``Q1`` is ``sys1``'s stack carried through
+    the same row operations (:func:`~lpvssa.analysis._observability_iteration`
+    with ``carried``), so ``Q2 T = Q1`` holds for every isomorphism ``T``
+    and ranks are decided on ``sys2`` alone: a pair that is isomorphic only
+    to within more than the floor still gets its best transform, and
+    neither ``(n_p + 1)^n``-block matrix is formed.  ``sys2`` is observable
+    exactly when ``Q2`` has ``n`` rows; ``sys1`` is tested only when the
+    transform fails.  The residual then evaluates all four equation
+    families (covering the B/D equations the solve does not enforce).
+    ``tol`` must be finite and positive (InputError), so every verdict can
+    be reached.
 
     Returns
     -------
@@ -176,17 +165,16 @@ def find_isomorphism(sys1: LpvSsa, sys2: LpvSsa, *, tol: float = 1e-8) -> IsoRes
             verdict="isomorphic",
             condition_number=1.0,
         )
-    O2, O1 = _paired_obs_stacks(sys2, sys1)
-    T = np.linalg.lstsq(O2, O1, rcond=ITERATION_RTOL)[0]
+    Q = _observability_iteration(sys2.C.coeffs, sys2.A.coeffs, (sys1.C.coeffs, sys1.A.coeffs))[0]
+    T = np.linalg.lstsq(Q[:, :n], Q[:, n:], rcond=ITERATION_RTOL)[0]
     residual = check_isomorphism(sys1, sys2, T)
     cond = float(np.linalg.cond(T))
     if residual < tol and cond < CONDITION_CAP:
         return IsoResult(
             T=T, residual=residual, verdict="isomorphic", condition_number=cond
         )
-    obs1, _ = is_observable(sys1)
-    obs2, _ = is_observable(sys2)
-    if residual >= tol and obs1 and obs2:
+    observable = Q.shape[0] == n and is_observable(sys1)[0]
+    if residual >= tol and observable:
         return IsoResult(
             T=T,
             residual=residual,
@@ -198,7 +186,7 @@ def find_isomorphism(sys1: LpvSsa, sys2: LpvSsa, *, tol: float = 1e-8) -> IsoRes
             condition_number=cond,
         )
     why = []
-    if not (obs1 and obs2):
+    if not observable:
         why.append("an unobservable operand makes the transform non-unique")
     if cond >= CONDITION_CAP:
         why.append(f"estimated transform is ill-conditioned (cond {cond:.2e})")

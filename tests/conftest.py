@@ -147,6 +147,36 @@ def make_overflowing_determinant() -> LpvSsa:
     )
 
 
+def make_singular_line(scale: float) -> LpvSsa:
+    """DT ``A(p) = scale (p - 0.3) I_3`` on ``[0, 1]``, ``B_0 = 1``, ``C_0 = 1``.
+
+    Singular at ``p = 0.3`` only; ``det A(p)`` overflows a double for ``scale``
+    of ``1e150`` and more, and the squared gradient of ``sigma_min`` from
+    ``1e200``.
+    """
+    I, B, C, D = np.eye(3), np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1))
+    return LpvSsa.from_matrices(
+        [-0.3 * scale * I, scale * I], [B, 0 * B], [C, 0 * C], [D, D], ([0.0], [1.0]), "dt"
+    )
+
+
+def make_near_pair(offset: float):
+    """DT 1-state pair on ``[-1, 1]``, isomorphic by ``T = 0.5`` when ``offset`` is 0.
+
+    ``A = 0.1 + 0.05 p``, ``B = 1``, ``C = 1`` against ``A = 0.1 + offset +
+    0.05 p``, ``B = 0.5``, ``C = 2``; ``T = 0.5`` has residual about
+    ``0.48 offset``.
+    """
+    Z = np.zeros((1, 1))
+
+    def system(a0, b, c):
+        return LpvSsa.from_matrices(
+            [[[a0]], [[0.05]]], [[[b]], Z], [[[c]], Z], [Z, Z], ([-1.0], [1.0]), "dt"
+        )
+
+    return system(0.1, 1.0, 1.0), system(0.1 + offset, 0.5, 2.0)
+
+
 def random_system(
     rng: np.random.Generator,
     *,

@@ -23,7 +23,12 @@ from lpvssa import (
 )
 from lpvssa import analysis
 
-from conftest import make_overflowing_determinant, make_weakly_coupled_ct, random_system
+from conftest import (
+    make_overflowing_determinant,
+    make_singular_line,
+    make_weakly_coupled_ct,
+    random_system,
+)
 from oracles import (
     bareiss_det,
     dyadic,
@@ -243,6 +248,17 @@ class TestCheckRc:
             cert = check_rc(make_overflowing_determinant())
         assert cert.dt_invertibility == "certified"
         assert cert.boxes == 1 and cert.sigma_min_bound > 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e150, 1e200, 1e300])
+    def test_overflowing_singular_line_refuted_without_warning(self, scale):
+        # A(p) = scale (p - 0.3) I_3: det A overflows from 1e150 on, the
+        # squared gradient of sigma_min from 1e200 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check_rc(make_singular_line(scale))
+        assert cert.dt_invertibility == "refuted-with-witness"
+        assert cert.boxes == 1
+        assert np.allclose(cert.witness, [0.3], rtol=0.0, atol=1e-15)
 
     def test_identity_dynamics_certified(self):
         sys = LpvSsa.from_matrices(

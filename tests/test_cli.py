@@ -14,7 +14,13 @@ from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import parse_signal, parse_system, serialize_system
 
-from conftest import CliRunner, make_overflowing_determinant, make_weakly_coupled_ct
+from conftest import (
+    CliRunner,
+    make_near_pair,
+    make_overflowing_determinant,
+    make_singular_line,
+    make_weakly_coupled_ct,
+)
 from test_batched_regularity import diagonal_line
 
 
@@ -436,6 +442,20 @@ class TestIso:
         assert result.exit_code == 0
         assert "not-isomorphic" in result.output
         assert "dimension mismatch" in result.output
+
+    @pytest.mark.parametrize(
+        "offset, tol, verdict",
+        [(1e-9, None, "isomorphic"), (1e-6, None, "not-isomorphic"), (1e-6, "1e-5", "isomorphic")],
+    )
+    def test_near_pair_prints_its_best_transform(self, runner, tmp_path, offset, tol, verdict):
+        # T = 0.5 has residual 0.48 offset: the tolerance decides, not the rank floor
+        pair = make_near_pair(offset)
+        files = [_write_system(tmp_path, s, f"{k}.json") for k, s in enumerate(pair)]
+        args = ["iso", *files, *(["--tol", tol] if tol else [])]
+        lines = runner.invoke(main, args).output.splitlines()
+        assert lines[0] == f"verdict: {verdict}"
+        assert abs(float(lines[1].removeprefix("residual: ")) - 0.48 * offset) < 0.01 * offset
+        assert lines[-2:] == ["T =", "[[0.5]]"]
 
 
 class TestSimulate:
@@ -1180,6 +1200,21 @@ class TestOverflowingDeterminant:
         assert result.stderr == ""
         rc = _strict_json(result.stdout)["rc"]
         assert rc["dt_invertibility"] == "certified" and rc["boxes"] == 1
+
+    def test_check_refutes_an_overflowing_singular_line(self, data_dir, tmp_path):
+        # A(p) = 1e200 (p - 0.3) I_3: det A and |grad sigma_min|^2 overflow a double
+        path = _write_system(tmp_path, make_singular_line(1e200), "singular_line.json")
+        env = dict(os.environ, PYTHONPATH=str(data_dir.parent.parent / "src"))
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+        result = subprocess.run(
+            [_sys.executable, "-m", "lpvssa.cli", "check", path, "--json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        rc = _strict_json(result.stdout)["rc"]
+        assert rc["dt_invertibility"] == "refuted-with-witness" and rc["boxes"] == 1
+        assert rc["witness"] == [0.3]
 
 
 class TestHugeIntegerExitCode:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from lpvssa import (
 )
 from lpvssa.signals import random_input, random_scheduling
 
-from conftest import conjugate_system, random_invertible, random_system
+from conftest import (
+    conjugate_system,
+    make_near_pair,
+    make_worked_minimal,
+    random_invertible,
+    random_system,
+)
+from test_batched_regularity import with_state_matrix
 
 
 def _observable_system(rng, **kw):
@@ -167,6 +176,61 @@ class TestFindIsomorphism:
         # -1 used to report "feedthrough (D) coefficients differ" at residual 0
         with pytest.raises(InputError, match="tolerance must be finite and positive"):
             find_isomorphism(worked_minimal, worked_minimal, tol=tol)
+
+
+def _with_a0(sys, A0):
+    return with_state_matrix(sys, [A0, *sys.A.coeffs[1:]])
+
+
+class TestNearPairs:
+    """Ranks are decided on ``sys2`` alone, so a pair that is isomorphic only to
+    within more than the rank floor still gets its best transform."""
+
+    def test_near_pair_gets_its_best_transform_at_every_offset(self):
+        # T = 0.5 has residual 0.48 offset; the tolerance 1e-8 lies between
+        # the offsets 1e-9 and 1e-6
+        for offset in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            sys1, sys2 = make_near_pair(offset)
+            r = find_isomorphism(sys1, sys2)
+            assert r.verdict == ("isomorphic" if offset <= 1e-9 else "not-isomorphic"), offset
+            assert np.allclose(r.T, 0.5, rtol=0.0, atol=1e-15), offset
+            assert r.residual <= check_isomorphism(sys1, sys2, np.array([[0.5]])) + 1e-15
+
+    def test_tolerance_reaches_the_solve(self):
+        r = find_isomorphism(*make_near_pair(1e-6), tol=1e-5)
+        assert r.verdict == "isomorphic"
+        assert np.allclose(r.T, 0.5, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("a00", [1e20, 1e50, 1e150])
+    def test_badly_scaled_system_isomorphic_to_itself(self, a00):
+        A0 = make_worked_minimal().A.coeffs[0].copy()
+        A0[0, 0] = a00
+        sys = _with_a0(make_worked_minimal(), A0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = find_isomorphism(sys, sys)
+        assert r.verdict == "isomorphic"
+        assert np.allclose(r.T, np.eye(2), rtol=0.0, atol=1e-12)
+        assert r.residual < 1e-12
+
+    def test_perturbed_conjugate_pairs_meet_the_tolerance(self):
+        # sys2 = T sys1 T^-1 with A_0 moved by a random matrix of Frobenius
+        # norm 1e-9; among the pairs whose planted T meets the default
+        # tolerance, at most 10 % may miss it: the least-squares T fits the
+        # kernel's rows, not the residual's four equation families
+        meeting = missed = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            sys1 = _observable_system(rng)
+            T0 = random_invertible(rng, sys1.n_x, log_cond=rng.uniform(0.5, 2.9))
+            sys2 = conjugate_system(sys1, T0)
+            E = rng.standard_normal((sys1.n_x, sys1.n_x))
+            sys2 = _with_a0(sys2, sys2.A.coeffs[0] + 1e-9 * E / np.linalg.norm(E))
+            if check_isomorphism(sys1, sys2, T0) < 1e-8:
+                meeting += 1
+                missed += find_isomorphism(sys1, sys2).verdict != "isomorphic"
+        assert meeting >= 350
+        assert missed <= 0.1 * meeting, (missed, meeting)
 
 
 class TestMatchInitialState:

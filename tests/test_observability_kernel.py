@@ -20,7 +20,7 @@ from lpvssa import (
     transpose_dual,
     unobservable_subspace,
 )
-from lpvssa import analysis
+from lpvssa import analysis, equivalence
 from lpvssa.analysis import ITERATION_RTOL, SINGULARITY_RTOL
 from lpvssa.cli import main
 from lpvssa.io import serialize_system
@@ -169,6 +169,52 @@ class TestNoSecondPath:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["verdict"] == "isomorphic"
+
+
+class TestCarriedBlock:
+    """A second system rides through the kernel's row operations, deciding nothing."""
+
+    @pytest.mark.parametrize("unobservable_dim", [None, 1, 2])
+    def test_carrying_the_systems_own_coefficients_gives_its_rows(self, unobservable_dim):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            sys = random_system(rng, n_x=5, n_p=2, unobservable_dim=unobservable_dim)
+            C, A = sys.C.coeffs, sys.A.coeffs
+            Q, dec = analysis._observability_iteration(C, A)
+            J, carried_dec = analysis._observability_iteration(C, A, (C, A))
+            assert J.shape == (Q.shape[0], 2 * sys.n_x)
+            assert np.array_equal(J[:, : sys.n_x], Q)  # ranks decided on sys alone
+            assert carried_dec.rank == dec.rank
+            assert np.array_equal(carried_dec.singular_values, dec.singular_values)
+            assert np.allclose(J[:, sys.n_x :], Q, rtol=0.0, atol=1e-12)
+
+    def test_conjugate_pair_rows_satisfy_the_transform(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sys1 = random_system(rng, n_x=int(rng.integers(1, 7)))
+            T0 = random_invertible(rng, sys1.n_x)
+            sys2 = conjugate_system(sys1, T0)
+            J, _ = analysis._observability_iteration(
+                sys2.C.coeffs, sys2.A.coeffs, (sys1.C.coeffs, sys1.A.coeffs)
+            )
+            Q2, Q1 = J[:, : sys1.n_x], J[:, sys1.n_x :]
+            assert np.linalg.norm(Q2 @ T0 - Q1) <= 1e-10 * np.linalg.norm(T0)
+
+    def test_isomorphism_runs_the_kernel_once(self, monkeypatch):
+        calls = []
+        kernel = analysis._observability_iteration
+
+        def counted(C, A, carried=None):
+            calls.append(carried is not None)
+            return kernel(C, A, carried)
+
+        monkeypatch.setattr(analysis, "_observability_iteration", counted)
+        monkeypatch.setattr(equivalence, "_observability_iteration", counted)
+        rng = np.random.default_rng(13)
+        sys1 = random_system(rng, n_x=4)
+        sys2 = conjugate_system(sys1, random_invertible(rng, 4))
+        assert find_isomorphism(sys1, sys2).verdict == "isomorphic"
+        assert calls == [True]  # no second run for sys2, no joint error system
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

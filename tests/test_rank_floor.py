@@ -80,7 +80,6 @@ FORMER_OVERRIDES = {
     "is_span_reachable_from_zero": is_span_reachable_from_zero,
     "ltv_window_observability": ltv_window_observability,
     "find_revealing_scheduling": find_revealing_scheduling,
-    "_paired_obs_stacks": equivalence._paired_obs_stacks,
     "find_isomorphism": find_isomorphism,
     "_match": equivalence._match,
     "match_initial_state": match_initial_state,
